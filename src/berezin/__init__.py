@@ -1,7 +1,6 @@
 """Berezin transforms of disk symbols: exact and numeric computation,
 finite-rank detection, node recovery, and rank-one decomposition."""
 
-from berezin._kernels import IMPL as KERNEL_IMPL
 from berezin.core import (
     BidegreeSeries,
     DiskAutomorphism,
@@ -30,7 +29,6 @@ __all__ = [
     "Atom",
     "BidegreeSeries",
     "DiskAutomorphism",
-    "KERNEL_IMPL",
     "MobiusMap",
     "NodeForm",
     "PowerSeries",

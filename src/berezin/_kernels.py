@@ -1,0 +1,75 @@
+"""NumPy kernels: the Berezin kernel sum and batched series evaluation.
+
+The kernel sum never materialises the full ``len(zs) x len(nodes)``
+kernel matrix. The kernel's denominator has rank-3 structure,
+
+    ``|1 - zeta conj(z)|^2 = [1, -2x, -2y, |z|^2] . [1, xi, eta, |zeta|^2]``
+
+for ``z = x + iy`` and ``zeta = xi + i eta``, so one small GEMM forms it
+on a tile of points and nodes. Tiles are visited in a fixed order, which
+keeps results deterministic, and hold at most
+``_POINT_BLOCK * _NODE_BLOCK`` doubles (8 MiB) whatever the input sizes.
+"""
+import numpy as np
+
+#: Nodes per tile. On a 2-CPU Xeon at 320 points, 4096-node tiles ran 2-3x
+#: faster than 16384-node ones: the in-place passes over a tile stay in cache.
+_NODE_BLOCK = 1 << 12
+
+#: Evaluation points per tile.
+_POINT_BLOCK = 256
+
+
+def kernel_sum(nodes, values, zs):
+    """``sum_n values[n] (1-|z|^2)^2 / |1 - nodes[n] conj(z)|^4`` at each z.
+
+    nodes, values: complex arrays (N,); zs: complex array (M,). Returns
+    complex128 (M,).
+    """
+    nodes = np.asarray(nodes, dtype=np.complex128).ravel()
+    zs = np.asarray(zs, dtype=np.complex128).ravel()
+    # [Re v, Im v] as the two columns of one real (N, 2) array, no copy
+    v = np.ascontiguousarray(values, dtype=np.complex128).ravel().view(np.float64).reshape(-1, 2)
+    x, y = zs.real, zs.imag
+    r2 = x * x + y * y
+    point_rows = np.stack([np.ones_like(x), -2.0 * x, -2.0 * y, r2], axis=1)
+    out = np.zeros((len(zs), 2))
+    for start in range(0, len(nodes), _NODE_BLOCK):
+        block = nodes[start:start + _NODE_BLOCK]
+        xi, eta = block.real, block.imag
+        node_cols = np.stack([np.ones_like(xi), xi, eta, xi * xi + eta * eta])
+        block_values = v[start:start + _NODE_BLOCK]
+        for p in range(0, len(zs), _POINT_BLOCK):
+            tile = point_rows[p:p + _POINT_BLOCK] @ node_cols  # |1 - zeta conj(z)|^2
+            np.multiply(tile, tile, out=tile)
+            np.reciprocal(tile, out=tile)
+            out[p:p + _POINT_BLOCK] += tile @ block_values
+    return out.view(np.complex128).ravel() * (1.0 - r2) ** 2
+
+
+def poly_eval_many(coeffs, zs):
+    """Evaluate sum_m coeffs[m] z^m by Horner at each z."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    zs = np.asarray(zs, dtype=np.complex128)
+    acc = np.full(zs.shape, coeffs[-1], dtype=np.complex128)
+    for m in range(len(coeffs) - 2, -1, -1):
+        acc = acc * zs + coeffs[m]
+    return acc
+
+
+def bidegree_eval_many(coeffs, zs):
+    """Evaluate sum_{m,n} coeffs[m,n] z^m conj(z)^n at each z.
+
+    Horner over conj(z) inside, then over z.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    zs = np.asarray(zs, dtype=np.complex128)
+    zb = np.conj(zs)
+    rows, cols = coeffs.shape
+    acc = np.zeros(zs.shape, dtype=np.complex128)
+    for m in range(rows - 1, -1, -1):
+        row = np.full(zs.shape, coeffs[m, cols - 1], dtype=np.complex128)
+        for n in range(cols - 2, -1, -1):
+            row = row * zb + coeffs[m, n]
+        acc = acc * zs + row
+    return acc

@@ -16,7 +16,7 @@ family of integrands.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import ceil, comb
 
@@ -235,11 +235,12 @@ def _singular_nodes_cached(centers, depth, patch_gauss, patch_angular,
                            radial, angular, coarse):
     rule = QuadratureRule.build(radial, angular)
     if not centers:
-        if not coarse:
-            return rule.nodes()
-        return QuadratureRule.build(
-            max(8, (3 * radial) // 4), max(8, (3 * angular) // 4)
-        ).nodes()
+        if coarse:
+            rule = QuadratureRule.build(max(8, (3 * radial) // 4), max(8, (3 * angular) // 4))
+        z, w = rule.nodes()
+        z.setflags(write=False)
+        w.setflags(write=False)
+        return z, w
     radii = _patch_radii(centers)
     if coarse:
         gz, gw = _composite_global(centers, radii, rule, gauss_order=14, points_across=14)
@@ -281,6 +282,28 @@ def disk_integrate(f, rule: QuadratureRule | None = None) -> complex:
     return complex(np.sum(w * np.asarray(f(z), dtype=np.complex128)))
 
 
+#: Fine-vs-coarse deviation above which a singular integral is rejected.
+_REFINEMENT_TOL = 1e-6
+
+
+def _refined(plan: SingularityPlan, rule: QuadratureRule, integrand, functional,
+             *, check: bool, what: str):
+    """``functional(nodes, integrand(nodes) * weights)`` on the plan's node set.
+
+    With ``check`` the functional is recomputed on the coarse node set; a
+    deviation above 1e-6 raises NonConvergence naming ``what``.
+    """
+    z, w = singular_nodes(plan, rule)
+    fine = functional(z, np.asarray(integrand(z), dtype=np.complex128) * w)
+    if check:
+        cz, cw = singular_nodes(plan, rule, coarse=True)
+        coarse = functional(cz, np.asarray(integrand(cz), dtype=np.complex128) * cw)
+        delta = float(np.max(np.abs(fine - coarse)))
+        if delta > _REFINEMENT_TOL:
+            raise NonConvergence(f"{what} refinement mismatch {delta:.3e}")
+    return fine
+
+
 def disk_integrate_singular(f, plan: SingularityPlan, rule: QuadratureRule | None = None,
                             *, check: bool = True) -> complex:
     """Integral of an integrand with log/simple-pole singularities at the
@@ -289,37 +312,14 @@ def disk_integrate_singular(f, plan: SingularityPlan, rule: QuadratureRule | Non
     With ``check=True`` the value is recomputed on an independently coarser
     node set; a discrepancy above 1e-6 raises NonConvergence.
     """
-    rule = rule or QuadratureRule.build()
-    z, w = singular_nodes(plan, rule)
-    fine = complex(np.sum(w * np.asarray(f(z), dtype=np.complex128)))
-    if check:
-        z2, w2 = singular_nodes(plan, rule, coarse=True)
-        other = complex(np.sum(w2 * np.asarray(f(z2), dtype=np.complex128)))
-        if abs(fine - other) > 1e-6:
-            raise NonConvergence(
-                f"singular quadrature refinement mismatch {abs(fine - other):.3e}"
-            )
-    return fine
+    return complex(_refined(plan, rule or QuadratureRule.build(), f,
+                            lambda z, values: np.sum(values),
+                            check=check, what="singular quadrature"))
 
 
 # ---------------------------------------------------------------------------
 # Numeric Berezin transform
 # ---------------------------------------------------------------------------
-
-#: Node-chunk length for kernel contractions; bounds the transient kernel
-#: matrix at len(zs) * chunk doubles.
-_KERNEL_CHUNK = 1 << 18
-
-
-def _weighted_kernel_sum(nodes: np.ndarray, values: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """``sum_n values[n] * kernel(nodes[n], z)`` for each z, chunked over
-    nodes in a fixed order (deterministic, bounded memory)."""
-    out = np.zeros(len(zs), dtype=np.complex128)
-    for start in range(0, len(nodes), _KERNEL_CHUNK):
-        stop = start + _KERNEL_CHUNK
-        out += _kernels.kernel_matrix(nodes[start:stop], zs) @ values[start:stop]
-    return out
-
 
 def _check_eval_points(zs: np.ndarray, rule: QuadratureRule):
     mags = np.abs(zs)
@@ -350,46 +350,19 @@ def berezin_numeric(u, z, rule: QuadratureRule | None = None,
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
     _check_eval_points(zs, rule)
 
-    out = np.zeros(len(zs), dtype=np.complex128)
+    plan = plan or SingularityPlan()
     if isinstance(u, Symbol):
-        base_z, base_w = rule.nodes()
-        hv = _harmonic_part_values(u.holo, u.anti, base_z) * base_w
-        out += _weighted_kernel_sum(base_z, hv, zs)
-        for atom in u.atoms:
-            single = SingularityPlan(
-                centers=(atom.center,),
-                depth=plan.depth if plan else 12,
-                patch_gauss=plan.patch_gauss if plan else 16,
-                patch_angular=plan.patch_angular if plan else 128,
-            )
-            nz, nw = singular_nodes(single, rule)
-            av = np.asarray(atom.eval(nz), dtype=np.complex128) * nw
-            vals = _weighted_kernel_sum(nz, av, zs)
-            if check:
-                cz, cw = singular_nodes(single, rule, coarse=True)
-                cv = np.asarray(atom.eval(cz), dtype=np.complex128) * cw
-                cvals = _weighted_kernel_sum(cz, cv, zs)
-                delta = float(np.max(np.abs(vals - cvals)))
-                if delta > 1e-6:
-                    raise NonConvergence(
-                        f"numeric transform refinement mismatch {delta:.3e}"
-                    )
-            out += vals
+        parts = [(SingularityPlan(), lambda nz: _harmonic_part_values(u.holo, u.anti, nz))]
+        parts += [(replace(plan, centers=(atom.center,)), atom.eval) for atom in u.atoms]
     else:
-        use_plan = plan if plan is not None else SingularityPlan()
-        nz, nw = singular_nodes(use_plan, rule)
-        uv = np.asarray(u(nz), dtype=np.complex128) * nw
-        vals = _weighted_kernel_sum(nz, uv, zs)
-        if check and use_plan.centers:
-            cz, cw = singular_nodes(use_plan, rule, coarse=True)
-            cv = np.asarray(u(cz), dtype=np.complex128) * cw
-            cvals = _weighted_kernel_sum(cz, cv, zs)
-            delta = float(np.max(np.abs(vals - cvals)))
-            if delta > 1e-6:
-                raise NonConvergence(
-                    f"numeric transform refinement mismatch {delta:.3e}"
-                )
-        out += vals
+        parts = [(plan, u)]
+
+    out = np.zeros(len(zs), dtype=np.complex128)
+    for part_plan, integrand in parts:
+        # a plan without centers is the plain rule, which is not checked
+        out += _refined(part_plan, rule, integrand,
+                        lambda nodes, values: _kernels.kernel_sum(nodes, values, zs),
+                        check=check and bool(part_plan.centers), what="numeric transform")
 
     zarr = np.asarray(z, dtype=np.complex128)
     return complex(out[0]) if zarr.ndim == 0 else out.reshape(zarr.shape)

@@ -13,19 +13,17 @@ The moment matrix of a symbol is
 with ``Lap = d/dz d/dconj(z)``. Expanding the Laplacian leaves exactly
 three weighted monomials, so the whole matrix assembles from the plain
 monomial moments ``G[p, q] = integral u z^p conj(z)^q dA`` computed on one
-singular-aware node set. Which index carries the conjugate power (and
-whether the Laplacian applies to the full weighted product) is fixed once
-by calibrating against a log atom so that the coefficient cross-identity
+singular-aware node set. The Laplacian applies to the full weighted
+product and ``q`` carries the conjugate power; in this ``"full"``
+orientation the coefficient cross-identity
 
     ``M[k, l] = c[l+1, k+1]``   (grid coefficients of the exact transform)
 
-holds; the winning orientation tag is stored on every MomentMatrix.
+holds, and the tag is stored on every MomentMatrix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from berezin import _kernels
@@ -133,7 +131,7 @@ def laplacian_weighted_monomial(k: int, l: int) -> BidegreeSeries:
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """Moment matrix entries with the calibrated orientation tag."""
+    """Moment matrix entries with their orientation tag."""
 
     entries: np.ndarray
     orientation: str
@@ -193,51 +191,20 @@ def weighted_monomial_moments(u: Symbol, pmax: int, qmax: int,
     return G
 
 
-def _assemble(G: np.ndarray, kmax: int, lmax: int, orientation: str) -> np.ndarray:
-    """Three-term combination of monomial moments per orientation."""
-    if orientation.endswith("_swapped"):
-        G = G.T.copy()
+def calibrated_orientation() -> str:
+    """Orientation tag of quadrature moment matrices: always ``"full"``."""
+    return "full"
+
+
+def _assemble(G: np.ndarray, kmax: int, lmax: int) -> np.ndarray:
+    """Three-term combination of monomial moments (full Laplacian)."""
     k = np.arange(kmax + 1)[:, None]
     l = np.arange(lmax + 1)[None, :]
     shifted = np.zeros((kmax + 1, lmax + 1), dtype=np.complex128)
     shifted[1:, 1:] = G[:kmax, :lmax]
-    if orientation.startswith("full"):
-        return (k * l * shifted
-                - 2.0 * (k + 1) * (l + 1) * G[: kmax + 1, : lmax + 1]
-                + (k + 2) * (l + 2) * G[1: kmax + 2, 1: lmax + 2])
-    # Laplacian applied to the weight alone: (-2 + 4 |z|^2) z^k conj(z)^l
-    return -2.0 * G[: kmax + 1, : lmax + 1] + 4.0 * G[1: kmax + 2, 1: lmax + 2]
-
-
-_ORIENTATIONS = ("full", "full_swapped", "weight_only", "weight_only_swapped")
-
-
-@lru_cache(maxsize=1)
-def calibrated_orientation() -> str:
-    """Orientation fixed by one calibration run against a log atom.
-
-    The exact transform grid of ``ln|z - 0.3|`` supplies reference values
-    through the cross-identity ``M[k, l] = c[l+1, k+1]``; the orientation
-    reproducing them within 1e-6 wins.
-    """
-    from berezin.symbols import Atom
-    from berezin.transform import log_atom_transform
-
-    a = 0.3
-    u = Symbol(atoms=(Atom("log", a, 1.0),))
-    kmax = lmax = 3
-    G = weighted_monomial_moments(u, kmax + 1, lmax + 1)
-    reference = log_atom_transform(a, 8).coeffs[1: lmax + 2, 1: kmax + 2].T
-    best, best_err = None, np.inf
-    for orientation in _ORIENTATIONS:
-        err = float(np.max(np.abs(_assemble(G, kmax, lmax, orientation) - reference)))
-        if err < best_err:
-            best, best_err = orientation, err
-    if best_err > 1e-6:
-        raise DomainError(
-            f"moment orientation calibration failed, best residual {best_err:.3e}"
-        )
-    return best
+    return (k * l * shifted
+            - 2.0 * (k + 1) * (l + 1) * G[: kmax + 1, : lmax + 1]
+            + (k + 2) * (l + 2) * G[1: kmax + 2, 1: lmax + 2])
 
 
 def moment_matrix(u: Symbol, kmax: int, lmax: int,
@@ -245,10 +212,9 @@ def moment_matrix(u: Symbol, kmax: int, lmax: int,
     """Moment matrix of a symbol by singular quadrature."""
     if kmax < 0 or lmax < 0 or kmax > 18 or lmax > 18:
         raise DomainError("moment matrix needs 0 <= kmax, lmax <= 18")
-    orientation = calibrated_orientation()
     G = weighted_monomial_moments(u, kmax + 1, lmax + 1, rule)
-    return MomentMatrix(entries=_assemble(G, kmax, lmax, orientation),
-                        orientation=orientation)
+    return MomentMatrix(entries=_assemble(G, kmax, lmax),
+                        orientation=calibrated_orientation())
 
 
 def moment_matrix_from_grid(grid: BidegreeSeries, kmax: int, lmax: int) -> MomentMatrix:

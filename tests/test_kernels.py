@@ -1,9 +1,14 @@
-"""The compiled fast path and the NumPy fallback must agree."""
+"""The NumPy kernels against their direct formulas, and the kernel sum's
+memory bound."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from berezin import _kernels
-from berezin._kernels import _fallback
+from berezin.cli import _sample_points
+from berezin.quadrature import _singular_nodes_cached, berezin_numeric
+from berezin.symbols import Atom, Symbol
 
 
 @pytest.fixture
@@ -13,46 +18,46 @@ def data(rng):
     return nodes, zs
 
 
-def test_impl_reported():
-    assert _kernels.IMPL in ("compiled", "numpy")
+def test_kernel_sum_matches_direct_formula(rng):
+    # more nodes and points than one tile holds, so every block loop runs
+    n, m = 3 * _kernels._NODE_BLOCK + 5, _kernels._POINT_BLOCK + 7
+    nodes = 0.999 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    zs = 0.9 * np.sqrt(rng.uniform(size=m)) * np.exp(2j * np.pi * rng.uniform(size=m))
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    d = 1.0 - nodes[None, :] * np.conj(zs)[:, None]
+    kernel = (1.0 - np.abs(zs) ** 2)[:, None] ** 2 / (d.real ** 2 + d.imag ** 2) ** 2
+    # relative to the sum of absolute terms, the scale summation errors have
+    error = np.abs(_kernels.kernel_sum(nodes, values, zs) - kernel @ values)
+    assert np.all(error <= 1e-13 * (kernel @ np.abs(values)))
 
 
-@pytest.mark.skipif(_kernels.IMPL != "compiled", reason="compiled extension not built")
-class TestCompiledMatchesFallback:
-    def test_kernel_matrix(self, data):
-        nodes, zs = data
-        fast = _kernels.kernel_matrix(nodes, zs)
-        slow = _fallback.kernel_matrix(nodes, zs)
-        assert fast.shape == slow.shape == (len(zs), len(nodes))
-        np.testing.assert_allclose(fast, slow, rtol=1e-13, atol=0)
-
-    def test_poly_eval(self, data, rng):
-        nodes, _ = data
-        coeffs = rng.standard_normal(81) + 1j * rng.standard_normal(81)
-        np.testing.assert_allclose(
-            _kernels.poly_eval_many(coeffs, nodes),
-            _fallback.poly_eval_many(coeffs, nodes),
-            rtol=0, atol=1e-11,
-        )
-
-    def test_bidegree_eval(self, data, rng):
-        nodes, _ = data
-        coeffs = rng.standard_normal((41, 41)) + 1j * rng.standard_normal((41, 41))
-        np.testing.assert_allclose(
-            _kernels.bidegree_eval_many(coeffs, nodes[:512]),
-            _fallback.bidegree_eval_many(coeffs, nodes[:512]),
-            rtol=0, atol=1e-9,
-        )
+def test_numeric_transform_memory_is_bounded():
+    # the full 320 x 571,860 kernel matrix of this atom would take 1.4 GB
+    symbol = Symbol(atoms=(Atom("log", 0.72 * np.exp(0.4j), 1.0),))
+    _singular_nodes_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        berezin_numeric(symbol, _sample_points(), check=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
 
 
 class TestFallbackContracts:
-    def test_kernel_positive_and_normalized_at_origin(self, data):
-        nodes, _ = data
-        row = _fallback.kernel_matrix(nodes, np.array([0.0j]))
-        np.testing.assert_allclose(row, 1.0, atol=1e-14)
+    """Contracts of the NumPy kernels."""
+
+    def test_kernel_positive_and_normalized_at_origin(self, data, rng):
+        nodes, zs = data
+        values = rng.uniform(size=len(nodes))
+        # the kernel is 1 at z = 0 for every node, and positive everywhere
+        at_origin = _kernels.kernel_sum(nodes, values, [0.0j])
+        np.testing.assert_allclose(at_origin, values.sum(), rtol=1e-13)
+        sums = _kernels.kernel_sum(nodes, values, zs)
+        assert np.all(sums.real > 0) and np.all(sums.imag == 0)
 
     def test_poly_eval_horner(self):
         coeffs = np.array([1.0, 2.0, 3.0], dtype=np.complex128)
         zs = np.array([0.5 + 0.5j])
         want = 1.0 + 2.0 * zs[0] + 3.0 * zs[0] ** 2
-        assert _fallback.poly_eval_many(coeffs, zs)[0] == pytest.approx(want)
+        assert _kernels.poly_eval_many(coeffs, zs)[0] == pytest.approx(want)

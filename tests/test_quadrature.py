@@ -167,3 +167,10 @@ class TestNodeSets:
         plan = SingularityPlan(centers=(0.3,))
         z, _ = singular_nodes(plan, QuadratureRule.build())
         assert np.min(np.abs(z - 0.3)) > 1e-8
+
+    @pytest.mark.parametrize("centers", [(), (0.3,)])
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_cached_sets_are_read_only(self, centers, coarse):
+        z, w = singular_nodes(SingularityPlan(centers=centers), QuadratureRule.build(),
+                              coarse=coarse)
+        assert not z.flags.writeable and not w.flags.writeable
