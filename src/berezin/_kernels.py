@@ -1,4 +1,5 @@
-"""NumPy kernels: the Berezin kernel sum and batched series evaluation.
+"""NumPy kernels: the Berezin kernel sum, monomial moments and batched
+series evaluation.
 
 The kernel sum never materialises the full ``len(zs) x len(nodes)``
 kernel matrix. The kernel's denominator has rank-3 structure,
@@ -9,6 +10,9 @@ for ``z = x + iy`` and ``zeta = xi + i eta``, so one small GEMM forms it
 on a tile of points and nodes. Tiles are visited in a fixed order, which
 keeps results deterministic, and hold at most
 ``_POINT_BLOCK * _NODE_BLOCK`` doubles (8 MiB) whatever the input sizes.
+The monomial moments walk the nodes in the same ``_NODE_BLOCK`` blocks,
+so their working memory is a few ``_NODE_BLOCK x (degree + 1)`` complex
+power tables, also whatever the node count.
 """
 import numpy as np
 
@@ -45,6 +49,30 @@ def kernel_sum(nodes, values, zs):
             np.reciprocal(tile, out=tile)
             out[p:p + _POINT_BLOCK] += tile @ block_values
     return out.view(np.complex128).ravel() * (1.0 - r2) ** 2
+
+
+def monomial_moments(nodes, values, pmax, qmax):
+    """``G[p, q] = sum_n values[n] nodes[n]^p conj(nodes[n])^q``.
+
+    nodes, values: complex arrays (N,). Returns complex128
+    ``(pmax+1, qmax+1)``; zeros when N is 0. Blocks are added in a fixed
+    order, so the result is deterministic.
+    """
+    nodes = np.asarray(nodes, dtype=np.complex128).ravel()
+    values = np.asarray(values, dtype=np.complex128).ravel()
+    G = np.zeros((pmax + 1, qmax + 1), dtype=np.complex128)
+    for start in range(0, len(nodes), _NODE_BLOCK):
+        block = nodes[start:start + _NODE_BLOCK]
+        # row j holds block**j, built row by row: np.vander's column-wise
+        # accumulate takes twice as long. conj(z)^q = conj(z^q), so one
+        # table serves both sides.
+        powers = np.empty((max(pmax, qmax) + 1, len(block)), dtype=np.complex128)
+        powers[0] = 1.0
+        for j in range(1, len(powers)):
+            np.multiply(powers[j - 1], block, out=powers[j])
+        weighted = powers[:pmax + 1] * values[start:start + _NODE_BLOCK]
+        G += weighted @ np.conj(powers[:qmax + 1]).T
+    return G
 
 
 def poly_eval_many(coeffs, zs):

@@ -32,6 +32,7 @@ from berezin.errors import DomainError, ZeroInput
 from berezin.quadrature import (
     QuadratureRule,
     SingularityPlan,
+    _harmonic_part_values,
     singular_nodes,
 )
 from berezin.symbols import Symbol, canonicalize
@@ -52,15 +53,7 @@ def complexified_eval(grid: BidegreeSeries, z: complex, w: complex) -> complex:
     w = complex(w)
     if abs(z) >= 1 or abs(w) >= 1:
         raise DomainError("complexified evaluation needs |z| < 1 and |w| < 1")
-    # Horner over w inside, then over z
-    acc = 0.0 + 0.0j
-    coeffs = grid.coeffs
-    for m in range(coeffs.shape[0] - 1, -1, -1):
-        row = coeffs[m, -1]
-        for n in range(coeffs.shape[1] - 2, -1, -1):
-            row = row * w + coeffs[m, n]
-        acc = acc * z + row
-    return acc
+    return complex(np.polynomial.polynomial.polyval2d(z, w, grid.coeffs))
 
 
 @dataclass(frozen=True)
@@ -165,29 +158,25 @@ def weighted_monomial_moments(u: Symbol, pmax: int, qmax: int,
     """Monomial moments ``G[p, q] = integral u z^p conj(z)^q dA``.
 
     Splits the symbol by linearity: the harmonic part integrates on the
-    plain rule, each atom on its own single-center singular node set, so
-    every integral sees exactly one declared singularity.
+    plain rule, the atoms of each distinct center together on that
+    center's singular node set, so every integral sees exactly one
+    declared singularity and each node set is contracted once.
     """
     rule = rule or QuadratureRule.build()
     u = canonicalize(u)
     G = np.zeros((pmax + 1, qmax + 1), dtype=np.complex128)
-
-    def accumulate(values, nodes, weights):
-        wu = values * weights
-        P = np.vander(nodes, pmax + 1, increasing=True).T        # (pmax+1, N)
-        Q = np.vander(np.conj(nodes), qmax + 1, increasing=True) # (N, qmax+1)
-        return (P * wu[None, :]) @ Q
-
     if not (u.holo.is_zero() and u.anti.is_zero()):
-        z, w = rule.nodes()
-        hv = _kernels.poly_eval_many(u.holo.coeffs, z) + np.conj(
-            _kernels.poly_eval_many(u.anti.coeffs, z)
-        )
-        G += accumulate(hv, z, w)
+        z, w = singular_nodes(SingularityPlan(), rule)
+        G += _kernels.monomial_moments(z, _harmonic_part_values(u.holo, u.anti, z) * w,
+                                       pmax, qmax)
+    # grouped by the exact center, the node-set cache key: one contraction per set
+    by_center: dict[complex, list] = {}
     for atom in u.atoms:
-        plan = SingularityPlan(centers=(atom.center,))
-        z, w = singular_nodes(plan, rule)
-        G += accumulate(np.asarray(atom.eval(z), dtype=np.complex128), z, w)
+        by_center.setdefault(atom.center, []).append(atom)
+    for center, atoms in by_center.items():
+        z, w = singular_nodes(SingularityPlan(centers=(center,)), rule)
+        values = sum(atom.eval(z) for atom in atoms)
+        G += _kernels.monomial_moments(z, values * w, pmax, qmax)
     return G
 
 

@@ -31,6 +31,31 @@ def test_kernel_sum_matches_direct_formula(rng):
     assert np.all(error <= 1e-13 * (kernel @ np.abs(values)))
 
 
+@pytest.mark.parametrize("n, pmax, qmax", [
+    (2 * _kernels._NODE_BLOCK + 123, 13, 13),  # not a multiple of the block
+    (_kernels._NODE_BLOCK // 3, 13, 13),        # less than one block
+    (_kernels._NODE_BLOCK + 7, 9, 4),           # pmax > qmax
+    (_kernels._NODE_BLOCK + 7, 3, 19),          # pmax < qmax
+])
+def test_monomial_moments_match_direct_formula(rng, n, pmax, qmax):
+    nodes = 0.999 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    P = np.vander(nodes, pmax + 1, increasing=True)
+    Q = np.vander(np.conj(nodes), qmax + 1, increasing=True)
+    got = _kernels.monomial_moments(nodes, values, pmax, qmax)
+    assert got.shape == (pmax + 1, qmax + 1)
+    # relative to the sum of absolute terms, sum |v| |z|^(p+q)
+    scale = (np.abs(P).T * np.abs(values)) @ np.abs(Q)
+    assert np.all(np.abs(got - (P.T * values) @ Q) <= 1e-13 * scale)
+    # blocks are added in a fixed order
+    assert _kernels.monomial_moments(nodes, values, pmax, qmax).tobytes() == got.tobytes()
+
+
+def test_monomial_moments_of_no_nodes_are_zero():
+    got = _kernels.monomial_moments(np.zeros(0, complex), np.zeros(0, complex), 4, 2)
+    assert got.shape == (5, 3) and not np.any(got)
+
+
 def test_numeric_transform_memory_is_bounded():
     # the full 320 x 571,860 kernel matrix of this atom would take 1.4 GB
     symbol = Symbol(atoms=(Atom("log", 0.72 * np.exp(0.4j), 1.0),))

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from berezin import _kernels
 from berezin.core import BidegreeSeries, PowerSeries
 from berezin.errors import DomainError, ZeroInput
+from berezin.quadrature import QuadratureRule, SingularityPlan, singular_nodes
 from berezin.rank import (
     calibrated_orientation,
     coefficient_rows,
@@ -11,6 +15,7 @@ from berezin.rank import (
     moment_matrix,
     moment_matrix_from_grid,
     numerical_rank,
+    weighted_monomial_moments,
 )
 from berezin.symbols import Atom, Symbol
 from berezin.transform import (
@@ -140,18 +145,17 @@ class TestLaplacianWeightedMonomial:
         )
 
     def test_against_symbolic_differentiation(self):
-        sympy = pytest.importorskip("sympy")
-        z, w = sympy.symbols("z w")  # w stands for conj(z)
+        # (1 - z w)^2 z^k w^l as a coefficient array (w stands for conj(z)),
+        # then d/dz d/dw maps the coefficient at (m, n) to m n at (m-1, n-1)
         for (k, l) in ((0, 0), (1, 0), (2, 3), (4, 1)):
-            expr = sympy.expand(
-                sympy.diff((1 - z * w) ** 2 * z ** k * w ** l, z, w)
-            )
+            product = np.zeros((k + 3, l + 3))
+            for j, c in enumerate((1.0, -2.0, 1.0)):
+                product[k + j, l + j] = c
+            m = np.arange(k + 3)[:, None]
+            n = np.arange(l + 3)[None, :]
+            want = (m * n * product)[1:, 1:]
             got = laplacian_weighted_monomial(k, l).coeffs
-            poly = sympy.Poly(expr, z, w)
-            want = np.zeros_like(got)
-            for (mz, mw), coeff in zip(poly.monoms(), poly.coeffs()):
-                want[mz, mw] = complex(coeff)
-            np.testing.assert_allclose(got, want, atol=0)
+            np.testing.assert_array_equal(got, want)
 
     def test_total_degree(self):
         for (k, l) in ((0, 0), (3, 2), (5, 5)):
@@ -209,6 +213,33 @@ class TestMomentMatrix:
             quad = moment_matrix(u, 5, 5)
             exact = moment_matrix_from_grid(symbol_transform(u), 5, 5)
             assert np.max(np.abs(quad.entries - exact.entries)) <= 1e-6
+
+    def test_same_center_atoms_share_one_contraction(self):
+        atoms = (Atom("log", 0.3 - 0.2j, 1.0), Atom("pole", 0.3 - 0.2j, 0.5 + 0.25j),
+                 Atom("conjpole", 0.3 - 0.2j, -0.25j))
+        together = weighted_monomial_moments(Symbol(atoms=atoms), 13, 13)
+        apart = sum(weighted_monomial_moments(Symbol(atoms=(atom,)), 13, 13) for atom in atoms)
+        # relative to the sum of absolute terms, sum |u| w |z|^(p+q): the high
+        # moments of this center cancel to under 1e-5 of that, so entrywise relative
+        # differences there show rounding, not a change of node set
+        z, w = singular_nodes(SingularityPlan(centers=(0.3 - 0.2j,)), QuadratureRule.build())
+        weights = sum(np.abs(atom.eval(z)) for atom in atoms) * w
+        scale = _kernels.monomial_moments(np.abs(z), weights, 13, 13).real
+        assert np.all(np.abs(together - apart) <= 1e-13 * scale)
+
+    def test_moment_memory_is_bounded(self):
+        # three atoms on one 0.75 center contract a node set of 678,159 nodes;
+        # a full 14 x 678,159 complex Vandermonde matrix alone takes 152 MB
+        a = 0.75 * np.exp(0.3j)
+        u = Symbol(atoms=(Atom("log", a, 1.0), Atom("pole", a, 0.5), Atom("conjpole", a, -0.25j)))
+        singular_nodes(SingularityPlan(centers=(a,)), QuadratureRule.build())
+        tracemalloc.start()
+        try:
+            moment_matrix(u, 12, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
 
     def test_grid_route_requires_truncation(self):
         with pytest.raises(DomainError):
