@@ -1,5 +1,4 @@
-"""NumPy kernels: the Berezin kernel sum, monomial moments and batched
-series evaluation.
+"""NumPy kernels: the Berezin kernel sum and monomial moments.
 
 The kernel sum never materialises the full ``len(zs) x len(nodes)``
 kernel matrix. The kernel's denominator has rank-3 structure,
@@ -73,31 +72,3 @@ def monomial_moments(nodes, values, pmax, qmax):
         weighted = powers[:pmax + 1] * values[start:start + _NODE_BLOCK]
         G += weighted @ np.conj(powers[:qmax + 1]).T
     return G
-
-
-def poly_eval_many(coeffs, zs):
-    """Evaluate sum_m coeffs[m] z^m by Horner at each z."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    zs = np.asarray(zs, dtype=np.complex128)
-    acc = np.full(zs.shape, coeffs[-1], dtype=np.complex128)
-    for m in range(len(coeffs) - 2, -1, -1):
-        acc = acc * zs + coeffs[m]
-    return acc
-
-
-def bidegree_eval_many(coeffs, zs):
-    """Evaluate sum_{m,n} coeffs[m,n] z^m conj(z)^n at each z.
-
-    Horner over conj(z) inside, then over z.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    zs = np.asarray(zs, dtype=np.complex128)
-    zb = np.conj(zs)
-    rows, cols = coeffs.shape
-    acc = np.zeros(zs.shape, dtype=np.complex128)
-    for m in range(rows - 1, -1, -1):
-        row = np.full(zs.shape, coeffs[m, cols - 1], dtype=np.complex128)
-        for n in range(cols - 2, -1, -1):
-            row = row * zb + coeffs[m, n]
-        acc = acc * zs + row
-    return acc

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from berezin import _kernels
 from berezin.errors import DomainError, TruncationError, TruncationOverflow
 
 #: Default truncation degree for bidegree grids. Atom centers are capped at
@@ -168,8 +167,8 @@ class PowerSeries:
 
     def eval(self, z):
         z = np.asarray(z, dtype=np.complex128)
-        out = _kernels.poly_eval_many(self.coeffs, np.atleast_1d(z))
-        return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+        out = np.polynomial.polynomial.polyval(z, self.coeffs)
+        return complex(out) if z.ndim == 0 else out
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.coeffs) <= tol))
@@ -273,8 +272,9 @@ class BidegreeSeries:
 
     def eval(self, z):
         z = np.asarray(z, dtype=np.complex128)
-        out = _kernels.bidegree_eval_many(self.coeffs, np.atleast_1d(z).ravel())
-        return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+        # Horner over conj(z) inside, then over z
+        out = np.polynomial.polynomial.polyval2d(np.conj(z), z, self.coeffs.T)
+        return complex(out) if z.ndim == 0 else out
 
     def __call__(self, z):
         return self.eval(z)

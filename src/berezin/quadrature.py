@@ -23,7 +23,6 @@ from math import ceil, comb
 import numpy as np
 
 from berezin import _kernels
-from berezin.core import PowerSeries
 from berezin.errors import DomainError, NonConvergence, OutOfRange
 from berezin.symbols import Symbol
 
@@ -317,6 +316,25 @@ def disk_integrate_singular(f, plan: SingularityPlan, rule: QuadratureRule | Non
                             check=check, what="singular quadrature"))
 
 
+def _symbol_parts(u: Symbol, plan: SingularityPlan = SingularityPlan()):
+    """Split ``u`` by linearity into ``(plan, integrand)`` parts.
+
+    The harmonic part, when nonzero, runs on the plain rule. The atoms are
+    grouped by their exact center, the node-set cache key, so each group
+    integrates once on that center's node set, graded as ``plan``.
+    """
+    parts = []
+    if not (u.holo.is_zero() and u.anti.is_zero()):
+        parts.append((SingularityPlan(), lambda z: u.holo.eval(z) + np.conj(u.anti.eval(z))))
+    by_center: dict[complex, list] = {}
+    for atom in u.atoms:
+        by_center.setdefault(atom.center, []).append(atom)
+    for center, atoms in by_center.items():
+        parts.append((replace(plan, centers=(center,)),
+                      lambda z, atoms=atoms: sum(atom.eval(z) for atom in atoms)))
+    return parts
+
+
 # ---------------------------------------------------------------------------
 # Numeric Berezin transform
 # ---------------------------------------------------------------------------
@@ -331,20 +349,18 @@ def _check_eval_points(zs: np.ndarray, rule: QuadratureRule):
         )
 
 
-def _harmonic_part_values(holo: PowerSeries, anti: PowerSeries, nodes: np.ndarray) -> np.ndarray:
-    return _kernels.poly_eval_many(holo.coeffs, nodes) + np.conj(
-        _kernels.poly_eval_many(anti.coeffs, nodes)
-    )
-
-
 def berezin_numeric(u, z, rule: QuadratureRule | None = None,
                     plan: SingularityPlan | None = None, *, check: bool = True):
     """Numeric Berezin transform ``B(u)(z)`` by quadrature.
 
-    ``u`` may be a :class:`Symbol` (atoms integrate on per-center singular
-    node sets, the harmonic part on the plain rule) or any callable mapping
-    a node array to values (singularities must be declared via ``plan``).
-    ``z`` may be a scalar or an array; the result matches its shape.
+    ``u`` may be a :class:`Symbol` or any callable mapping a node array to
+    values (singularities must be declared via ``plan``). A symbol splits
+    as :func:`_symbol_parts` does: the harmonic part on the plain rule, the
+    atoms of each distinct center together on that center's singular node
+    set, graded as ``plan``. With ``check`` each singular part is
+    recomputed on the coarse node set, so the 1e-6 refinement check guards
+    each center's summed contribution. ``z`` may be a scalar or an array;
+    the result matches its shape.
     """
     rule = rule or QuadratureRule.build()
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
@@ -352,8 +368,7 @@ def berezin_numeric(u, z, rule: QuadratureRule | None = None,
 
     plan = plan or SingularityPlan()
     if isinstance(u, Symbol):
-        parts = [(SingularityPlan(), lambda nz: _harmonic_part_values(u.holo, u.anti, nz))]
-        parts += [(replace(plan, centers=(atom.center,)), atom.eval) for atom in u.atoms]
+        parts = _symbol_parts(u, plan)
     else:
         parts = [(plan, u)]
 

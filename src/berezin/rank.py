@@ -29,12 +29,7 @@ import numpy as np
 from berezin import _kernels
 from berezin.core import BidegreeSeries
 from berezin.errors import DomainError, ZeroInput
-from berezin.quadrature import (
-    QuadratureRule,
-    SingularityPlan,
-    _harmonic_part_values,
-    singular_nodes,
-)
+from berezin.quadrature import QuadratureRule, _refined, _symbol_parts
 from berezin.symbols import Symbol, canonicalize
 
 #: Relative singular-value threshold for rank decisions.
@@ -157,26 +152,17 @@ def weighted_monomial_moments(u: Symbol, pmax: int, qmax: int,
                               rule: QuadratureRule | None = None) -> np.ndarray:
     """Monomial moments ``G[p, q] = integral u z^p conj(z)^q dA``.
 
-    Splits the symbol by linearity: the harmonic part integrates on the
-    plain rule, the atoms of each distinct center together on that
-    center's singular node set, so every integral sees exactly one
+    Splits the symbol as the numeric transform does (the harmonic part on
+    the plain rule, the atoms of each distinct center together on that
+    center's singular node set), so every integral sees exactly one
     declared singularity and each node set is contracted once.
     """
     rule = rule or QuadratureRule.build()
-    u = canonicalize(u)
     G = np.zeros((pmax + 1, qmax + 1), dtype=np.complex128)
-    if not (u.holo.is_zero() and u.anti.is_zero()):
-        z, w = singular_nodes(SingularityPlan(), rule)
-        G += _kernels.monomial_moments(z, _harmonic_part_values(u.holo, u.anti, z) * w,
-                                       pmax, qmax)
-    # grouped by the exact center, the node-set cache key: one contraction per set
-    by_center: dict[complex, list] = {}
-    for atom in u.atoms:
-        by_center.setdefault(atom.center, []).append(atom)
-    for center, atoms in by_center.items():
-        z, w = singular_nodes(SingularityPlan(centers=(center,)), rule)
-        values = sum(atom.eval(z) for atom in atoms)
-        G += _kernels.monomial_moments(z, values * w, pmax, qmax)
+    for plan, integrand in _symbol_parts(canonicalize(u)):
+        G += _refined(plan, rule, integrand,
+                      lambda z, values: _kernels.monomial_moments(z, values, pmax, qmax),
+                      check=False, what="monomial moments")
     return G
 
 

@@ -36,6 +36,7 @@ from berezin.quadrature import (
     QuadratureRule,
     SingularityPlan,
     berezin_numeric,
+    plan_for_symbol,
 )
 from berezin.symbols import NodeForm, Symbol, canonicalize, symbol_eval
 
@@ -193,8 +194,8 @@ def covariance_residual(s: Symbol, a: complex, z: complex,
     Compares the numeric transform of the composed callable
     ``w -> s(phi_a(w))`` at ``z`` against the exact transform of ``s``
     evaluated at ``phi_a(z)``. The composed symbol is evaluated purely as
-    a callable; its singular centers are the preimages of the atom centers
-    under ``phi_a``.
+    a callable; its singular centers are the preimages of the distinct atom
+    centers under ``phi_a``.
     """
     a = require_finite(a, "automorphism parameter")
     z = require_finite(z, "evaluation point")
@@ -206,7 +207,7 @@ def covariance_residual(s: Symbol, a: complex, z: complex,
     def composed(w):
         return symbol_eval(s, mobius_eval(phi, w))
 
-    centers = tuple(inverse(c) for c in s.centers)
+    centers = tuple(inverse(c) for c in plan_for_symbol(s).centers)
     plan = SingularityPlan(centers=centers) if centers else None
     numeric = berezin_numeric(composed, z, rule, plan)
     exact = symbol_transform(s, truncation).eval(mobius_eval(phi, z))

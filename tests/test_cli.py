@@ -132,16 +132,22 @@ def test_verify_deterministic(tmp_path):
 
 
 def test_verify_deterministic_across_processes(tmp_path):
+    import os
     import subprocess
     import sys
 
+    import berezin
+
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(berezin.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outputs = []
     for name in ("p1.txt", "p2.txt"):
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "berezin", "verify", "--seed", "3",
              "--output", str(out)],
-            capture_output=True,
+            capture_output=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(out.read_bytes())

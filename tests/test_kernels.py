@@ -7,6 +7,7 @@ import pytest
 
 from berezin import _kernels
 from berezin.cli import _sample_points
+from berezin.core import PowerSeries
 from berezin.quadrature import _singular_nodes_cached, berezin_numeric
 from berezin.symbols import Atom, Symbol
 
@@ -70,7 +71,7 @@ def test_numeric_transform_memory_is_bounded():
 
 
 class TestFallbackContracts:
-    """Contracts of the NumPy kernels."""
+    """Contracts of the NumPy kernels and of batched series evaluation."""
 
     def test_kernel_positive_and_normalized_at_origin(self, data, rng):
         nodes, zs = data
@@ -82,7 +83,7 @@ class TestFallbackContracts:
         assert np.all(sums.real > 0) and np.all(sums.imag == 0)
 
     def test_poly_eval_horner(self):
-        coeffs = np.array([1.0, 2.0, 3.0], dtype=np.complex128)
-        zs = np.array([0.5 + 0.5j])
-        want = 1.0 + 2.0 * zs[0] + 3.0 * zs[0] ** 2
-        assert _kernels.poly_eval_many(coeffs, zs)[0] == pytest.approx(want)
+        # series evaluation is NumPy's Horner (polyval), batched over points
+        zs = np.array([0.5 + 0.5j, -0.25j])
+        want = 1.0 + 2.0 * zs + 3.0 * zs ** 2
+        np.testing.assert_allclose(PowerSeries([1.0, 2.0, 3.0]).eval(zs), want, rtol=1e-15)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from berezin import _kernels
 from berezin.core import PowerSeries
 from berezin.errors import DomainError, NonConvergence, OutOfRange
 from berezin.quadrature import (
@@ -154,6 +155,26 @@ class TestBerezinNumeric:
         batch = berezin_numeric(u, zs)
         singles = [berezin_numeric(u, z) for z in zs]
         np.testing.assert_allclose(batch, singles, atol=1e-13)
+
+    def test_same_center_atoms_sum_to_one_atom_calls(self):
+        atoms = (Atom("log", 0.3 - 0.2j, 1.0), Atom("pole", 0.3 - 0.2j, 0.5 + 0.25j),
+                 Atom("conjpole", 0.3 - 0.2j, -0.25j))
+        zs = np.array([0.1, 0.3 - 0.25j, -0.4 + 0.5j])
+        together = berezin_numeric(Symbol(atoms=atoms), zs)
+        apart = sum(berezin_numeric(Symbol(atoms=(atom,)), zs) for atom in atoms)
+        # relative to the sum of absolute terms: the kernel is positive
+        z, w = singular_nodes(SingularityPlan(centers=(0.3 - 0.2j,)), QuadratureRule.build())
+        weights = sum(np.abs(atom.eval(z)) for atom in atoms) * w
+        scale = _kernels.kernel_sum(z, weights, zs).real
+        assert np.all(np.abs(together - apart) <= 1e-13 * scale)
+
+    def test_refinement_check_guards_each_center_group(self):
+        # a plan too coarse for the patch: the group's fine and coarse sums disagree
+        atoms = (Atom("log", 0.5, 1.0), Atom("pole", 0.5, 0.5 + 0.25j),
+                 Atom("conjpole", 0.5, -0.25j))
+        plan = SingularityPlan(depth=4, patch_gauss=4, patch_angular=8)
+        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
+            berezin_numeric(Symbol(atoms=atoms), np.array([0.1, 0.5 + 0.1j]), plan=plan)
 
 
 class TestNodeSets:

@@ -8,7 +8,7 @@ from berezin.quadrature import (
     berezin_numeric,
     disk_integrate_singular,
 )
-from berezin.symbols import Atom, Symbol, product_preimage_symbol
+from berezin.symbols import Atom, NodeForm, Symbol, product_preimage_symbol
 from berezin.transform import (
     conj_pole_atom_transform,
     covariance_residual,
@@ -223,6 +223,11 @@ class TestCovariance:
     def test_log_atom_instance(self):
         s = Symbol(atoms=(Atom("log", 0.0, 1.0),))
         assert covariance_residual(s, 0.3, 0.2) <= 1e-5
+
+    def test_node_form_instance(self):
+        # log, pole and conjugate pole share one center, declared once
+        s = NodeForm(nodes=((0.3, 1, 0.5, 0.2j),)).to_symbol()
+        assert covariance_residual(s, 0.2, 0.1) <= 1e-5
 
     def test_harmonic_instance(self):
         s = Symbol(holo=PowerSeries([0, 0, 1.0]))
