@@ -33,6 +33,10 @@ MAX_TRUNCATION = 160
 #: Largest admissible modulus for an automorphism parameter or atom center.
 MAX_CENTER_MODULUS = 0.95
 
+#: Points per block in :meth:`BidegreeSeries.eval`; bounds its working
+#: memory to a few ``rows x 4096`` complex tables whatever the point count.
+_EVAL_BLOCK = 4096
+
 
 def require_finite(value: complex, what: str = "value") -> complex:
     value = complex(value)
@@ -272,9 +276,15 @@ class BidegreeSeries:
 
     def eval(self, z):
         z = np.asarray(z, dtype=np.complex128)
-        # Horner over conj(z) inside, then over z
-        out = np.polynomial.polynomial.polyval2d(np.conj(z), z, self.coeffs.T)
-        return complex(out) if z.ndim == 0 else out
+        flat = z.reshape(-1)
+        out = np.empty(flat.shape, dtype=np.complex128)
+        for start in range(0, flat.size, _EVAL_BLOCK):
+            block = flat[start: start + _EVAL_BLOCK]
+            # Horner over conj(z) inside, then over z
+            out[start: start + _EVAL_BLOCK] = np.polynomial.polynomial.polyval2d(
+                np.conj(block), block, self.coeffs.T
+            )
+        return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
     def __call__(self, z):
         return self.eval(z)

@@ -8,7 +8,12 @@
   pole terms contribute the linear-in-index parts, so a node can appear as
   a confluent eigenvalue pair of multiplicity two).
 * :func:`fit_node_form` solves for the node constants and the harmonic
-  part by linear least squares against exact product grids.
+  part by linear least squares against exact product grids. The harmonic
+  unit grids fit row 0 and column 0 exactly, so the node constants come
+  from a QR solve on the interior block ``c[1:, 1:]`` alone and the
+  harmonic part is the edge residual; the conditioning guard still
+  measures the whole design, through a small square matrix with the same
+  singular values.
 * :func:`factor_rank_one` writes a rank-one grid as ``p(phi_a) *
   conj(q(phi_a))`` with polynomials of degree at most 2 and ``deg p +
   deg q <= 3``.
@@ -24,8 +29,10 @@ import numpy as np
 
 from berezin.core import (
     DEFAULT_TRUNCATION,
+    MAX_CENTER_MODULUS,
     BidegreeSeries,
     PowerSeries,
+    mobius_power_series,
 )
 from berezin.errors import (
     DegenerateNode,
@@ -220,12 +227,20 @@ def fit_node_form(grid: BidegreeSeries, nodes, *,
                   truncation: int | None = None) -> tuple[NodeForm, float]:
     """Least-squares node constants and harmonic part for given nodes.
 
-    Regressors are the exact grids of ``phi*conj(phi)``, ``phi^2*conj(phi)``
-    and ``phi*conj(phi)^2`` per node plus the harmonic unit grids. Raises
-    IllConditioned when the regressor Gram condition exceeds 1e12.
-    """
-    from berezin.transform import product_grid
+    The regressors are the exact grids of ``phi*conj(phi)``,
+    ``phi^2*conj(phi)`` and ``phi*conj(phi)^2`` per node, each an outer
+    product ``f ⊗ conj(g)`` of two Moebius power series, plus one unit grid
+    per harmonic coefficient. The unit grids touch only row 0 and column 0,
+    where they fit the target exactly, so the node constants are the
+    least-squares solution on the interior block ``c[1:, 1:]`` alone: with
+    ``interior = Q R`` they are ``R^-1 Q^H t_int``, and the harmonic part
+    is the edge residual ``t_edge - edge x``.
 
+    The full design ``D`` satisfies ``D^H D = S^H S`` with the square
+    ``S = [[R, 0], [edge, I]]``, so the singular values of ``S`` are those
+    of ``D``. Raises IllConditioned when the Gram condition of ``D``
+    exceeds 1e12.
+    """
     nodes = [complex(a) for a in nodes]
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
@@ -233,38 +248,45 @@ def fit_node_form(grid: BidegreeSeries, nodes, *,
                 raise DomainError("fit nodes must be pairwise distinct")
     T = truncation if truncation is not None else max(grid.truncation)
     target = grid.padded(T, T)
+    k = 3 * len(nodes)
 
-    columns = []
-    for a in nodes:
-        for jk in ((1, 1), (2, 1), (1, 2)):
-            columns.append(product_grid(a, *jk, T).coeffs.ravel())
-    npts = (T + 1) * (T + 1)
-    holo_idx = [(m, 0) for m in range(T + 1)]
-    anti_idx = [(0, n) for n in range(1, T + 1)]
-    for (m, n) in holo_idx + anti_idx:
-        e = np.zeros(npts, dtype=np.complex128)
-        e[m * (T + 1) + n] = 1.0
-        columns.append(e)
-    design = np.stack(columns, axis=1)
+    # factor series f (holomorphic) and conj(g) (anti-holomorphic) of the
+    # columns phi*conj(phi), phi^2*conj(phi), phi*conj(phi)^2 per node
+    f = np.empty((k, T + 1), dtype=np.complex128)
+    g = np.empty((k, T + 1), dtype=np.complex128)
+    for i, a in enumerate(nodes):
+        phi = mobius_power_series(a, 1, T).coeffs
+        phi2 = mobius_power_series(a, 2, T).coeffs
+        f[3 * i: 3 * i + 3] = (phi, phi2, phi)
+        g[3 * i: 3 * i + 3] = np.conj((phi, phi, phi2))
 
-    U, s, Vh = np.linalg.svd(design, full_matrices=False)
-    if (s[0] / s[-1]) ** 2 > 1e12:
-        raise IllConditioned(
-            f"regressor Gram condition {(s[0]/s[-1])**2:.3e} exceeds 1e12"
-        )
-    coeffs = Vh.conj().T @ ((U.conj().T @ target.ravel()) / s)
-    recon = (design @ coeffs).reshape(T + 1, T + 1)
-    residual = float(np.max(np.abs(recon - target)))
+    # rows (m, 0) for m = 0..T, then (0, n) for n = 1..T
+    edge = np.concatenate([f * g[:, :1], f[:, :1] * g[:, 1:]], axis=1).T
+    t_edge = np.concatenate([target[:, 0], target[0, 1:]])
+    interior = (f[:, 1:, None] * g[:, None, 1:]).reshape(k, T * T).T
+    t_int = target[1:, 1:].ravel()
 
-    node_coeffs = coeffs[: 3 * len(nodes)]
-    base = 3 * len(nodes)
-    holo = PowerSeries(coeffs[base: base + T + 1])
-    anti_conj = np.concatenate(([0.0], coeffs[base + T + 1:]))
+    Q, R = np.linalg.qr(interior)
+    square = np.zeros((k, k), dtype=np.complex128)
+    square[: R.shape[0]] = R   # fewer interior rows than unknowns: singular
+    S = np.eye(k + 2 * T + 1, dtype=np.complex128)
+    S[:k, :k] = square
+    S[k:, :k] = edge
+    s = np.linalg.svd(S, compute_uv=False)
+    gram = np.inf if s[-1] == 0 else (s[0] / s[-1]) ** 2
+    if gram > 1e12:
+        raise IllConditioned(f"regressor Gram condition {gram:.3e} exceeds 1e12")
+    x = np.linalg.solve(square, Q.conj().T @ t_int)
+    harmonic = t_edge - edge @ x
+    residual = float(np.max(np.abs(interior @ x - t_int), initial=0.0))
+
+    holo = PowerSeries(harmonic[: T + 1])
+    anti_conj = np.concatenate(([0.0], harmonic[T + 1:]))
     form = NodeForm(
         holo=holo,
         anti=PowerSeries(np.conj(anti_conj)),
         nodes=tuple(
-            (nodes[i], node_coeffs[3 * i], node_coeffs[3 * i + 1], node_coeffs[3 * i + 2])
+            (nodes[i], x[3 * i], x[3 * i + 1], x[3 * i + 2])
             for i in range(len(nodes))
         ),
     )
@@ -362,8 +384,6 @@ def _weighted_head(series, a):
 
 def _poly_phi_series(coeffs3, a, truncation) -> np.ndarray:
     """Series of ``c0 + c1 phi_a + c2 phi_a^2`` up to the truncation."""
-    from berezin.core import mobius_power_series
-
     out = np.zeros(truncation + 1, dtype=np.complex128)
     out[0] = coeffs3[0]
     for j in (1, 2):
@@ -416,7 +436,9 @@ def factor_rank_one(grid: BidegreeSeries, *, tol: float = 1e-7) -> MobiusFactori
             if abs(cand) >= 1.0:
                 continue
             root, _ = _polish_denominator_root(series, complex(cand), span)
-            if abs(root) < 1.0:
+            # no admissible center lies beyond MAX_CENTER_MODULUS, and the
+            # Moebius series that would score such a root reject it
+            if abs(root) < MAX_CENTER_MODULUS:
                 polished.append(complex(root))
         return polished
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,3 +168,25 @@ class TestBidegree:
         grid = BidegreeSeries.outer(f, g)
         z = 0.3 - 0.45j
         assert grid.eval(z) == pytest.approx(f.eval(z) * np.conj(g.eval(z)))
+
+    def test_eval_blocks_match_one_call(self, rng):
+        # several point blocks and a 2-d shape: the blocked evaluation is
+        # byte-identical to one whole-array Horner pass
+        grid = BidegreeSeries(rng.standard_normal((81, 81)) + 1j * rng.standard_normal((81, 81)))
+        z = 0.9 * np.exp(2j * np.pi * rng.uniform(size=(100, 97))) * rng.uniform(size=(100, 97))
+        whole = np.polynomial.polynomial.polyval2d(np.conj(z), z, grid.coeffs.T)
+        got = grid.eval(z)
+        assert got.shape == z.shape
+        np.testing.assert_array_equal(got, whole)
+        assert grid.eval(complex(z[3, 5])) == whole[3, 5]
+
+    def test_eval_memory_is_bounded(self, rng):
+        grid = BidegreeSeries(rng.standard_normal((81, 81)) + 1j * rng.standard_normal((81, 81)))
+        z = 0.9 * np.exp(2j * np.pi * rng.uniform(size=100_000)) * rng.uniform(size=100_000)
+        tracemalloc.start()
+        try:
+            grid.eval(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

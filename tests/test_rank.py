@@ -102,6 +102,16 @@ class TestNumericalRank:
             rb = numerical_rank(b).rank
             assert numerical_rank(a + b).rank <= ra + rb
 
+    @pytest.mark.parametrize("kind", ["log", "pole", "conjpole"])
+    def test_svd_corner_keeps_full_grid_rank(self, kind):
+        # the 40x40 corner is not small in norm near the boundary, but it
+        # spans the same rank as the full exact grid
+        for modulus in (0.3, 0.6, 0.85, 0.9, 0.94):
+            for angle in (0.4, 2.1, 4.0):
+                center = modulus * np.exp(1j * angle)
+                grid = symbol_transform(Symbol(atoms=(Atom(kind, center, 1.0),)))
+                assert numerical_rank(grid).rank == numerical_rank(grid.coeffs).rank
+
     def test_report_serialization(self):
         report = numerical_rank(product_grid(0.3, 1, 1))
         doc = report.to_dict()

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,9 +116,80 @@ class TestFitNodeForm:
         with pytest.raises(IllConditioned):
             fit_node_form(grid, [0.3, 0.3 + 1e-6], truncation=40)
 
+    def test_more_unknowns_than_grid_entries_ill_conditioned(self):
+        # 2 nodes at T=2: 9 grid entries, 11 unknowns; the Gram matrix of
+        # the design is singular, so no least-squares answer is unique
+        with pytest.raises(IllConditioned):
+            fit_node_form(product_grid(0.3, 1, 1, 2), [0.3, -0.3], truncation=2)
+
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(DomainError):
             fit_node_form(product_grid(0.3, 1, 1, 20), [0.3, 0.3])
+
+
+def full_design(nodes, T):
+    """The whole (T+1)^2 x (3n+2T+1) regressor matrix: three product grids
+    per node, then unit grids at (m, 0) for m = 0..T and (0, n) for
+    n = 1..T."""
+    columns = [product_grid(a, *jk, T).coeffs.ravel()
+               for a in nodes for jk in ((1, 1), (2, 1), (1, 2))]
+    for index in [m * (T + 1) for m in range(T + 1)] + list(range(1, T + 1)):
+        unit = np.zeros((T + 1) ** 2, dtype=np.complex128)
+        unit[index] = 1.0
+        columns.append(unit)
+    return np.stack(columns, axis=1)
+
+
+def fitted_vector(form, T):
+    """Form parameters in the column order of :func:`full_design`; the unit
+    grid at (0, n) carries ``conj(anti[n])``."""
+    constants = [c for (_, *cs) in form.nodes for c in cs]
+    return np.concatenate([constants, form.holo.padded(T), np.conj(form.anti.padded(T)[1:])])
+
+
+class TestFitNodeFormDesign:
+    @pytest.mark.parametrize("T", [40, 80])
+    def test_matches_full_design_least_squares(self, rng, T):
+        for n in (1, 2, 3, 4):
+            form = random_form(rng, n_nodes=n)
+            nodes = [a for a, *_ in form.nodes]
+            grid = node_form_transform(form, T)
+            fitted, residual = fit_node_form(grid, nodes)
+            want, *_ = np.linalg.lstsq(full_design(nodes, T), grid.coeffs.ravel(), rcond=None)
+            got = fitted_vector(fitted, T)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert residual <= 1e-12
+
+    @pytest.mark.parametrize("T", [40, 80])
+    def test_guard_measures_full_design(self, T):
+        outcomes = set()
+        for base in (0.3, -0.5 + 0.2j, 0.7j):
+            for gap in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+                nodes = [base, base + gap * np.exp(0.7j)]
+                s = np.linalg.svd(full_design(nodes, T), compute_uv=False)
+                gram = (s[0] / s[-1]) ** 2
+                if gram > 1e12:
+                    with pytest.raises(IllConditioned) as info:
+                        fit_node_form(product_grid(base, 1, 1, T), nodes, truncation=T)
+                    if gram < 1e20:
+                        reported = float(re.search(r"condition (\S+)", str(info.value))[1])
+                        assert reported == pytest.approx(gram, rel=1e-3)
+                else:
+                    fit_node_form(product_grid(base, 1, 1, T), nodes, truncation=T)
+                outcomes.add(gram > 1e12)
+        assert outcomes == {True, False}
+
+    def test_memory_is_bounded(self, rng):
+        form = random_form(rng, n_nodes=4)
+        grid = node_form_transform(form, 160)
+        nodes = [a for a, *_ in form.nodes]
+        tracemalloc.start()
+        try:
+            fit_node_form(grid, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestRoundTrip:
@@ -278,6 +352,17 @@ class TestFactorRankOne:
             a = a_mod * np.exp(0.8j)
             fac = factor_rank_one(rank_one_grid(a, [0.4, 1.0, 0], [0, 0.7, -0.5]))
             assert abs(fac.a - a) <= 1e-8
+
+    def test_spurious_candidate_beyond_admissible_disk(self):
+        # this piece's polished companion roots include one at |a| = 0.957,
+        # inside the disk but beyond every admissible center; it must be
+        # skipped, not passed on to the Moebius series
+        a = -0.5575249025186464 - 0.597361134544613j
+        piece = decompose_node(a, -0.07440965094228542 + 1.339787267246392j,
+                               -0.06458948526359198 - 0.33127795684423034j,
+                               -0.052087979659456274 + 0.45184063362730165j)[0]
+        fac = factor_rank_one(symbol_transform(piece.symbol))
+        assert abs(fac.a - a) <= 1e-8
 
     def test_gauge_fix_canonical(self, rng):
         p = np.array([0.3 - 1j, 0.8, 0.0])
