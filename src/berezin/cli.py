@@ -24,7 +24,7 @@ from berezin.symbols import (
     symbol_from_dict,
     symbol_to_dict,
 )
-from berezin.transform import symbol_transform
+from berezin.transform import symbol_transform, symbol_values
 
 #: Default polar sampling grid for numeric output.
 SAMPLE_RADII = 10
@@ -93,15 +93,13 @@ def cmd_transform(args) -> int:
         _write_output(_grid_to_json(symbol_transform(symbol, args.trunc)), args.output)
         return 0
 
-    grid = symbol_transform(symbol, args.trunc)
-    exact_vals = grid.eval(zs)
     if args.mode == "exact":
-        _write_output(_samples_to_csv(zs, exact_vals), args.output)
+        _write_output(_samples_to_csv(zs, symbol_values(symbol, zs)), args.output)
         return 0
     numeric_vals = np.asarray(berezin_numeric(symbol, zs, rule))
     _write_output(_samples_to_csv(zs, numeric_vals), args.output)
     if args.mode == "both":
-        deviation = float(np.max(np.abs(numeric_vals - exact_vals)))
+        deviation = float(np.max(np.abs(numeric_vals - symbol_values(symbol, zs))))
         tol = args.tol if args.tol is not None else 1e-6
         print(f"max numeric-exact deviation {deviation:.3e} (tol {tol:.1e})",
               file=sys.stderr)
@@ -189,52 +187,49 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+#: Every command-line flag; each subcommand takes only those it reads.
+FLAGS = {
+    "symbol": dict(required=True, help="path to a symbol JSON document"),
+    "trunc": dict(type=int, default=DEFAULT_TRUNCATION, help="grid truncation degree"),
+    "tol": dict(type=float, default=None, help="tolerance override"),
+    "radial": dict(type=int, default=64, help="radial rule size"),
+    "angular": dict(type=int, default=256, help="angular rule size"),
+    "output": dict(default=None, help="output path (default stdout)"),
+    "format": dict(choices=("json", "csv"), default="json",
+                   help="exact grids honor json|csv; numeric samples are always CSV"),
+    "z": dict(default=None, help="single evaluation point 're,im'"),
+    "mode": dict(choices=("exact", "numeric", "both"), default="exact"),
+    "kmax": dict(type=int, default=8, help="moment index bound"),
+    "seed": dict(type=int, default=0, help="seed for randomized suites"),
+}
+
+COMMANDS = (
+    ("transform", "exact grid and/or numeric samples", cmd_transform,
+     ("symbol", "trunc", "tol", "radial", "angular", "output", "format", "z", "mode")),
+    ("rank", "rank report of the exact transform grid", cmd_rank,
+     ("symbol", "trunc", "tol", "output")),
+    ("moments", "moment matrix by singular quadrature", cmd_moments,
+     ("symbol", "radial", "angular", "output", "kmax")),
+    ("recover", "recover node structure from a symbol", cmd_recover,
+     ("symbol", "trunc", "output")),
+    ("decompose", "rank-one decomposition of a form or symbol", cmd_decompose,
+     ("symbol", "trunc", "output")),
+    ("verify", "run the built-in identity suite", cmd_verify,
+     ("seed", "tol", "output")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="berezin",
         description="Berezin transforms of disk symbols: compute, detect rank, recover structure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_symbol=True):
-        if needs_symbol:
-            p.add_argument("--symbol", required=True, help="path to a symbol JSON document")
-        p.add_argument("--trunc", type=int, default=DEFAULT_TRUNCATION,
-                       help="grid truncation degree")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--radial", type=int, default=64, help="radial rule size")
-        p.add_argument("--angular", type=int, default=256, help="angular rule size")
-        p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="exact grids honor json|csv; numeric samples are always CSV")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-
-    p = sub.add_parser("transform", help="exact grid and/or numeric samples")
-    common(p)
-    p.add_argument("--z", default=None, help="single evaluation point 're,im'")
-    p.add_argument("--mode", choices=("exact", "numeric", "both"), default="exact")
-    p.set_defaults(func=cmd_transform)
-
-    p = sub.add_parser("rank", help="rank report of the exact transform grid")
-    common(p)
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("moments", help="moment matrix by singular quadrature")
-    common(p)
-    p.add_argument("--kmax", type=int, default=8, help="moment index bound")
-    p.set_defaults(func=cmd_moments)
-
-    p = sub.add_parser("recover", help="recover node structure from a symbol")
-    common(p)
-    p.set_defaults(func=cmd_recover)
-
-    p = sub.add_parser("decompose", help="rank-one decomposition of a form or symbol")
-    common(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("verify", help="run the built-in identity suite")
-    common(p, needs_symbol=False)
-    p.set_defaults(func=cmd_verify)
+    for name, help_text, func, flags in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

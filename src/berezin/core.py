@@ -163,9 +163,6 @@ class PowerSeries:
     def __neg__(self) -> "PowerSeries":
         return PowerSeries(-self.coeffs)
 
-    def conjugate_coeffs(self) -> "PowerSeries":
-        return PowerSeries(np.conj(self.coeffs))
-
     def __call__(self, z):
         return self.eval(z)
 
@@ -294,9 +291,6 @@ class BidegreeSeries:
         r = min(self.coeffs.shape[0], other.coeffs.shape[0])
         c = min(self.coeffs.shape[1], other.coeffs.shape[1])
         return float(np.max(np.abs(self.coeffs[:r, :c] - other.coeffs[:r, :c])))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
 
     def __repr__(self):
         return f"BidegreeSeries(shape={self.coeffs.shape})"

@@ -307,13 +307,6 @@ class MobiusFactorization:
     p: np.ndarray
     q: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "a": [self.a.real, self.a.imag],
-            "p": [[c.real, c.imag] for c in self.p],
-            "q": [[c.real, c.imag] for c in self.q],
-        }
-
 
 def gauge_fix(p, q) -> tuple[np.ndarray, np.ndarray]:
     """Canonical representative under ``(p, q) -> (mu p, q / conj(mu))``.
@@ -333,9 +326,9 @@ def gauge_fix(p, q) -> tuple[np.ndarray, np.ndarray]:
     return p * np.conj(phase), q * np.conj(phase)
 
 
-def _vanishing_residual(series, b_conj, span):
-    n = np.asarray(span)
-    return series[n] - 2.0 * b_conj * series[n - 1] + b_conj ** 2 * series[n - 2]
+def _times_square(series, b):
+    """``series * (1 - b z)^2``, truncated to the length of ``series``."""
+    return np.convolve(series, [1.0, -2.0 * b, b * b])[: len(series)]
 
 
 def _polish_denominator_root(series, b_conj, span, steps=40):
@@ -343,16 +336,16 @@ def _polish_denominator_root(series, b_conj, span, steps=40):
     holomorphic in the unknown, so complex normal equations apply."""
     n = np.asarray(span)
     best = b_conj
-    best_norm = float(np.linalg.norm(_vanishing_residual(series, best, span)))
+    best_norm = float(np.linalg.norm(_times_square(series, best)[n]))
     for _ in range(steps):
-        r = _vanishing_residual(series, best, span)
+        r = _times_square(series, best)[n]
         J = -2.0 * series[n - 1] + 2.0 * best * series[n - 2]
         denom = np.vdot(J, J).real
         if denom == 0:
             break
         delta = -np.vdot(J, r) / denom
         trial = best + delta
-        trial_norm = float(np.linalg.norm(_vanishing_residual(series, trial, span)))
+        trial_norm = float(np.linalg.norm(_times_square(series, trial)[n]))
         if trial_norm >= best_norm:
             break
         best, best_norm = trial, trial_norm
@@ -361,47 +354,31 @@ def _polish_denominator_root(series, b_conj, span, steps=40):
     return best, best_norm
 
 
-def _polynomial_in_phi(weighted, a) -> np.ndarray:
-    """Solve ``weighted = p0 (1-conj(a)z)^2 + p1 (z-a)(1-conj(a)z) + p2 (z-a)^2``."""
+def _phi_basis(a) -> np.ndarray:
+    """Columns: numerators of ``1``, ``phi_a`` and ``phi_a^2`` over
+    ``(1 - conj(a) z)^2``, as coefficients of ``1, z, z^2``."""
     ab = np.conj(a)
-    basis = np.array([
+    return np.array([
         [1.0, -a, a * a],
         [-2.0 * ab, 1.0 + abs(a) ** 2, -2.0 * a],
         [ab * ab, -ab, 1.0],
     ])
-    return np.linalg.solve(basis, weighted)
-
-
-def _weighted_head(series, a):
-    """First three coefficients of ``series * (1 - conj(a) z)^2``."""
-    ab = np.conj(a)
-    padded = np.concatenate(([0.0, 0.0], series[:3]))
-    return np.array([
-        padded[2 + n] - 2.0 * ab * padded[1 + n] + ab ** 2 * padded[n]
-        for n in range(3)
-    ])
-
-
-def _poly_phi_series(coeffs3, a, truncation) -> np.ndarray:
-    """Series of ``c0 + c1 phi_a + c2 phi_a^2`` up to the truncation."""
-    out = np.zeros(truncation + 1, dtype=np.complex128)
-    out[0] = coeffs3[0]
-    for j in (1, 2):
-        if coeffs3[j] != 0:
-            out += coeffs3[j] * mobius_power_series(a, j, truncation).coeffs
-    return out
 
 
 def factor_rank_one(grid: BidegreeSeries, *, tol: float = 1e-7) -> MobiusFactorization:
     """Factor a rank-one transform grid as ``p(phi_a) conj(q(phi_a))``.
 
-    The dominant singular pair gives the two factor series. Center
-    candidates come from the first vanishing condition of
-    ``g (1 - conj(a) z)^2`` (companion roots), a one-term ratio fit (exact
-    for denominator power one), and zero; each is polished on the full
-    overdetermined vanishing system and scored by how well the resulting
-    ``(a, p, q)`` reconstructs both factor series. The best reconstruction
-    must come within ``tol`` relative, else NoDiskDenominator.
+    The dominant singular pair gives the two factor series. Both are a
+    numerator of degree at most 2 over ``(1 - conj(a) z)^2``, so both
+    vanishing systems ``series * (1 - conj(a) z)^2 = numerator`` share the
+    root ``conj(a)``. Center candidates come from each side's first
+    vanishing condition (companion roots), a one-term ratio fit per side
+    (exact for denominator power one), and zero; each is polished on the
+    full overdetermined vanishing system. Per candidate, each side's
+    numerator gives its polynomial in ``phi_a``, and the side is rebuilt
+    from that numerator truncated to degree 1 and to degree 2 and scored
+    by the largest relative coefficient error. The best reconstruction
+    must come within ``tol``, else NoDiskDenominator.
     """
     report = numerical_rank(grid)
     if report.rank != 1:
@@ -436,50 +413,45 @@ def factor_rank_one(grid: BidegreeSeries, *, tol: float = 1e-7) -> MobiusFactori
             if abs(cand) >= 1.0:
                 continue
             root, _ = _polish_denominator_root(series, complex(cand), span)
-            # no admissible center lies beyond MAX_CENTER_MODULUS, and the
-            # Moebius series that would score such a root reject it
+            # no admissible center lies beyond MAX_CENTER_MODULUS
             if abs(root) < MAX_CENTER_MODULUS:
                 polished.append(complex(root))
         return polished
 
-    centers = [0.0 + 0.0j]
-    centers += side_candidates(g, scale_g)
-    centers += [np.conj(c) for c in side_candidates(f, scale_f)]
+    # both sides' roots estimate conj(a): neither is conjugated here
+    roots = [0.0 + 0.0j] + side_candidates(g, scale_g) + side_candidates(f, scale_f)
 
-    trunc = len(f) - 1
-
-    def reconstruction_score(a_try, p_try, q_try):
-        return max(
-            float(np.max(np.abs(_poly_phi_series(p_try, a_try, trunc) - f))) / scale_f,
-            float(np.max(np.abs(_poly_phi_series(q_try, a_try, trunc) - g))) / scale_g,
-        )
+    def fit_side(series, scale, a, basis):
+        """Polynomial in ``phi_a`` read off the numerator, and the side's
+        relative reconstruction error at degree 1 and 2 (indexed by d)."""
+        coeffs = np.linalg.solve(basis, _times_square(series, np.conj(a))[:3])
+        errors = {}
+        for d in (1, 2):
+            numerator = basis[:, : d + 1] @ coeffs[: d + 1]
+            rebuilt = RationalFactor(numerator, a, 2).series(len(series) - 1).coeffs
+            errors[d] = float(np.max(np.abs(rebuilt - series))) / scale
+        return coeffs, errors
 
     # Minimal admissible degree pattern reproducing both factor series:
     # trimming to the pattern closes the spurious quadratic channel that a
     # slightly-off center could otherwise hide behind.
     patterns = ((1, 1), (1, 2), (2, 1))
+    degrees = np.arange(3)
     best = None          # (degree sum, score, a, p, q)
-    best_full = None     # untrimmed fallback, used only for diagnostics
-    for root in centers:
+    best_full = np.inf   # best untrimmed score, used only for diagnostics
+    for root in roots:
         a_try = complex(np.conj(root))
-        p_full = _polynomial_in_phi(_weighted_head(f, a_try), a_try)
-        q_full = _polynomial_in_phi(_weighted_head(g, a_try), a_try)
-        full_score = reconstruction_score(a_try, p_full, q_full)
-        if best_full is None or full_score < best_full[0]:
-            best_full = (full_score, a_try)
+        basis = _phi_basis(a_try)
+        p_full, err_f = fit_side(f, scale_f, a_try, basis)
+        q_full, err_g = fit_side(g, scale_g, a_try, basis)
+        best_full = min(best_full, max(err_f[2], err_g[2]))
         for dp, dq in patterns:
-            p_try = p_full.copy()
-            q_try = q_full.copy()
-            p_try[dp + 1:] = 0.0
-            q_try[dq + 1:] = 0.0
-            score = reconstruction_score(a_try, p_try, q_try)
-            if score > tol:
-                continue
-            key = (dp + dq, score)
-            if best is None or key < (best[0], best[1]):
-                best = (dp + dq, score, a_try, p_try, q_try)
+            score = max(err_f[dp], err_g[dq])
+            if score <= tol and (best is None or (dp + dq, score) < best[:2]):
+                best = (dp + dq, score, a_try, np.where(degrees <= dp, p_full, 0.0),
+                        np.where(degrees <= dq, q_full, 0.0))
     if best is None:
-        if best_full is not None and best_full[0] <= tol:
+        if best_full <= tol:
             raise NoDiskDenominator(
                 "factor degrees violate the constraint deg p + deg q <= 3"
             )
@@ -530,9 +502,6 @@ class RationalFactor:
         z = np.asarray(z, dtype=np.complex128)
         num = np.polynomial.polynomial.polyval(z, self.numerator)
         return num / (1.0 - np.conj(self.center) * z) ** self.power
-
-    def value_at_zero(self) -> complex:
-        return complex(self.numerator[0])
 
     def plus_constant(self, c: complex) -> "RationalFactor":
         ab = np.conj(self.center)
@@ -605,19 +574,15 @@ def decompose_node(a: complex, c11: complex, c21: complex, c12: complex, *,
         return product_preimage_symbol(a, *jk, truncation).scaled(c)
 
     pieces = []
-    if c21 != 0.0 and c12 != 0.0:
-        f1 = RationalFactor(c11 * np.convolve(phi, one_minus) + c21 * phi_sq, a, 2)
-        g1 = RationalFactor(phi, a, 1)
-        u1 = canonicalize(preimage(c11, (1, 1)) + preimage(c21, (2, 1)))
-        pieces.append(RankOnePiece(u1, f1, g1))
-        f2 = RationalFactor(c12 * phi, a, 1)
-        g2 = RationalFactor(phi_sq, a, 2)
-        pieces.append(RankOnePiece(preimage(c12, (1, 2)), f2, g2))
-    elif c21 != 0.0:
+    if c21 != 0.0:
         f = RationalFactor(c11 * np.convolve(phi, one_minus) + c21 * phi_sq, a, 2)
         g = RationalFactor(phi, a, 1)
         u = canonicalize(preimage(c11, (1, 1)) + preimage(c21, (2, 1)))
         pieces.append(RankOnePiece(u, f, g))
+        if c12 != 0.0:
+            f2 = RationalFactor(c12 * phi, a, 1)
+            g2 = RationalFactor(phi_sq, a, 2)
+            pieces.append(RankOnePiece(preimage(c12, (1, 2)), f2, g2))
     elif c12 != 0.0:
         f = RationalFactor(phi, a, 1)
         g = RationalFactor(

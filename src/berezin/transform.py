@@ -13,10 +13,12 @@ The paired log difference ``2(ln|z-a| - ln|1-conj(a) z|)`` therefore
 transforms to ``phi*phib - 1``; adding the constant symbol 1 yields the
 pure product ``phi*phib`` (the rank-one building block). This constant
 normalization was pinned against the quadrature oracle.
+
+:func:`symbol_values` evaluates these closed forms pointwise;
+:func:`symbol_transform` builds the truncated coefficient grid that the
+rank, moment, fitting and factoring layers work on.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,53 +118,48 @@ def monomial_transform(k: int, l: int, truncation: int = DEFAULT_TRUNCATION) -> 
     return BidegreeSeries(grid)
 
 
-#: Closed-form sources an exact grid can come from; recorded for audit.
-PROVENANCES = (
-    "harmonic_fixed_point",
-    "log_atom_formula",
-    "pole_atom_formula",
-    "conj_pole_formula",
-    "monomial_series",
-)
-
-
-@dataclass(frozen=True)
-class TransformResult:
-    """One exact transform grid together with the closed form it used."""
-
-    grid: BidegreeSeries
-    provenance: str
-
-    def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise DomainError(f"unknown provenance {self.provenance!r}")
-
-
-def transform_parts(s: Symbol, truncation: int = DEFAULT_TRUNCATION) -> list[TransformResult]:
-    """Per-part exact grids of a symbol with their provenance tags."""
-    s = canonicalize(s)
-    parts = [TransformResult(
-        grid=harmonic_transform(s.holo, s.anti, truncation),
-        provenance="harmonic_fixed_point",
-    )]
-    for atom in s.atoms:
-        if atom.kind == "log":
-            grid, tag = log_atom_transform(atom.center, truncation), "log_atom_formula"
-        elif atom.kind == "pole":
-            grid, tag = pole_atom_transform(atom.center, truncation), "pole_atom_formula"
-        else:
-            grid, tag = conj_pole_atom_transform(atom.center, truncation), "conj_pole_formula"
-        parts.append(TransformResult(grid=grid * atom.coeff, provenance=tag))
-    return parts
+_ATOM_GRIDS = {
+    "log": log_atom_transform,
+    "pole": pole_atom_transform,
+    "conjpole": conj_pole_atom_transform,
+}
 
 
 def symbol_transform(s: Symbol, truncation: int = DEFAULT_TRUNCATION) -> BidegreeSeries:
     """Exact transform grid of a symbol, assembled by linearity."""
-    parts = transform_parts(s, truncation)
-    grid = parts[0].grid
-    for part in parts[1:]:
-        grid = grid + part.grid
+    s = canonicalize(s)
+    grid = harmonic_transform(s.holo, s.anti, truncation)
+    for atom in s.atoms:
+        grid = grid + _ATOM_GRIDS[atom.kind](atom.center, truncation) * atom.coeff
     return grid
+
+
+def symbol_values(s: Symbol, z):
+    """Exact transform of a symbol at ``z`` (scalar or array, ``|z| < 1``).
+
+    Evaluates the closed forms of the module docstring directly: the
+    harmonic part ``K(z) + conj(L(z))`` plus, per atom, a rational function
+    of ``phi_a(z)`` and its conjugate (plus ``ln|1 - conj(a) z|`` for a log
+    atom). Nothing is truncated, so unlike ``symbol_transform(s).eval(z)``
+    the values stay exact for centers and points near the boundary.
+    """
+    zarr = np.asarray(z, dtype=np.complex128)
+    if np.any(np.abs(zarr) >= 1.0):
+        raise DomainError("symbol_values requires |z| < 1")
+    out = s.holo.eval(zarr) + np.conj(s.anti.eval(zarr))
+    for atom in s.atoms:
+        a = atom.center
+        den = 1.0 - np.conj(a) * zarr
+        phi = (zarr - a) / den
+        phib = np.conj(phi)
+        if atom.kind == "log":
+            value = (phi * phib - 1.0) / 2.0 + np.log(np.abs(den))
+        elif atom.kind == "pole":
+            value = (np.conj(a) + 2.0 * phib - phi * phib ** 2) / (1.0 - abs(a) ** 2)
+        else:
+            value = (a + 2.0 * phi - phi ** 2 * phib) / (1.0 - abs(a) ** 2)
+        out = out + atom.coeff * value
+    return complex(out) if zarr.ndim == 0 else out
 
 
 def product_grid(a: complex, holo_power: int, anti_power: int,
@@ -187,15 +184,14 @@ def node_form_transform(form: NodeForm, truncation: int = DEFAULT_TRUNCATION) ->
 
 
 def covariance_residual(s: Symbol, a: complex, z: complex,
-                        rule: QuadratureRule | None = None,
-                        truncation: int = DEFAULT_TRUNCATION) -> float:
+                        rule: QuadratureRule | None = None) -> float:
     """Deviation from Moebius covariance at one point.
 
     Compares the numeric transform of the composed callable
-    ``w -> s(phi_a(w))`` at ``z`` against the exact transform of ``s``
-    evaluated at ``phi_a(z)``. The composed symbol is evaluated purely as
-    a callable; its singular centers are the preimages of the distinct atom
-    centers under ``phi_a``.
+    ``w -> s(phi_a(w))`` at ``z`` against the exact transform of ``s`` at
+    ``phi_a(z)`` (:func:`symbol_values`). The composed symbol is evaluated
+    purely as a callable; its singular centers are the preimages of the
+    distinct atom centers under ``phi_a``.
     """
     a = require_finite(a, "automorphism parameter")
     z = require_finite(z, "evaluation point")
@@ -210,5 +206,5 @@ def covariance_residual(s: Symbol, a: complex, z: complex,
     centers = tuple(inverse(c) for c in plan_for_symbol(s).centers)
     plan = SingularityPlan(centers=centers) if centers else None
     numeric = berezin_numeric(composed, z, rule, plan)
-    exact = symbol_transform(s, truncation).eval(mobius_eval(phi, z))
+    exact = symbol_values(s, mobius_eval(phi, z))
     return abs(numeric - exact)

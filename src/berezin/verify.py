@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from berezin.core import BidegreeSeries, PowerSeries
+from berezin.core import BidegreeSeries, PowerSeries, mobius_power_series
 from berezin.quadrature import berezin_numeric
 from berezin.rank import moment_matrix, moment_matrix_from_grid, numerical_rank
 from berezin.recovery import decompose_form, factor_rank_one, fit_node_form, recover_nodes
@@ -183,9 +183,14 @@ def _check_factorization(rng):
 
 
 def _poly_series(coeffs3, a, truncation=80):
-    from berezin.recovery import _poly_phi_series
-
-    return _poly_phi_series(coeffs3, a, truncation)
+    """Series of ``c0 + c1 phi_a + c2 phi_a^2`` from the Moebius power
+    series, independent of the numerators the factorization works on."""
+    out = np.zeros(truncation + 1, dtype=np.complex128)
+    out[0] = coeffs3[0]
+    for j in (1, 2):
+        if coeffs3[j] != 0:
+            out += coeffs3[j] * mobius_power_series(a, j, truncation).coeffs
+    return out
 
 
 def _check_decomposition(rng):

@@ -70,6 +70,25 @@ def test_transform_both_reports_deviation(log_symbol_file, tmp_path, capsys):
     assert deviation <= 1e-6
 
 
+def test_transform_both_near_boundary(tmp_path, capsys):
+    # |a| = 0.94: a truncated exact grid is 5e-5 off here; the closed form is not
+    path = tmp_path / "pole.json"
+    path.write_text(serialize_symbol(Symbol(atoms=(Atom("pole", 0.7199 + 0.6040j, 1.0),))))
+    code = main(["transform", "--symbol", str(path), "--mode", "both",
+                 "--z", "0.7483226510722907,0.500013209717642"])
+    assert code == 0, capsys.readouterr().err
+
+
+def test_subcommands_reject_flags_they_ignore(product_symbol_file):
+    for argv in (["rank", "--symbol", product_symbol_file, "--radial", "5"],
+                 ["recover", "--symbol", product_symbol_file, "--tol", "1e-3"],
+                 ["moments", "--symbol", product_symbol_file, "--trunc", "20"],
+                 ["verify", "--trunc", "20"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 def test_rank_report(product_symbol_file, tmp_path):
     out = tmp_path / "rank.json"
     assert main(["rank", "--symbol", product_symbol_file, "--output", str(out)]) == 0

@@ -364,6 +364,13 @@ class TestFactorRankOne:
         fac = factor_rank_one(symbol_transform(piece.symbol))
         assert abs(fac.a - a) <= 1e-8
 
+    def test_center_from_holomorphic_side(self):
+        # q has a vanishing phi^2 coefficient up to 1e-4, so only the
+        # ratio fit on the p side is exact; both sides' roots are conj(a)
+        a = 0.5 + 0.5j
+        fac = factor_rank_one(rank_one_grid(a, [0.4, 1, 0], [0.2j, 1, 1e-4]))
+        assert abs(fac.a - a) <= 1e-14
+
     def test_gauge_fix_canonical(self, rng):
         p = np.array([0.3 - 1j, 0.8, 0.0])
         q = np.array([0.2, -0.9 + 0.1j, 0.0])

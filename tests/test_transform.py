@@ -18,6 +18,7 @@ from berezin.transform import (
     pole_atom_transform,
     product_grid,
     symbol_transform,
+    symbol_values,
 )
 
 from conftest import conjugated_symbol
@@ -188,24 +189,6 @@ class TestSymbolTransform:
         swapped = symbol_transform(s).conjugate()
         assert direct.max_coeff_diff(swapped) <= 1e-12
 
-    def test_parts_carry_provenance(self):
-        from berezin.transform import transform_parts
-
-        s = Symbol(
-            holo=PowerSeries([1.0]),
-            atoms=(Atom("log", 0.2, 1.0), Atom("pole", -0.3, 2.0),
-                   Atom("conjpole", 0.4j, 1.0)),
-        )
-        parts = transform_parts(s, 20)
-        assert [p.provenance for p in parts] == [
-            "harmonic_fixed_point", "log_atom_formula",
-            "pole_atom_formula", "conj_pole_formula",
-        ]
-        total = parts[0].grid
-        for part in parts[1:]:
-            total = total + part.grid
-        assert total.max_coeff_diff(symbol_transform(s, 20)) == 0.0
-
     def test_real_symbol_hermitian_grid(self):
         u = Symbol(atoms=(
             Atom("log", 0.25 - 0.4j, 2.0),
@@ -214,6 +197,34 @@ class TestSymbolTransform:
         ))
         grid = symbol_transform(u).coeffs
         assert np.max(np.abs(grid - np.conj(grid.T))) <= 1e-12
+
+
+class TestSymbolValues:
+    @pytest.mark.parametrize("kind", ["log", "pole", "conjpole"])
+    def test_matches_fine_grid(self, kind):
+        from berezin.cli import _sample_points
+
+        zs = _sample_points()
+        for modulus in (0.3, 0.6, 0.85, 0.9):
+            for angle in (0.4, 2.1, 4.5):
+                u = Symbol(atoms=(Atom(kind, modulus * np.exp(1j * angle), 0.7 - 0.4j),))
+                want = symbol_transform(u, 160).eval(zs)
+                assert np.max(np.abs(symbol_values(u, zs) - want)) <= 1e-12
+
+    def test_harmonic_part_and_scalar(self):
+        s = Symbol(
+            holo=PowerSeries([0.2, 1.0 - 0.5j, 0.3]),
+            anti=PowerSeries([0.1, 0.4j]),
+            atoms=(Atom("pole", 0.3 - 0.2j, 1.0 + 2.0j), Atom("log", -0.1j, 0.7)),
+        )
+        z = 0.45 + 0.3j
+        got = symbol_values(s, z)
+        assert isinstance(got, complex)
+        assert got == pytest.approx(symbol_transform(s).eval(z), abs=1e-12)
+
+    def test_requires_open_disk(self):
+        with pytest.raises(DomainError):
+            symbol_values(Symbol.constant(1.0), np.array([0.2, 1.0]))
 
 
 class TestCovariance:
