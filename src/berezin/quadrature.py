@@ -10,9 +10,14 @@ centers are handled by a partition of unity: a radial cutoff around each
 center routes the singular mass to a local polar patch graded
 geometrically (ratio 1/2) toward the center, while the complement is
 integrated by a composite version of the global rule whose radial panels
-are aligned to the cutoff annuli and whose angular count resolves them.
-The resulting node/weight set is fixed per plan, so one set serves a whole
-family of integrands.
+are aligned to the cutoff annuli. Each radial panel carries its own angular
+count: panels that meet a patch resolve its cutoff transition, the others
+resolve the centers' singularities at their distance (the trapezoid error
+on a ring decays geometrically in the ring ratio to the nearest center),
+never below the plain rule's count. The coarse check set takes a fixed
+smaller share of every panel's count, so an angular under-resolution
+shows as a fine-vs-coarse deviation. The resulting node/weight set is
+fixed per plan, so one set serves a whole family of integrands.
 """
 from __future__ import annotations
 
@@ -34,12 +39,22 @@ DEFAULT_ANGULAR = 256
 #: radius, then a degree-19 (C^9) polynomial step down to 0 at the radius.
 _TRANSITION_START = 0.45
 
-#: Target number of angular points across the cutoff transition at the
-#: outermost radius; drives the angular count of the composite global rule.
+#: Target number of angular points across the cutoff transition, at the
+#: outer radius of each panel that meets a patch.
 _POINTS_ACROSS = 20
 
 #: Hard cap on the composite angular count (keeps pathological plans finite).
 _MAX_ANGULAR = 8192
+
+#: A radial panel meets a patch when it overlaps the patch annulus
+#: ``|c| - d <= r <= |c| + d`` widened to this multiple of the radius ``d``.
+_NEAR_MARGIN = 1.05
+
+#: The ring count makes ``rho**n`` at most ``exp(-_RING_DECAY)`` = 1e-13.
+_RING_DECAY = np.log(1e13)
+
+#: Share of each panel's angular count that the coarse check set takes.
+_COARSE_SHARE = 0.75
 
 _SMOOTH_ORDER = 9  # C^9 smoothstep
 
@@ -160,18 +175,9 @@ def _patch_radii(centers) -> np.ndarray:
     return np.asarray(radii)
 
 
-def _composite_global(centers, radii, rule: QuadratureRule, *, gauss_order: int,
-                      points_across: int):
-    """Global polar nodes/weights with panels aligned to the cutoff annuli."""
-    # angular count resolving the narrowest transition at the outer radius
-    angular = rule.angular_count
-    if len(centers):
-        w_min = float(np.min((1.0 - _TRANSITION_START) * radii))
-        need = ceil(points_across * 2.0 * np.pi * 0.95 / w_min)
-        angular = min(_MAX_ANGULAR, max(angular, need))
-        angular = 32 * ceil(angular / 32)
-
-    # radial breakpoints in t = r^2 at the cutoff joins of every patch
+def _radial_panels(centers, radii):
+    """Radial sub-panels ``(lo, hi)`` in ``t = r^2`` aligned to the cutoff annuli."""
+    # breakpoints at the cutoff joins of every patch
     cuts = {0.0, 1.0}
     for c, d in zip(centers, radii):
         for s in (abs(c) - d, abs(c) - _TRANSITION_START * d,
@@ -188,20 +194,65 @@ def _composite_global(centers, radii, rule: QuadratureRule, *, gauss_order: int,
                 width = min(width, d * max(abs(c), 0.25))
         return width
 
-    t_nodes, t_weights = [], []
+    panels = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        pieces = max(1, ceil((hi - lo) / max_width(lo, hi)))
-        sub = np.linspace(lo, hi, pieces + 1)
-        for a, b in zip(sub[:-1], sub[1:]):
-            x, w = _gauss(gauss_order, a, b)
-            t_nodes.append(x)
-            t_weights.append(w)
-    t = np.concatenate(t_nodes)
-    wt = np.concatenate(t_weights)
+        sub = np.linspace(lo, hi, max(1, ceil((hi - lo) / max_width(lo, hi))) + 1)
+        panels.extend(zip(sub[:-1], sub[1:]))
+    return panels
 
-    theta = 2.0 * np.pi * np.arange(angular) / angular
-    z = (np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    w = np.repeat(wt / angular, angular)
+
+def _ring_count(r_lo, r_hi, centers) -> int:
+    """Trapezoid count that resolves every center's singularity on the rings
+    ``r_lo <= r <= r_hi`` of a panel clear of all patches.
+
+    On the circle of radius ``r`` a log or pole singularity at ``c`` lies at
+    imaginary angle ``-ln rho``, ``rho = min(r, |c|) / max(r, |c|)``, so the
+    trapezoid error decays like ``rho**n`` (Trefethen and Weideman, SIAM
+    Review 56, 2014); the panel edge nearest ``|c|`` has the largest ``rho``.
+    """
+    count = 0
+    for c in centers:
+        m = abs(c)
+        r = min(max(m, r_lo), r_hi)
+        rho = min(r, m) / max(r, m)
+        if rho > 0.0:
+            count = max(count, ceil(_RING_DECAY / -np.log(rho)))
+    return count
+
+
+def _panel_angular(lo, hi, centers, radii, rule: QuadratureRule, *, coarse: bool) -> int:
+    """Angular count of the radial panel ``lo <= t <= hi``.
+
+    A panel that meets a patch annulus (widened by ``_NEAR_MARGIN``) carries
+    ``_POINTS_ACROSS`` angles across the narrowest cutoff transition it
+    meets, at its outer radius; any other panel takes :func:`_ring_count`.
+    Neither falls below the plain rule's count. The coarse set takes
+    ``_COARSE_SHARE`` of every count, so an angular under-resolution of the
+    fine set shows up as a fine-vs-coarse deviation.
+    """
+    r_lo, r_hi = np.sqrt(lo), np.sqrt(hi)
+    widths = [(1.0 - _TRANSITION_START) * d for c, d in zip(centers, radii)
+              if r_hi > abs(c) - _NEAR_MARGIN * d and r_lo < abs(c) + _NEAR_MARGIN * d]
+    if widths:
+        need = _POINTS_ACROSS * 2.0 * np.pi * r_hi / min(widths)
+    else:
+        need = _ring_count(r_lo, r_hi, centers)
+    count = min(_MAX_ANGULAR, 32 * ceil(max(rule.angular_count, need) / 32))
+    return int(_COARSE_SHARE * count) if coarse else count
+
+
+def _composite_global(centers, radii, rule: QuadratureRule, *, gauss_order: int,
+                      coarse: bool):
+    """Global polar nodes/weights on the radial panels of :func:`_radial_panels`,
+    each with the angular count of :func:`_panel_angular`."""
+    parts_z, parts_w = [], []
+    for lo, hi in _radial_panels(centers, radii):
+        t, wt = _gauss(gauss_order, lo, hi)
+        n = _panel_angular(lo, hi, centers, radii, rule, coarse=coarse)
+        theta = 2.0 * np.pi * np.arange(n) / n
+        parts_z.append((np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]).ravel())
+        parts_w.append(np.repeat(wt / n, n))
+    z, w = np.concatenate(parts_z), np.concatenate(parts_w)
     for c, d in zip(centers, radii):
         w = w * (1.0 - _cutoff(np.abs(z - c), d))
     keep = w != 0.0
@@ -242,11 +293,10 @@ def _singular_nodes_cached(centers, depth, patch_gauss, patch_angular,
         return z, w
     radii = _patch_radii(centers)
     if coarse:
-        gz, gw = _composite_global(centers, radii, rule, gauss_order=14, points_across=14)
+        gz, gw = _composite_global(centers, radii, rule, gauss_order=14, coarse=True)
         depth, pg, pa = max(depth - 3, 4), max(patch_gauss - 4, 8), 96
     else:
-        gz, gw = _composite_global(centers, radii, rule, gauss_order=20,
-                                   points_across=_POINTS_ACROSS)
+        gz, gw = _composite_global(centers, radii, rule, gauss_order=20, coarse=False)
         pg, pa = patch_gauss, patch_angular
     parts_z, parts_w = [gz], [gw]
     for c, d in zip(centers, radii):

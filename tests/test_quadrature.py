@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from berezin import _kernels
+from berezin import _kernels, quadrature
+from berezin.cli import _sample_points
 from berezin.core import PowerSeries
 from berezin.errors import DomainError, NonConvergence, OutOfRange
 from berezin.quadrature import (
@@ -14,6 +15,10 @@ from berezin.quadrature import (
     singular_nodes,
 )
 from berezin.symbols import Atom, Symbol, symbol_eval
+from berezin.transform import symbol_values
+
+#: Every tenth CLI sample point: all ten radii up to 0.9, rotating angles.
+SWEEP_POINTS = _sample_points()[::10]
 
 
 class TestPlainRule:
@@ -195,3 +200,47 @@ class TestNodeSets:
         z, w = singular_nodes(SingularityPlan(centers=centers), QuadratureRule.build(),
                               coarse=coarse)
         assert not z.flags.writeable and not w.flags.writeable
+
+
+@pytest.fixture
+def fresh_node_sets():
+    # node sets built under a patched count must not serve later tests
+    quadrature._singular_nodes_cached.cache_clear()
+    yield
+    quadrature._singular_nodes_cached.cache_clear()
+
+
+class TestPanelResolution:
+    @pytest.mark.parametrize("modulus", [0.3, 0.6, 0.85, 0.9, 0.94])
+    def test_matches_closed_form(self, modulus):
+        for angle in (0.7, 2.5):
+            center = modulus * np.exp(1j * angle)
+            for kind in ("log", "pole", "conjpole"):
+                u = Symbol(atoms=(Atom(kind, center, 1.0 - 0.5j),))
+                error = np.max(np.abs(berezin_numeric(u, SWEEP_POINTS)
+                                      - symbol_values(u, SWEEP_POINTS)))
+                assert error <= 1e-9, (kind, center, error)
+
+    def test_check_catches_angular_under_resolution(self, monkeypatch, fresh_node_sets):
+        # far panels on the plain rule's count alone miss a pole at |a| = 0.94
+        u = Symbol(atoms=(Atom("pole", 0.7199 + 0.6040j, 1.0),))
+        berezin_numeric(u, SWEEP_POINTS)
+        quadrature._singular_nodes_cached.cache_clear()
+        monkeypatch.setattr(quadrature, "_ring_count", lambda r_lo, r_hi, centers: 0)
+        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
+            berezin_numeric(u, SWEEP_POINTS)
+
+    @pytest.mark.parametrize("centers", [(0.3,), (0.7199 + 0.6040j,), (0.96j,), (0.3, -0.4j)])
+    def test_coarse_count_below_fine_on_every_panel(self, centers):
+        rule = QuadratureRule.build()
+        radii = quadrature._patch_radii(centers)
+        for lo, hi in quadrature._radial_panels(centers, radii):
+            fine = quadrature._panel_angular(lo, hi, centers, radii, rule, coarse=False)
+            coarse = quadrature._panel_angular(lo, hi, centers, radii, rule, coarse=True)
+            assert coarse < fine, (lo, hi)
+
+    def test_node_count_at_085(self):
+        # one angular count for the whole disk gave 1,703,581 nodes here
+        z, _ = singular_nodes(SingularityPlan(centers=(0.85 * np.exp(0.7j),)),
+                              QuadratureRule.build())
+        assert len(z) <= 850_000
