@@ -11,13 +11,18 @@ center routes the singular mass to a local polar patch graded
 geometrically (ratio 1/2) toward the center, while the complement is
 integrated by a composite version of the global rule whose radial panels
 are aligned to the cutoff annuli. Each radial panel carries its own angular
-count: panels that meet a patch resolve its cutoff transition, the others
-resolve the centers' singularities at their distance (the trapezoid error
-on a ring decays geometrically in the ring ratio to the nearest center),
-never below the plain rule's count. The coarse check set takes a fixed
-smaller share of every panel's count, so an angular under-resolution
-shows as a fine-vs-coarse deviation. The resulting node/weight set is
-fixed per plan, so one set serves a whole family of integrands.
+count. Panels clear of the patches resolve the centers' singularities at
+their distance (the trapezoid error on a ring decays geometrically in the
+ring ratio to the nearest center), never below the plain rule's count.
+Panels that meet a patch resolve its cutoff transition, which spans only
+an arc about ``2 d / |c|`` wide: their rings keep uniform points in a
+mapped angle that clusters them on that arc, where that takes fewer points
+than uniform angles. Each patch takes the fixed angular count that
+resolves the kernel's pole, which lies at ratio 2.5 or more from every
+patch circle. The coarse check set takes a fixed smaller share of every
+count, under the same maps, so an angular under-resolution shows as a
+fine-vs-coarse deviation. The resulting node/weight set is fixed per
+plan, so one set serves a whole family of integrands.
 """
 from __future__ import annotations
 
@@ -43,6 +48,11 @@ _TRANSITION_START = 0.45
 #: outer radius of each panel that meets a patch.
 _POINTS_ACROSS = 20
 
+#: Points each near center's bump adds to a clustered ring. A bump as wide
+#: as the patch arc then puts ``_POINTS_ACROSS`` points across the cutoff
+#: transition at the arc's edge.
+_BUMP_POINTS = ceil(2.0 * np.pi * _POINTS_ACROSS / (1.0 - _TRANSITION_START))
+
 #: Hard cap on the composite angular count (keeps pathological plans finite).
 _MAX_ANGULAR = 8192
 
@@ -55,6 +65,16 @@ _RING_DECAY = np.log(1e13)
 
 #: Share of each panel's angular count that the coarse check set takes.
 _COARSE_SHARE = 0.75
+
+#: A patch radius is at most this fraction of its center's distance to the
+#: boundary and to every other center.
+_PATCH_FRACTION = 0.4
+
+#: Default patch angles. On a patch circle the kernel's pole (beyond the
+#: unit circle) and every other center lie at ratio ``1 / _PATCH_FRACTION``
+#: = 2.5 or more, so ``ceil(_RING_DECAY / ln 2.5)`` = 33 angles resolve
+#: them; rounded up to 16 so that the coarse share (36) still does.
+_PATCH_ANGULAR = 16 * ceil(ceil(_RING_DECAY / -np.log(_PATCH_FRACTION)) / _COARSE_SHARE / 16)
 
 _SMOOTH_ORDER = 9  # C^9 smoothstep
 
@@ -133,13 +153,14 @@ class SingularityPlan:
     """Declared singular centers with the grading parameters of the patches.
 
     ``depth`` is the number of geometric (ratio 1/2) radial panels toward
-    each center; ``patch_gauss`` and ``patch_angular`` size each panel.
+    each center; ``patch_gauss`` and ``patch_angular`` size each panel
+    (the default angular count is ``_PATCH_ANGULAR``).
     """
 
     centers: tuple[complex, ...] = ()
     depth: int = 12
     patch_gauss: int = 16
-    patch_angular: int = 128
+    patch_angular: int = _PATCH_ANGULAR
 
     def __post_init__(self):
         centers = tuple(complex(c) for c in self.centers)
@@ -171,7 +192,7 @@ def _patch_radii(centers) -> np.ndarray:
             (abs(c - d) for j, d in enumerate(centers) if j != i),
             default=np.inf,
         )
-        radii.append(min(0.4 * sep, 0.4 * (1.0 - abs(c)), 0.35))
+        radii.append(min(_PATCH_FRACTION * sep, _PATCH_FRACTION * (1.0 - abs(c)), 0.35))
     return np.asarray(radii)
 
 
@@ -220,38 +241,136 @@ def _ring_count(r_lo, r_hi, centers) -> int:
     return count
 
 
+def _near_patches(r_lo, r_hi, centers, radii):
+    """``(c, d)`` of every patch whose annulus, widened by ``_NEAR_MARGIN``,
+    the rings ``r_lo <= r <= r_hi`` meet."""
+    return [(c, d) for c, d in zip(centers, radii)
+            if r_hi > abs(c) - _NEAR_MARGIN * d and r_lo < abs(c) + _NEAR_MARGIN * d]
+
+
+def _uniform_count(lo, hi, centers, radii, rule: QuadratureRule) -> int:
+    """Uniform angular count of the radial panel ``lo <= t <= hi``.
+
+    A panel that meets a patch carries ``_POINTS_ACROSS`` angles across the
+    narrowest cutoff transition it meets, at its outer radius, around its
+    whole ring; any other panel takes :func:`_ring_count`. Neither falls
+    below the plain rule's count.
+    """
+    r_lo, r_hi = np.sqrt(lo), np.sqrt(hi)
+    near = _near_patches(r_lo, r_hi, centers, radii)
+    if near:
+        width = min((1.0 - _TRANSITION_START) * d for _, d in near)
+        need = _POINTS_ACROSS * 2.0 * np.pi * r_hi / width
+    else:
+        need = _ring_count(r_lo, r_hi, centers)
+    return min(_MAX_ANGULAR, 32 * ceil(max(rule.angular_count, need) / 32))
+
+
+def _mapped_count(rule: QuadratureRule, bumps: int) -> int:
+    """Angular count of a clustered ring: the plain rule's count as its
+    uniform share plus ``_BUMP_POINTS`` per bump, rounded up to 32."""
+    return 32 * ceil((rule.angular_count + _BUMP_POINTS * bumps) / 32)
+
+
+def _panel_bumps(lo, hi, centers, radii, rule: QuadratureRule) -> tuple:
+    """Bumps ``(arg c, s)`` of the angle map of the radial panel
+    ``lo <= t <= hi``, one per patch it meets, or ``()`` for uniform angles.
+
+    The cutoff transition of the patch around ``c`` spans an arc only about
+    ``2 d / |c|`` wide, so the rings cluster their angles there with a
+    Poisson-kernel bump of parameter ``s = exp(-d / |c|)``, whose width
+    matches the arc (:func:`_ring_angles`). A center's bump is the same on
+    every panel, so panels that meet the same patches share one cached
+    map. The map is used only where
+    :func:`_mapped_count` is below :func:`_uniform_count`; where a patch
+    covers most of the ring, the uniform angles are cheaper.
+    """
+    near = _near_patches(np.sqrt(lo), np.sqrt(hi), centers, radii)
+    if not near or (_mapped_count(rule, len(near))
+                    >= _uniform_count(lo, hi, centers, radii, rule)):
+        return ()
+    # around a center at the origin the arc is the whole ring: s = 0, a flat bump
+    return tuple((float(np.angle(c)), float(np.exp(-d / abs(c))) if c else 0.0)
+                 for c, d in near)
+
+
 def _panel_angular(lo, hi, centers, radii, rule: QuadratureRule, *, coarse: bool) -> int:
     """Angular count of the radial panel ``lo <= t <= hi``.
 
-    A panel that meets a patch annulus (widened by ``_NEAR_MARGIN``) carries
-    ``_POINTS_ACROSS`` angles across the narrowest cutoff transition it
-    meets, at its outer radius; any other panel takes :func:`_ring_count`.
-    Neither falls below the plain rule's count. The coarse set takes
-    ``_COARSE_SHARE`` of every count, so an angular under-resolution of the
-    fine set shows up as a fine-vs-coarse deviation.
+    A panel with an angle map (:func:`_panel_bumps`) takes
+    :func:`_mapped_count`; any other panel takes :func:`_uniform_count`.
+    The coarse set takes ``_COARSE_SHARE`` of every count, under the same
+    map, so an angular under-resolution of the fine set shows up as a
+    fine-vs-coarse deviation.
     """
-    r_lo, r_hi = np.sqrt(lo), np.sqrt(hi)
-    widths = [(1.0 - _TRANSITION_START) * d for c, d in zip(centers, radii)
-              if r_hi > abs(c) - _NEAR_MARGIN * d and r_lo < abs(c) + _NEAR_MARGIN * d]
-    if widths:
-        need = _POINTS_ACROSS * 2.0 * np.pi * r_hi / min(widths)
+    bumps = _panel_bumps(lo, hi, centers, radii, rule)
+    if bumps:
+        count = _mapped_count(rule, len(bumps))
     else:
-        need = _ring_count(r_lo, r_hi, centers)
-    count = min(_MAX_ANGULAR, 32 * ceil(max(rule.angular_count, need) / 32))
+        count = _uniform_count(lo, hi, centers, radii, rule)
     return int(_COARSE_SHARE * count) if coarse else count
+
+
+def _poisson_cdf(x, s):
+    """``int_0^x`` of the Poisson kernel ``(1 - s^2) / (1 - 2 s cos y + s^2)``."""
+    return x + 2.0 * np.arctan2(s * np.sin(x), 1.0 - s * np.cos(x))
+
+
+@lru_cache(maxsize=128)
+def _ring_angles(count: int, uniform: int, bumps: tuple):
+    """Angles and weight shares of one ring of ``count`` trapezoid points in
+    a mapped angle.
+
+    The map ``phi = F(theta)`` is the normalized CDF of the density
+    ``uniform + _BUMP_POINTS * sum_k P_k(theta - alpha_k)`` over the bumps
+    ``(alpha_k, s_k)``, with the Poisson kernel
+    ``P_k(x) = (1 - s_k^2) / (1 - 2 s_k cos x + s_k^2)``
+    (:func:`_poisson_cdf`). The uniform points ``phi_j = 2 pi j / count``
+    give the angles ``theta_j = F^-1(phi_j)`` and the shares ``1 / (count F'(theta_j))`` of the ring's weight. F is
+    analytic and ``F(theta) - theta`` is periodic, so the trapezoid rule
+    stays geometrically convergent (Trefethen and Weideman, SIAM Review
+    56, 2014). No bumps: uniform angles. Cached; the arrays are read-only.
+    """
+    phi = 2.0 * np.pi * np.arange(count) / count
+    if not bumps:
+        theta, share = phi, np.full(count, 1.0 / count)
+    else:
+        total = uniform + _BUMP_POINTS * len(bumps)
+
+        def cdf(x):
+            """``F(x)`` and ``F'(x)``."""
+            value, slope = uniform * x, np.full_like(x, float(uniform))
+            for alpha, s in bumps:
+                value = value + _BUMP_POINTS * (_poisson_cdf(x - alpha, s) - _poisson_cdf(-alpha, s))
+                slope = slope + _BUMP_POINTS * (1.0 - s * s) / (1.0 - 2.0 * s * np.cos(x - alpha) + s * s)
+            return value / total, slope / total
+
+        # interpolation on a grid eight times finer than the ring, whose
+        # spacing is below the narrowest bump, then Newton steps
+        grid = np.linspace(0.0, 2.0 * np.pi, 8 * count + 1)
+        theta = np.interp(phi, cdf(grid)[0], grid)
+        for _ in range(3):
+            value, slope = cdf(theta)
+            theta = theta - (value - phi) / slope
+        share = 1.0 / (count * cdf(theta)[1])
+    theta.setflags(write=False)
+    share.setflags(write=False)
+    return theta, share
 
 
 def _composite_global(centers, radii, rule: QuadratureRule, *, gauss_order: int,
                       coarse: bool):
     """Global polar nodes/weights on the radial panels of :func:`_radial_panels`,
-    each with the angular count of :func:`_panel_angular`."""
+    each with the angular count of :func:`_panel_angular` placed by the
+    angle map of :func:`_panel_bumps` (:func:`_ring_angles`)."""
     parts_z, parts_w = [], []
     for lo, hi in _radial_panels(centers, radii):
         t, wt = _gauss(gauss_order, lo, hi)
         n = _panel_angular(lo, hi, centers, radii, rule, coarse=coarse)
-        theta = 2.0 * np.pi * np.arange(n) / n
+        theta, share = _ring_angles(n, rule.angular_count,
+                                    _panel_bumps(lo, hi, centers, radii, rule))
         parts_z.append((np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]).ravel())
-        parts_w.append(np.repeat(wt / n, n))
+        parts_w.append((wt[:, None] * share[None, :]).ravel())
     z, w = np.concatenate(parts_z), np.concatenate(parts_w)
     for c, d in zip(centers, radii):
         w = w * (1.0 - _cutoff(np.abs(z - c), d))
@@ -294,7 +413,8 @@ def _singular_nodes_cached(centers, depth, patch_gauss, patch_angular,
     radii = _patch_radii(centers)
     if coarse:
         gz, gw = _composite_global(centers, radii, rule, gauss_order=14, coarse=True)
-        depth, pg, pa = max(depth - 3, 4), max(patch_gauss - 4, 8), 96
+        depth, pg = max(depth - 3, 4), max(patch_gauss - 4, 8)
+        pa = int(_COARSE_SHARE * patch_angular)
     else:
         gz, gw = _composite_global(centers, radii, rule, gauss_order=20, coarse=False)
         pg, pa = patch_gauss, patch_angular

@@ -368,13 +368,15 @@ def _phi_basis(a) -> np.ndarray:
 def factor_rank_one(grid: BidegreeSeries, *, tol: float = 1e-7) -> MobiusFactorization:
     """Factor a rank-one transform grid as ``p(phi_a) conj(q(phi_a))``.
 
-    The dominant singular pair gives the two factor series. Both are a
-    numerator of degree at most 2 over ``(1 - conj(a) z)^2``, so both
-    vanishing systems ``series * (1 - conj(a) z)^2 = numerator`` share the
-    root ``conj(a)``. Center candidates come from each side's first
-    vanishing condition (companion roots), a one-term ratio fit per side
-    (exact for denominator power one), and zero; each is polished on the
-    full overdetermined vanishing system. Per candidate, each side's
+    The dominant singular pair gives the two factor series; once
+    :func:`numerical_rank` has proved rank one, two power steps find it
+    without a full SVD. Both are a numerator of degree at most 2 over
+    ``(1 - conj(a) z)^2``, so both vanishing systems
+    ``series * (1 - conj(a) z)^2 = numerator`` share the root ``conj(a)``.
+    Center candidates come from each side's first vanishing condition
+    (companion roots), a one-term ratio fit per side (exact for
+    denominator power one), and zero; each is polished on the full
+    overdetermined vanishing system. Per candidate, each side's
     numerator gives its polynomial in ``phi_a``, and the side is rebuilt
     from that numerator truncated to degree 1 and to degree 2 and scored
     by the largest relative coefficient error. The best reconstruction
@@ -383,9 +385,13 @@ def factor_rank_one(grid: BidegreeSeries, *, tol: float = 1e-7) -> MobiusFactori
     report = numerical_rank(grid)
     if report.rank != 1:
         raise NotRankOne(f"numerical rank {report.rank} != 1")
-    U, s, Vh = np.linalg.svd(grid.coeffs)
-    f = s[0] * U[:, 0]
-    g = np.conj(Vh[0, :])
+    # the grid is rank one, so two power steps on C^H C from its largest
+    # column give the dominant right vector g; then C = f g^H with f = C g
+    C = grid.coeffs
+    g = C.conj().T @ C[:, np.argmax(np.linalg.norm(C, axis=0))]
+    g = C.conj().T @ (C @ g)
+    g = g / np.linalg.norm(g)
+    f = C @ g
     span = np.arange(3, min(13, len(g)))
     if len(span) < 4:
         raise DomainError("grid truncation too small for factorization")

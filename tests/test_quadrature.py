@@ -244,3 +244,53 @@ class TestPanelResolution:
         z, _ = singular_nodes(SingularityPlan(centers=(0.85 * np.exp(0.7j),)),
                               QuadratureRule.build())
         assert len(z) <= 850_000
+
+    def test_check_catches_unclustered_near_rings(self, monkeypatch, fresh_node_sets):
+        # near rings at the mapped count but with uniform angles miss a pole at |a| = 0.85
+        u = Symbol(atoms=(Atom("pole", 0.85 * np.exp(0.7j), 1.0),))
+        berezin_numeric(u, SWEEP_POINTS)
+        quadrature._singular_nodes_cached.cache_clear()
+        ring_angles = quadrature._ring_angles
+        monkeypatch.setattr(quadrature, "_ring_angles",
+                            lambda count, uniform, bumps: ring_angles(count, uniform, ()))
+        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
+            berezin_numeric(u, SWEEP_POINTS)
+
+    @pytest.mark.parametrize("modulus, most", [(0.72, 160_000), (0.85, 250_000)])
+    def test_fine_node_count(self, modulus, most):
+        # uniform near rings gave 279,654 nodes at 0.72 and 632,325 at 0.85
+        z, _ = singular_nodes(SingularityPlan(centers=(modulus * np.exp(0.7j),)),
+                              QuadratureRule.build())
+        assert len(z) <= most
+
+    @pytest.mark.parametrize("centers", [(0.72 * np.exp(0.7j),), (0.94j,), (0.5, -0.5j)])
+    def test_ring_angle_map(self, centers):
+        rule = QuadratureRule.build()
+        radii = quadrature._patch_radii(centers)
+        mapped = 0
+        for lo, hi in quadrature._radial_panels(centers, radii):
+            bumps = quadrature._panel_bumps(lo, hi, centers, radii, rule)
+            mapped += bool(bumps)
+            for coarse in (False, True):
+                n = quadrature._panel_angular(lo, hi, centers, radii, rule, coarse=coarse)
+                theta, share = quadrature._ring_angles(n, rule.angular_count, bumps)
+                assert len(theta) == n and 0.0 <= theta[0] and theta[-1] < 2.0 * np.pi
+                assert np.all(np.diff(theta) > 0.0)
+                assert abs(np.sum(share) - 1.0) <= 1e-14
+                assert not theta.flags.writeable and not share.flags.writeable
+        assert mapped > 0
+
+
+class TestInsidePatch:
+    @pytest.mark.parametrize("modulus", [0.3, 0.72, 0.85, 0.9])
+    def test_matches_closed_form(self, modulus):
+        # points on circles of radius f * d around the center, f up to the patch radius
+        center = modulus * np.exp(0.7j)
+        d = quadrature._patch_radii((center,))[0]
+        psi = 2.0 * np.pi * np.arange(16) / 16
+        zs = (center + d * np.multiply.outer([0.3, 0.7, 1.0], np.exp(1j * psi))).ravel()
+        zs = zs[np.abs(zs) <= 0.9]
+        for kind in ("log", "pole", "conjpole"):
+            u = Symbol(atoms=(Atom(kind, center, 1.0 - 0.5j),))
+            error = np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs)))
+            assert error <= 1e-9, (kind, error)
