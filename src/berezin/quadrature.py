@@ -10,23 +10,27 @@ centers are handled by a partition of unity: a radial cutoff around each
 center routes the singular mass to a local polar patch graded
 geometrically (ratio 1/2) toward the center, while the complement is
 integrated by a composite version of the global rule whose radial panels
-are aligned to the cutoff annuli. Each radial panel carries its own angular
-count. Panels clear of the patches resolve the centers' singularities at
-their distance (the trapezoid error on a ring decays geometrically in the
-ring ratio to the nearest center), never below the plain rule's count.
-Panels that meet a patch resolve its cutoff transition, which spans only
-an arc about ``2 d / |c|`` wide: their rings keep uniform points in a
-mapped angle that clusters them on that arc, where that takes fewer points
-than uniform angles. Each patch takes the fixed angular count that
-resolves the kernel's pole, which lies at ratio 2.5 or more from every
-patch circle. The coarse check set takes a fixed smaller share of every
-count, under the same maps, so an angular under-resolution shows as a
-fine-vs-coarse deviation. The resulting node/weight set is fixed per
-plan, so one set serves a whole family of integrands.
+have edges wherever the rings start or stop meeting a cutoff join. Each
+radial panel carries its own angular count, decided in one place,
+:func:`_panel_layout`. Panels clear of the patches resolve the centers'
+singularities at their distance (the trapezoid error on a ring decays
+geometrically in the ring ratio to the nearest center), never below the
+plain rule's count. Panels that meet a patch resolve its cutoff
+transition, which spans only an arc about ``2 d / |c|`` wide: their rings
+keep uniform points in a mapped angle that clusters them on that arc,
+where that takes fewer points than uniform angles. Each patch takes the
+fixed angular count that resolves the kernel's pole, which lies at ratio
+2.5 or more from every patch circle. The coarse check set takes a fixed
+smaller share of every panel's count, under the same maps, and the
+coarse member of every fixed ``(fine, coarse)`` size pair, so an
+under-resolution shows as a fine-vs-coarse deviation. The resulting
+node/weight set is fixed per plan, so one set serves a whole family of
+integrands; :func:`integrate_parts` runs a functional of a symbol or of a
+callable over those sets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, comb
 
@@ -70,11 +74,18 @@ _COARSE_SHARE = 0.75
 #: boundary and to every other center.
 _PATCH_FRACTION = 0.4
 
-#: Default patch angles. On a patch circle the kernel's pole (beyond the
-#: unit circle) and every other center lie at ratio ``1 / _PATCH_FRACTION``
-#: = 2.5 or more, so ``ceil(_RING_DECAY / ln 2.5)`` = 33 angles resolve
-#: them; rounded up to 16 so that the coarse share (36) still does.
-_PATCH_ANGULAR = 16 * ceil(ceil(_RING_DECAY / -np.log(_PATCH_FRACTION)) / _COARSE_SHARE / 16)
+#: Sizes of the fine node set and of the coarse check set, as
+#: ``(fine, coarse)``: Gauss points per radial panel of the global rule,
+#: geometric (ratio 1/2) radial panels toward each center, Gauss points per
+#: patch panel, and patch angles. On a patch circle the kernel's pole
+#: (beyond the unit circle) and every other center lie at ratio
+#: ``1 / _PATCH_FRACTION`` = 2.5 or more, so ``ceil(_RING_DECAY / ln 2.5)``
+#: = 33 angles resolve them; 48 is 33 over the coarse share rounded up to
+#: 16, so that the coarse patch's ``int(_COARSE_SHARE * 48)`` = 36 still does.
+_GLOBAL_GAUSS = (20, 14)
+_PATCH_DEPTH = (12, 9)
+_PATCH_GAUSS = (16, 12)
+_PATCH_ANGULAR = (48, 36)
 
 _SMOOTH_ORDER = 9  # C^9 smoothstep
 
@@ -150,22 +161,14 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class SingularityPlan:
-    """Declared singular centers with the grading parameters of the patches.
-
-    ``depth`` is the number of geometric (ratio 1/2) radial panels toward
-    each center; ``patch_gauss`` and ``patch_angular`` size each panel
-    (the default angular count is ``_PATCH_ANGULAR``).
-    """
+    """Declared singular centers: inside ``|c| < 0.97`` and at least 1e-3
+    apart. The patches around them are graded by the fixed
+    ``(fine, coarse)`` size constants."""
 
     centers: tuple[complex, ...] = ()
-    depth: int = 12
-    patch_gauss: int = 16
-    patch_angular: int = _PATCH_ANGULAR
 
     def __post_init__(self):
         centers = tuple(complex(c) for c in self.centers)
-        if self.depth < 0:
-            raise DomainError("grading depth must be >= 0")
         for c in centers:
             if abs(c) >= 0.97:
                 raise DomainError(f"singular center too close to the boundary: |{c}|={abs(c):.4f}")
@@ -176,13 +179,13 @@ class SingularityPlan:
         object.__setattr__(self, "centers", centers)
 
 
-def plan_for_symbol(s: Symbol, **kwargs) -> SingularityPlan:
+def plan_for_symbol(s: Symbol) -> SingularityPlan:
     """Plan whose centers are the distinct atom centers of ``s``."""
     centers: list[complex] = []
     for atom in s.atoms:
         if all(abs(atom.center - c) > 1e-12 for c in centers):
             centers.append(atom.center)
-    return SingularityPlan(centers=tuple(centers), **kwargs)
+    return SingularityPlan(centers=tuple(centers))
 
 
 def _patch_radii(centers) -> np.ndarray:
@@ -198,13 +201,15 @@ def _patch_radii(centers) -> np.ndarray:
 
 def _radial_panels(centers, radii):
     """Radial sub-panels ``(lo, hi)`` in ``t = r^2`` aligned to the cutoff annuli."""
-    # breakpoints at the cutoff joins of every patch
+    # breakpoints where the rings start and stop meeting the cutoff joins
+    # |z - c| = s of every patch, at r = ||c| - s| and r = |c| + s (a patch
+    # that covers the origin has s > |c|)
     cuts = {0.0, 1.0}
     for c, d in zip(centers, radii):
-        for s in (abs(c) - d, abs(c) - _TRANSITION_START * d,
-                  abs(c) + _TRANSITION_START * d, abs(c) + d):
-            if 1e-9 < s < 1.0 - 1e-9:
-                cuts.add(s * s)
+        for s in (d, _TRANSITION_START * d):
+            for r in (abs(abs(c) - s), abs(c) + s):
+                if 1e-9 < r < 1.0 - 1e-9:
+                    cuts.add(r * r)
     edges = sorted(cuts)
 
     def max_width(lo, hi):
@@ -241,74 +246,39 @@ def _ring_count(r_lo, r_hi, centers) -> int:
     return count
 
 
-def _near_patches(r_lo, r_hi, centers, radii):
-    """``(c, d)`` of every patch whose annulus, widened by ``_NEAR_MARGIN``,
-    the rings ``r_lo <= r <= r_hi`` meet."""
-    return [(c, d) for c, d in zip(centers, radii)
-            if r_hi > abs(c) - _NEAR_MARGIN * d and r_lo < abs(c) + _NEAR_MARGIN * d]
+def _panel_layout(lo, hi, centers, radii, rule: QuadratureRule):
+    """Angular count and angle-map bumps ``(count, bumps)`` of the radial
+    panel ``lo <= t <= hi`` of the fine set.
 
-
-def _uniform_count(lo, hi, centers, radii, rule: QuadratureRule) -> int:
-    """Uniform angular count of the radial panel ``lo <= t <= hi``.
-
-    A panel that meets a patch carries ``_POINTS_ACROSS`` angles across the
-    narrowest cutoff transition it meets, at its outer radius, around its
-    whole ring; any other panel takes :func:`_ring_count`. Neither falls
-    below the plain rule's count.
+    A panel clear of every patch takes :func:`_ring_count` uniform angles.
+    A panel that meets a patch (its annulus widened by ``_NEAR_MARGIN``)
+    must carry ``_POINTS_ACROSS`` angles across the narrowest cutoff
+    transition it meets, at its outer radius. That transition spans an arc
+    only about ``2 d / |c|`` wide, so the rings cluster their angles there
+    with one Poisson-kernel bump ``(arg c, s)``, ``s = exp(-d / |c|)``, per
+    patch met, whose width matches the arc (:func:`_ring_angles`); such a
+    ring takes the plain rule's count as its uniform share plus
+    ``_BUMP_POINTS`` per bump. A center's bump is the same on every panel,
+    so panels that meet the same patches share one cached map. Where a
+    patch covers most of the ring, uniform angles around the whole ring are
+    cheaper and the bumps are ``()``. Counts are rounded up to 32; no
+    uniform count falls below the plain rule's.
     """
     r_lo, r_hi = np.sqrt(lo), np.sqrt(hi)
-    near = _near_patches(r_lo, r_hi, centers, radii)
+    near = [(c, d) for c, d in zip(centers, radii)
+            if r_hi > abs(c) - _NEAR_MARGIN * d and r_lo < abs(c) + _NEAR_MARGIN * d]
     if near:
         width = min((1.0 - _TRANSITION_START) * d for _, d in near)
         need = _POINTS_ACROSS * 2.0 * np.pi * r_hi / width
     else:
         need = _ring_count(r_lo, r_hi, centers)
-    return min(_MAX_ANGULAR, 32 * ceil(max(rule.angular_count, need) / 32))
-
-
-def _mapped_count(rule: QuadratureRule, bumps: int) -> int:
-    """Angular count of a clustered ring: the plain rule's count as its
-    uniform share plus ``_BUMP_POINTS`` per bump, rounded up to 32."""
-    return 32 * ceil((rule.angular_count + _BUMP_POINTS * bumps) / 32)
-
-
-def _panel_bumps(lo, hi, centers, radii, rule: QuadratureRule) -> tuple:
-    """Bumps ``(arg c, s)`` of the angle map of the radial panel
-    ``lo <= t <= hi``, one per patch it meets, or ``()`` for uniform angles.
-
-    The cutoff transition of the patch around ``c`` spans an arc only about
-    ``2 d / |c|`` wide, so the rings cluster their angles there with a
-    Poisson-kernel bump of parameter ``s = exp(-d / |c|)``, whose width
-    matches the arc (:func:`_ring_angles`). A center's bump is the same on
-    every panel, so panels that meet the same patches share one cached
-    map. The map is used only where
-    :func:`_mapped_count` is below :func:`_uniform_count`; where a patch
-    covers most of the ring, the uniform angles are cheaper.
-    """
-    near = _near_patches(np.sqrt(lo), np.sqrt(hi), centers, radii)
-    if not near or (_mapped_count(rule, len(near))
-                    >= _uniform_count(lo, hi, centers, radii, rule)):
-        return ()
+    uniform = min(_MAX_ANGULAR, 32 * ceil(max(rule.angular_count, need) / 32))
+    mapped = 32 * ceil((rule.angular_count + _BUMP_POINTS * len(near)) / 32)
+    if not near or mapped >= uniform:
+        return uniform, ()
     # around a center at the origin the arc is the whole ring: s = 0, a flat bump
-    return tuple((float(np.angle(c)), float(np.exp(-d / abs(c))) if c else 0.0)
-                 for c, d in near)
-
-
-def _panel_angular(lo, hi, centers, radii, rule: QuadratureRule, *, coarse: bool) -> int:
-    """Angular count of the radial panel ``lo <= t <= hi``.
-
-    A panel with an angle map (:func:`_panel_bumps`) takes
-    :func:`_mapped_count`; any other panel takes :func:`_uniform_count`.
-    The coarse set takes ``_COARSE_SHARE`` of every count, under the same
-    map, so an angular under-resolution of the fine set shows up as a
-    fine-vs-coarse deviation.
-    """
-    bumps = _panel_bumps(lo, hi, centers, radii, rule)
-    if bumps:
-        count = _mapped_count(rule, len(bumps))
-    else:
-        count = _uniform_count(lo, hi, centers, radii, rule)
-    return int(_COARSE_SHARE * count) if coarse else count
+    return mapped, tuple((float(np.angle(c)), float(np.exp(-d / abs(c))) if c else 0.0)
+                         for c, d in near)
 
 
 def _poisson_cdf(x, s):
@@ -358,17 +328,19 @@ def _ring_angles(count: int, uniform: int, bumps: tuple):
     return theta, share
 
 
-def _composite_global(centers, radii, rule: QuadratureRule, *, gauss_order: int,
-                      coarse: bool):
+def _composite_global(centers, radii, rule: QuadratureRule, *, coarse: bool):
     """Global polar nodes/weights on the radial panels of :func:`_radial_panels`,
-    each with the angular count of :func:`_panel_angular` placed by the
-    angle map of :func:`_panel_bumps` (:func:`_ring_angles`)."""
+    each laid out by :func:`_panel_layout` and placed by its angle map
+    (:func:`_ring_angles`). The coarse set takes ``_COARSE_SHARE`` of every
+    count under the same map, so an angular under-resolution of the fine
+    set shows up as a fine-vs-coarse deviation."""
     parts_z, parts_w = [], []
     for lo, hi in _radial_panels(centers, radii):
-        t, wt = _gauss(gauss_order, lo, hi)
-        n = _panel_angular(lo, hi, centers, radii, rule, coarse=coarse)
-        theta, share = _ring_angles(n, rule.angular_count,
-                                    _panel_bumps(lo, hi, centers, radii, rule))
+        t, wt = _gauss(_GLOBAL_GAUSS[coarse], lo, hi)
+        count, bumps = _panel_layout(lo, hi, centers, radii, rule)
+        if coarse:
+            count = int(_COARSE_SHARE * count)
+        theta, share = _ring_angles(count, rule.angular_count, bumps)
         parts_z.append((np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]).ravel())
         parts_w.append((wt[:, None] * share[None, :]).ravel())
     z, w = np.concatenate(parts_z), np.concatenate(parts_w)
@@ -400,8 +372,7 @@ def _local_patch(center, radius, *, depth, gauss_order, angular):
 
 
 @lru_cache(maxsize=8)
-def _singular_nodes_cached(centers, depth, patch_gauss, patch_angular,
-                           radial, angular, coarse):
+def _singular_nodes_cached(centers, radial, angular, coarse):
     rule = QuadratureRule.build(radial, angular)
     if not centers:
         if coarse:
@@ -411,16 +382,11 @@ def _singular_nodes_cached(centers, depth, patch_gauss, patch_angular,
         w.setflags(write=False)
         return z, w
     radii = _patch_radii(centers)
-    if coarse:
-        gz, gw = _composite_global(centers, radii, rule, gauss_order=14, coarse=True)
-        depth, pg = max(depth - 3, 4), max(patch_gauss - 4, 8)
-        pa = int(_COARSE_SHARE * patch_angular)
-    else:
-        gz, gw = _composite_global(centers, radii, rule, gauss_order=20, coarse=False)
-        pg, pa = patch_gauss, patch_angular
+    gz, gw = _composite_global(centers, radii, rule, coarse=coarse)
     parts_z, parts_w = [gz], [gw]
     for c, d in zip(centers, radii):
-        lz, lw = _local_patch(c, d, depth=depth, gauss_order=pg, angular=pa)
+        lz, lw = _local_patch(c, d, depth=_PATCH_DEPTH[coarse], gauss_order=_PATCH_GAUSS[coarse],
+                              angular=_PATCH_ANGULAR[coarse])
         parts_z.append(lz)
         parts_w.append(lw)
     z, w = np.concatenate(parts_z), np.concatenate(parts_w)
@@ -434,10 +400,8 @@ def singular_nodes(plan: SingularityPlan, rule: QuadratureRule, *, coarse: bool 
 
     Cached per (plan, rule size) since construction is pure.
     """
-    return _singular_nodes_cached(
-        plan.centers, plan.depth, plan.patch_gauss, plan.patch_angular,
-        rule.radial_count, rule.angular_count, bool(coarse),
-    )
+    return _singular_nodes_cached(plan.centers, rule.radial_count, rule.angular_count,
+                                  bool(coarse))
 
 
 def disk_integrate(f, rule: QuadratureRule | None = None) -> complex:
@@ -486,12 +450,12 @@ def disk_integrate_singular(f, plan: SingularityPlan, rule: QuadratureRule | Non
                             check=check, what="singular quadrature"))
 
 
-def _symbol_parts(u: Symbol, plan: SingularityPlan = SingularityPlan()):
+def _symbol_parts(u: Symbol):
     """Split ``u`` by linearity into ``(plan, integrand)`` parts.
 
     The harmonic part, when nonzero, runs on the plain rule. The atoms are
     grouped by their exact center, the node-set cache key, so each group
-    integrates once on that center's node set, graded as ``plan``.
+    integrates once on that center's node set.
     """
     parts = []
     if not (u.holo.is_zero() and u.anti.is_zero()):
@@ -500,9 +464,33 @@ def _symbol_parts(u: Symbol, plan: SingularityPlan = SingularityPlan()):
     for atom in u.atoms:
         by_center.setdefault(atom.center, []).append(atom)
     for center, atoms in by_center.items():
-        parts.append((replace(plan, centers=(center,)),
+        parts.append((SingularityPlan(centers=(center,)),
                       lambda z, atoms=atoms: sum(atom.eval(z) for atom in atoms)))
     return parts
+
+
+def integrate_parts(u, functional, rule: QuadratureRule,
+                    plan: SingularityPlan | None = None, *, check: bool, what: str):
+    """Sum of ``functional(nodes, u(nodes) * weights)`` over the node sets of ``u``.
+
+    A :class:`Symbol` splits as :func:`_symbol_parts` does and declares its
+    own centers, so passing a ``plan`` with one raises DomainError. Any
+    other callable runs on the node set of ``plan`` (the plain rule when
+    ``None``). With ``check`` every part with centers is recomputed on the
+    coarse node set (:func:`_refined`); the plain rule is not checked.
+    Returns ``0.0`` when ``u`` has no parts.
+    """
+    if isinstance(u, Symbol):
+        if plan is not None:
+            raise DomainError("a symbol declares its own singular centers; pass no plan")
+        parts = _symbol_parts(u)
+    else:
+        parts = [(plan or SingularityPlan(), u)]
+    total = 0.0
+    for part_plan, integrand in parts:
+        total = total + _refined(part_plan, rule, integrand, functional,
+                                 check=check and bool(part_plan.centers), what=what)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -524,30 +512,22 @@ def berezin_numeric(u, z, rule: QuadratureRule | None = None,
     """Numeric Berezin transform ``B(u)(z)`` by quadrature.
 
     ``u`` may be a :class:`Symbol` or any callable mapping a node array to
-    values (singularities must be declared via ``plan``). A symbol splits
-    as :func:`_symbol_parts` does: the harmonic part on the plain rule, the
-    atoms of each distinct center together on that center's singular node
-    set, graded as ``plan``. With ``check`` each singular part is
-    recomputed on the coarse node set, so the 1e-6 refinement check guards
-    each center's summed contribution. ``z`` may be a scalar or an array;
-    the result matches its shape.
+    values whose singularities are declared via ``plan``; a symbol declares
+    its own, and a symbol with a ``plan`` raises DomainError. A symbol
+    splits as :func:`_symbol_parts` does: the harmonic part on the plain
+    rule, the atoms of each distinct center together on that center's
+    singular node set (:func:`integrate_parts`). With ``check`` each
+    singular part is recomputed on the coarse node set, so the 1e-6
+    refinement check guards each center's summed contribution. ``z`` may
+    be a scalar or an array; the result matches its shape.
     """
     rule = rule or QuadratureRule.build()
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
     _check_eval_points(zs, rule)
 
-    plan = plan or SingularityPlan()
-    if isinstance(u, Symbol):
-        parts = _symbol_parts(u, plan)
-    else:
-        parts = [(plan, u)]
-
-    out = np.zeros(len(zs), dtype=np.complex128)
-    for part_plan, integrand in parts:
-        # a plan without centers is the plain rule, which is not checked
-        out += _refined(part_plan, rule, integrand,
-                        lambda nodes, values: _kernels.kernel_sum(nodes, values, zs),
-                        check=check and bool(part_plan.centers), what="numeric transform")
+    out = np.zeros(len(zs), dtype=np.complex128) + integrate_parts(
+        u, lambda nodes, values: _kernels.kernel_sum(nodes, values, zs), rule, plan,
+        check=check, what="numeric transform")
 
     zarr = np.asarray(z, dtype=np.complex128)
     return complex(out[0]) if zarr.ndim == 0 else out.reshape(zarr.shape)

@@ -29,7 +29,7 @@ import numpy as np
 from berezin import _kernels
 from berezin.core import BidegreeSeries
 from berezin.errors import DomainError, ZeroInput
-from berezin.quadrature import QuadratureRule, _refined, _symbol_parts
+from berezin.quadrature import QuadratureRule, integrate_parts
 from berezin.symbols import Symbol, canonicalize
 
 #: Relative singular-value threshold for rank decisions.
@@ -160,13 +160,9 @@ def weighted_monomial_moments(u: Symbol, pmax: int, qmax: int,
     center's singular node set), so every integral sees exactly one
     declared singularity and each node set is contracted once.
     """
-    rule = rule or QuadratureRule.build()
-    G = np.zeros((pmax + 1, qmax + 1), dtype=np.complex128)
-    for plan, integrand in _symbol_parts(canonicalize(u)):
-        G += _refined(plan, rule, integrand,
-                      lambda z, values: _kernels.monomial_moments(z, values, pmax, qmax),
-                      check=False, what="monomial moments")
-    return G
+    return np.zeros((pmax + 1, qmax + 1), dtype=np.complex128) + integrate_parts(
+        canonicalize(u), lambda z, values: _kernels.monomial_moments(z, values, pmax, qmax),
+        rule or QuadratureRule.build(), check=False, what="monomial moments")
 
 
 def calibrated_orientation() -> str:

@@ -84,10 +84,6 @@ class Symbol:
     def constant(cls, c: complex) -> "Symbol":
         return cls(holo=PowerSeries.constant(c), anti=PowerSeries.zero())
 
-    @classmethod
-    def from_atoms(cls, *atoms: Atom) -> "Symbol":
-        return cls(atoms=tuple(atoms))
-
     @property
     def centers(self) -> tuple[complex, ...]:
         return tuple(a.center for a in self.atoms)

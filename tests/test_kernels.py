@@ -58,7 +58,7 @@ def test_monomial_moments_of_no_nodes_are_zero():
 
 
 def test_numeric_transform_memory_is_bounded():
-    # the full 320 x 571,860 kernel matrix of this atom would take 1.4 GB
+    # the full 320 x 115,318 real kernel matrix of this atom would take 282 MiB
     symbol = Symbol(atoms=(Atom("log", 0.72 * np.exp(0.4j), 1.0),))
     _singular_nodes_cached.cache_clear()
     tracemalloc.start()

@@ -77,13 +77,15 @@ class TestSingular:
         value = disk_integrate_singular(lambda z: np.log(np.abs(z - 0.3)), plan)
         assert value == pytest.approx((0.09 - 1) / 2, abs=1e-8)
 
-    def test_grading_depth_doubling(self):
-        plan12 = SingularityPlan(centers=(0.4,), depth=12)
-        plan24 = SingularityPlan(centers=(0.4,), depth=24)
+    def test_grading_depth_doubling(self, monkeypatch, fresh_node_sets):
+        plan = SingularityPlan(centers=(0.4,))
         rule = QuadratureRule.build()
-        for f in (lambda z: np.log(np.abs(z - 0.4)), lambda z: 1 / (z - 0.4)):
-            a = disk_integrate_singular(f, plan12, rule)
-            b = disk_integrate_singular(f, plan24, rule)
+        funcs = (lambda z: np.log(np.abs(z - 0.4)), lambda z: 1 / (z - 0.4))
+        depth12 = [disk_integrate_singular(f, plan, rule) for f in funcs]
+        quadrature._singular_nodes_cached.cache_clear()
+        monkeypatch.setattr(quadrature, "_PATCH_DEPTH", (24, 21))
+        for f, a in zip(funcs, depth12):
+            b = disk_integrate_singular(f, plan, rule)
             assert abs(a - b) < 1e-8
 
     def test_multi_center(self):
@@ -173,13 +175,21 @@ class TestBerezinNumeric:
         scale = _kernels.kernel_sum(z, weights, zs).real
         assert np.all(np.abs(together - apart) <= 1e-13 * scale)
 
-    def test_refinement_check_guards_each_center_group(self):
-        # a plan too coarse for the patch: the group's fine and coarse sums disagree
+    def test_refinement_check_guards_each_center_group(self, monkeypatch, fresh_node_sets):
+        # patches too coarse for the center: the group's fine and coarse sums disagree
         atoms = (Atom("log", 0.5, 1.0), Atom("pole", 0.5, 0.5 + 0.25j),
                  Atom("conjpole", 0.5, -0.25j))
-        plan = SingularityPlan(depth=4, patch_gauss=4, patch_angular=8)
+        monkeypatch.setattr(quadrature, "_PATCH_DEPTH", (4, 4))
+        monkeypatch.setattr(quadrature, "_PATCH_GAUSS", (4, 8))
+        monkeypatch.setattr(quadrature, "_PATCH_ANGULAR", (8, 6))
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
-            berezin_numeric(Symbol(atoms=atoms), np.array([0.1, 0.5 + 0.1j]), plan=plan)
+            berezin_numeric(Symbol(atoms=atoms), np.array([0.1, 0.5 + 0.1j]))
+
+    def test_symbol_with_plan_is_rejected(self):
+        # a symbol declares its own centers; a plan next to it would be ignored
+        u = Symbol(atoms=(Atom("log", 0.5, 1.0),))
+        with pytest.raises(DomainError):
+            berezin_numeric(u, 0.1, plan=SingularityPlan(centers=(0.5,)))
 
 
 class TestNodeSets:
@@ -221,6 +231,16 @@ class TestPanelResolution:
                                       - symbol_values(u, SWEEP_POINTS)))
                 assert error <= 1e-9, (kind, center, error)
 
+    @pytest.mark.parametrize("modulus", [0.05, 0.1, 0.122, 0.2])
+    def test_patch_covering_origin_matches_closed_form(self, modulus):
+        # the patch radius d exceeds |a|: panel edges must sit at d - |a| and ||a| - 0.45 d|
+        center = modulus * np.exp(0.7j)
+        zs = _sample_points()
+        for kind in ("log", "pole", "conjpole"):
+            u = Symbol(atoms=(Atom(kind, center, 1.0 - 0.5j),))
+            error = np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs)))
+            assert error <= 1e-10, (kind, error)
+
     def test_check_catches_angular_under_resolution(self, monkeypatch, fresh_node_sets):
         # far panels on the plain rule's count alone miss a pole at |a| = 0.94
         u = Symbol(atoms=(Atom("pole", 0.7199 + 0.6040j, 1.0),))
@@ -235,9 +255,8 @@ class TestPanelResolution:
         rule = QuadratureRule.build()
         radii = quadrature._patch_radii(centers)
         for lo, hi in quadrature._radial_panels(centers, radii):
-            fine = quadrature._panel_angular(lo, hi, centers, radii, rule, coarse=False)
-            coarse = quadrature._panel_angular(lo, hi, centers, radii, rule, coarse=True)
-            assert coarse < fine, (lo, hi)
+            fine, _ = quadrature._panel_layout(lo, hi, centers, radii, rule)
+            assert int(quadrature._COARSE_SHARE * fine) < fine, (lo, hi)
 
     def test_node_count_at_085(self):
         # one angular count for the whole disk gave 1,703,581 nodes here
@@ -269,10 +288,9 @@ class TestPanelResolution:
         radii = quadrature._patch_radii(centers)
         mapped = 0
         for lo, hi in quadrature._radial_panels(centers, radii):
-            bumps = quadrature._panel_bumps(lo, hi, centers, radii, rule)
+            fine, bumps = quadrature._panel_layout(lo, hi, centers, radii, rule)
             mapped += bool(bumps)
-            for coarse in (False, True):
-                n = quadrature._panel_angular(lo, hi, centers, radii, rule, coarse=coarse)
+            for n in (fine, int(quadrature._COARSE_SHARE * fine)):
                 theta, share = quadrature._ring_angles(n, rule.angular_count, bumps)
                 assert len(theta) == n and 0.0 <= theta[0] and theta[-1] < 2.0 * np.pi
                 assert np.all(np.diff(theta) > 0.0)
