@@ -4,7 +4,6 @@ finite-rank detection, node recovery, and rank-one decomposition."""
 from berezin.core import (
     BidegreeSeries,
     DiskAutomorphism,
-    MobiusMap,
     PowerSeries,
     mobius_eval,
     mobius_inverse,
@@ -29,7 +28,6 @@ __all__ = [
     "Atom",
     "BidegreeSeries",
     "DiskAutomorphism",
-    "MobiusMap",
     "NodeForm",
     "PowerSeries",
     "Symbol",

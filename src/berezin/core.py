@@ -57,24 +57,6 @@ def _check_truncation(m: int) -> int:
 
 
 @dataclass(frozen=True)
-class MobiusMap:
-    """Fractional linear map ``w -> (num1*w + num0) / (den1*w + den0)``."""
-
-    num1: complex
-    num0: complex
-    den1: complex
-    den0: complex
-
-    def __call__(self, w):
-        w = np.asarray(w, dtype=np.complex128)
-        den = self.den1 * w + self.den0
-        if np.any(np.abs(den) < 1e-14):
-            raise DomainError("Mobius map denominator vanishes at input")
-        out = (self.num1 * w + self.num0) / den
-        return complex(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
 class DiskAutomorphism:
     """The disk automorphism ``phi_a(z) = (z - a)/(1 - conj(a) z)``."""
 
@@ -88,9 +70,6 @@ class DiskAutomorphism:
 
     def __call__(self, z):
         return mobius_eval(self, z)
-
-    def inverse(self) -> MobiusMap:
-        return mobius_inverse(self)
 
 
 def mobius_eval(phi: DiskAutomorphism, z):
@@ -109,10 +88,9 @@ def mobius_eval(phi: DiskAutomorphism, z):
     return complex(out) if out.ndim == 0 else out
 
 
-def mobius_inverse(phi: DiskAutomorphism) -> MobiusMap:
-    """Inverse map ``w -> (w + a)/(1 + conj(a) w)`` as a MobiusMap."""
-    a = phi.a
-    return MobiusMap(num1=1.0, num0=a, den1=np.conj(a), den0=1.0)
+def mobius_inverse(phi: DiskAutomorphism) -> DiskAutomorphism:
+    """Inverse map ``w -> (w + a)/(1 + conj(a) w)``, which is ``phi_{-a}``."""
+    return DiskAutomorphism(-phi.a)
 
 
 class PowerSeries:
@@ -181,10 +159,9 @@ class PowerSeries:
 class BidegreeSeries:
     """Truncated two-index series ``sum_{m,n} c[m, n] z^m conj(z)^n``.
 
-    Multiplication is the double convolution of coefficient grids, with the
-    result clipped at :data:`MAX_TRUNCATION` per index. Comparison of two
-    grids uses the maximum absolute coefficient difference over the common
-    index rectangle (:meth:`max_coeff_diff`).
+    Grids add and scale by scalars; a grid times a grid is not defined.
+    Comparison of two grids uses the maximum absolute coefficient
+    difference over the common index rectangle (:meth:`max_coeff_diff`).
     """
 
     __slots__ = ("coeffs",)
@@ -241,31 +218,9 @@ class BidegreeSeries:
     def __mul__(self, other):
         if np.isscalar(other):
             return BidegreeSeries(self.coeffs * other)
-        return self.multiply(other)
+        return NotImplemented
 
     __rmul__ = __mul__
-
-    def multiply(self, other: "BidegreeSeries", out_trunc: tuple[int, int] | None = None) -> "BidegreeSeries":
-        """Product grid (double convolution), clipped to the configured max.
-
-        An explicit ``out_trunc`` beyond :data:`MAX_TRUNCATION` raises
-        TruncationOverflow.
-        """
-        m = self.coeffs.shape[0] + other.coeffs.shape[0] - 2
-        n = self.coeffs.shape[1] + other.coeffs.shape[1] - 2
-        if out_trunc is not None:
-            if out_trunc[0] > MAX_TRUNCATION or out_trunc[1] > MAX_TRUNCATION:
-                raise TruncationOverflow(
-                    f"requested product truncation {out_trunc} exceeds {MAX_TRUNCATION}"
-                )
-            m, n = out_trunc
-        else:
-            m, n = min(m, MAX_TRUNCATION), min(n, MAX_TRUNCATION)
-        # 2-D linear convolution by FFT padded to the full product shape;
-        # roundoff is ~1e-16 relative to the largest coefficient
-        shape = tuple(a + b - 1 for a, b in zip(self.coeffs.shape, other.coeffs.shape))
-        full = np.fft.ifft2(np.fft.fft2(self.coeffs, shape) * np.fft.fft2(other.coeffs, shape))
-        return BidegreeSeries(full[: m + 1, : n + 1])
 
     def conjugate(self) -> "BidegreeSeries":
         """Grid of the complex-conjugate function: swap indices, conjugate."""

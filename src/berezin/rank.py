@@ -14,12 +14,12 @@ with ``Lap = d/dz d/dconj(z)``. Expanding the Laplacian leaves exactly
 three weighted monomials, so the whole matrix assembles from the plain
 monomial moments ``G[p, q] = integral u z^p conj(z)^q dA`` computed on one
 singular-aware node set. The Laplacian applies to the full weighted
-product and ``q`` carries the conjugate power; in this ``"full"``
-orientation the coefficient cross-identity
+product and ``q`` carries the conjugate power, so the coefficient
+cross-identity
 
     ``M[k, l] = c[l+1, k+1]``   (grid coefficients of the exact transform)
 
-holds, and the tag is stored on every MomentMatrix.
+holds and the same matrix can be read off an exact grid.
 """
 from __future__ import annotations
 
@@ -42,16 +42,6 @@ DEFAULT_RANK_TOL = 1e-8
 #: survives: for log, pole and conjugate-pole atoms up to modulus 0.94 the
 #: 40x40 corner gives the same rank as the full grid.
 SVD_TRUNCATION = 40
-
-
-def complexified_eval(grid: BidegreeSeries, z: complex, w: complex) -> complex:
-    """Two-variable evaluation ``sum c[m, n] z^m w^n``; restricting
-    ``w = conj(z)`` reproduces the one-variable evaluation."""
-    z = complex(z)
-    w = complex(w)
-    if abs(z) >= 1 or abs(w) >= 1:
-        raise DomainError("complexified evaluation needs |z| < 1 and |w| < 1")
-    return complex(np.polynomial.polynomial.polyval2d(z, w, grid.coeffs))
 
 
 @dataclass(frozen=True)
@@ -87,45 +77,11 @@ def numerical_rank(grid, tol_rel: float = DEFAULT_RANK_TOL) -> RankReport:
     return RankReport(singular_values=sigma, rank=rank, tol=float(tol_rel))
 
 
-def coefficient_rows(grid: BidegreeSeries) -> np.ndarray:
-    """Derivative-coefficient matrix ``a[k, l] = (l+1) c[l+1, k+1]``.
-
-    Row ``k`` lists the series coefficients of the derivative of the
-    function multiplying ``w^(k+1)`` in the two-variable extension. Its
-    rank never exceeds the grid's.
-    """
-    c = grid.coeffs
-    if c.shape[0] < 3 or c.shape[1] < 3:
-        raise DomainError("grid truncation must be at least 2 in each index")
-    kmax = c.shape[1] - 2
-    lmax = c.shape[0] - 2
-    lweights = np.arange(1, lmax + 2)
-    return (c[1:, 1:] * lweights[:, None]).T  # a[k, l] = (l+1) c[l+1, k+1]
-
-
-def laplacian_weighted_monomial(k: int, l: int) -> BidegreeSeries:
-    """Exact polynomial ``Lap[(1 - |z|^2)^2 z^k conj(z)^l]``.
-
-    Three monomials: ``kl z^(k-1) conj(z)^(l-1) - 2(k+1)(l+1) z^k conj(z)^l
-    + (k+2)(l+2) z^(k+1) conj(z)^(l+1)``.
-    """
-    k, l = int(k), int(l)
-    if k < 0 or l < 0 or k > 20 or l > 20:
-        raise DomainError("weighted Laplacian monomial needs 0 <= k, l <= 20")
-    grid = np.zeros((k + 2, l + 2), dtype=np.complex128)
-    if k >= 1 and l >= 1:
-        grid[k - 1, l - 1] = k * l
-    grid[k, l] = -2.0 * (k + 1) * (l + 1)
-    grid[k + 1, l + 1] = (k + 2) * (l + 2)
-    return BidegreeSeries(grid)
-
-
 @dataclass(frozen=True)
 class MomentMatrix:
-    """Moment matrix entries with their orientation tag."""
+    """Moment matrix entries ``M[k, l]``, read-only."""
 
     entries: np.ndarray
-    orientation: str
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.entries, dtype=np.complex128).copy()
@@ -146,7 +102,6 @@ class MomentMatrix:
         return {
             "kmax": self.kmax,
             "lmax": self.lmax,
-            "orientation": self.orientation,
             "entries": [[[v.real, v.imag] for v in row] for row in self.entries],
         }
 
@@ -166,7 +121,12 @@ def weighted_monomial_moments(u: Symbol, pmax: int, qmax: int,
 
 
 def calibrated_orientation() -> str:
-    """Orientation tag of quadrature moment matrices: always ``"full"``."""
+    """Orientation of quadrature moment matrices: always ``"full"``.
+
+    No moment matrix carries this tag any more. The function is kept only
+    for the benchmark's ``quadrature_moments`` set-up, which still calls
+    it, until that set-up stops doing so (ROADMAP item 1).
+    """
     return "full"
 
 
@@ -187,8 +147,7 @@ def moment_matrix(u: Symbol, kmax: int, lmax: int,
     if kmax < 0 or lmax < 0 or kmax > 18 or lmax > 18:
         raise DomainError("moment matrix needs 0 <= kmax, lmax <= 18")
     G = weighted_monomial_moments(u, kmax + 1, lmax + 1, rule)
-    return MomentMatrix(entries=_assemble(G, kmax, lmax),
-                        orientation=calibrated_orientation())
+    return MomentMatrix(entries=_assemble(G, kmax, lmax))
 
 
 def moment_matrix_from_grid(grid: BidegreeSeries, kmax: int, lmax: int) -> MomentMatrix:
@@ -198,4 +157,4 @@ def moment_matrix_from_grid(grid: BidegreeSeries, kmax: int, lmax: int) -> Momen
     if c.shape[0] < lmax + 2 or c.shape[1] < kmax + 2:
         raise DomainError("grid truncation too small for requested moments")
     entries = c[1: lmax + 2, 1: kmax + 2].T
-    return MomentMatrix(entries=entries, orientation="grid_cross_identity")
+    return MomentMatrix(entries=entries)

@@ -504,11 +504,6 @@ class RationalFactor:
         geom = ab ** n if self.power == 1 else (n + 1) * ab ** n
         return PowerSeries(np.convolve(num.padded(truncation), geom)[: truncation + 1])
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        num = np.polynomial.polynomial.polyval(z, self.numerator)
-        return num / (1.0 - np.conj(self.center) * z) ** self.power
-
     def plus_constant(self, c: complex) -> "RationalFactor":
         ab = np.conj(self.center)
         denom = {0: [1.0], 1: [1.0, -ab], 2: [1.0, -2.0 * ab, ab * ab]}[self.power]
@@ -625,13 +620,9 @@ def decompose_form(form: NodeForm, *, truncation: int = DEFAULT_TRUNCATION,
         pieces.extend(decompose_node(a, c11, c21, c12, truncation=truncation))
 
     width = max(40, form.holo.truncation, form.anti.truncation)
-    holo = PowerSeries(form.holo.padded(width))
-    anti = PowerSeries(form.anti.padded(width))
-    if anti.coeffs[0] != 0:  # normalize L(0) = 0 into the holomorphic part
-        shifted = anti.coeffs.copy()
-        shifted[0] = 0.0
-        holo = holo + PowerSeries.constant(np.conj(anti.coeffs[0]))
-        anti = PowerSeries(shifted)
+    harmonic = canonicalize(Symbol(holo=PowerSeries(form.holo.padded(width)),
+                                   anti=PowerSeries(form.anti.padded(width))))
+    holo, anti = harmonic.holo, harmonic.anti
     info = {"anti_absorbed": False, "holo_absorbed": False}
     scale = max(1.0, float(np.max(np.abs(holo.coeffs))), float(np.max(np.abs(anti.coeffs))))
 

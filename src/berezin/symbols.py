@@ -88,9 +88,6 @@ class Symbol:
     def centers(self) -> tuple[complex, ...]:
         return tuple(a.center for a in self.atoms)
 
-    def is_harmonic(self, tol: float = 0.0) -> bool:
-        return all(abs(a.coeff) <= tol for a in self.atoms)
-
     def __add__(self, other: "Symbol") -> "Symbol":
         return Symbol(
             holo=self.holo + other.holo,
@@ -255,9 +252,24 @@ def _series_from(obj, path: str) -> PowerSeries:
     return PowerSeries([_complex_from(v, f"{path}[{i}]") for i, v in enumerate(obj)])
 
 
+def _harmonic_to_json(holo: PowerSeries, anti: PowerSeries) -> dict:
+    return {"K": _series_to_json(holo), "L": _series_to_json(anti)}
+
+
+def _harmonic_from(doc) -> tuple[PowerSeries, PowerSeries]:
+    """``(K, L)`` of a document's root object and its ``harmonic`` block."""
+    if not isinstance(doc, dict):
+        raise SchemaError("document root must be an object")
+    harmonic = doc.get("harmonic", {})
+    if not isinstance(harmonic, dict):
+        raise SchemaError("harmonic: expected an object")
+    return (_series_from(harmonic.get("K", []), "harmonic.K"),
+            _series_from(harmonic.get("L", []), "harmonic.L"))
+
+
 def symbol_to_dict(s: Symbol) -> dict:
     return {
-        "harmonic": {"K": _series_to_json(s.holo), "L": _series_to_json(s.anti)},
+        "harmonic": _harmonic_to_json(s.holo, s.anti),
         "atoms": [
             {"kind": a.kind, "a": _pair(a.center), "coeff": _pair(a.coeff)}
             for a in s.atoms
@@ -266,13 +278,7 @@ def symbol_to_dict(s: Symbol) -> dict:
 
 
 def symbol_from_dict(doc: dict) -> Symbol:
-    if not isinstance(doc, dict):
-        raise SchemaError("document root must be an object")
-    harmonic = doc.get("harmonic", {})
-    if not isinstance(harmonic, dict):
-        raise SchemaError("harmonic: expected an object")
-    holo = _series_from(harmonic.get("K", []), "harmonic.K")
-    anti = _series_from(harmonic.get("L", []), "harmonic.L")
+    holo, anti = _harmonic_from(doc)
     atoms_doc = doc.get("atoms", [])
     if not isinstance(atoms_doc, list):
         raise SchemaError("atoms: expected a list")
@@ -307,7 +313,7 @@ def parse_symbol(text: str) -> Symbol:
 
 def node_form_to_dict(form: NodeForm) -> dict:
     return {
-        "harmonic": {"K": _series_to_json(form.holo), "L": _series_to_json(form.anti)},
+        "harmonic": _harmonic_to_json(form.holo, form.anti),
         "nodes": [
             {"a": _pair(a), "D": _pair(c11), "E": _pair(c21), "F": _pair(c12)}
             for (a, c11, c21, c12) in form.nodes
@@ -316,13 +322,7 @@ def node_form_to_dict(form: NodeForm) -> dict:
 
 
 def node_form_from_dict(doc: dict) -> NodeForm:
-    if not isinstance(doc, dict):
-        raise SchemaError("document root must be an object")
-    harmonic = doc.get("harmonic", {})
-    if not isinstance(harmonic, dict):
-        raise SchemaError("harmonic: expected an object")
-    holo = _series_from(harmonic.get("K", []), "harmonic.K")
-    anti = _series_from(harmonic.get("L", []), "harmonic.L")
+    holo, anti = _harmonic_from(doc)
     nodes_doc = doc.get("nodes", [])
     if not isinstance(nodes_doc, list):
         raise SchemaError("nodes: expected a list")

@@ -87,37 +87,6 @@ def conj_pole_atom_transform(a: complex, truncation: int = DEFAULT_TRUNCATION) -
     return pole_atom_transform(a, truncation).conjugate()
 
 
-def monomial_transform(k: int, l: int, truncation: int = DEFAULT_TRUNCATION) -> BidegreeSeries:
-    """Grid of the transform of ``z^k conj(z)^l``, for ``k + l <= 20``.
-
-    For ``k >= l`` the transform is the radial series
-
-        ``(1-|z|^2)^2 z^(k-l) sum_n (n+1)(n+k-l+1)/(n+k+1) |z|^(2n)``;
-
-    the grid stores its second-differenced coefficients, whose O(n^-3)
-    decay keeps the dropped tail below 1e-10 for |z| <= 0.9 at the default
-    truncation. ``l > k`` follows by conjugate symmetry.
-    """
-    k, l = int(k), int(l)
-    if k < 0 or l < 0 or k + l > 20:
-        raise DomainError("monomial transform needs k, l >= 0 and k + l <= 20")
-    if l > k:
-        return monomial_transform(l, k, truncation).conjugate()
-    d = k - l
-    jmax = max(truncation - d, 0)
-    n = np.arange(jmax + 3)
-    radial = (n + 1.0) * (n + d + 1.0) / (n + k + 1.0)
-    grid = np.zeros((truncation + 1, truncation + 1), dtype=np.complex128)
-    for j in range(jmax + 1):
-        second_diff = radial[j]
-        if j >= 1:
-            second_diff -= 2.0 * radial[j - 1]
-        if j >= 2:
-            second_diff += radial[j - 2]
-        grid[j + d, j] = second_diff
-    return BidegreeSeries(grid)
-
-
 _ATOM_GRIDS = {
     "log": log_atom_transform,
     "pole": pole_atom_transform,

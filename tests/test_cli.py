@@ -103,7 +103,7 @@ def test_moments_document(log_symbol_file, tmp_path):
                  "--output", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["kmax"] == 3
-    assert doc["orientation"] == "full"
+    assert "orientation" not in doc
     # log atom at the origin: only the (0, 0) entry is nonzero, value 1/2
     entries = np.array([[complex(re, im) for re, im in row] for row in doc["entries"]])
     assert abs(entries[0, 0] - 0.5) <= 1e-8

@@ -135,32 +135,22 @@ class TestBidegree:
             grid.conjugate().conjugate().coeffs, grid.coeffs, atol=0
         )
 
-    def test_multiply_monomials(self):
-        z_grid = BidegreeSeries(np.array([[0, 0], [1.0, 0]]))
-        zb_grid = BidegreeSeries(np.array([[0, 1.0], [0, 0]]))
-        product = z_grid * zb_grid
-        assert product.coeffs[1, 1] == pytest.approx(1.0)
-        assert np.count_nonzero(np.abs(product.coeffs) > 1e-12) == 1
-
     def test_eval_log_transform_value(self):
         # grid of (z conj(z) - 1)/2 evaluated at 1/2
         grid = BidegreeSeries(np.array([[-0.5, 0], [0, 0.5]]))
         assert grid.eval(0.5) == pytest.approx(-0.375)
 
-    def test_multiply_commutative_associative(self, rng):
-        def random_grid():
-            return BidegreeSeries(
-                rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-            )
-
-        a, b, c = random_grid(), random_grid(), random_grid()
-        assert (a * b).max_coeff_diff(b * a) <= 1e-12
-        assert ((a * b) * c).max_coeff_diff(a * (b * c)) <= 1e-12
-
-    def test_multiply_overflow(self):
-        grid = BidegreeSeries.zero(10)
+    def test_truncation_overflow(self):
         with pytest.raises(TruncationOverflow):
-            grid.multiply(grid, out_trunc=(MAX_TRUNCATION + 1, 10))
+            BidegreeSeries.zero(MAX_TRUNCATION + 1)
+        with pytest.raises(TruncationOverflow):
+            BidegreeSeries.zero(10, MAX_TRUNCATION + 1)
+
+    def test_grid_times_grid_is_undefined(self):
+        grid = BidegreeSeries.zero(4)
+        with pytest.raises(TypeError):
+            grid * grid
+        assert (2.0 * grid).shape == (grid * 2.0).shape == (5, 5)
 
     def test_outer_matches_pointwise(self, rng):
         f = PowerSeries(rng.standard_normal(5) + 1j * rng.standard_normal(5))
@@ -190,3 +180,11 @@ class TestBidegree:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+def test_every_export_resolves():
+    import berezin
+
+    namespace = {}
+    exec("from berezin import *", namespace)
+    assert set(berezin.__all__) <= set(namespace)

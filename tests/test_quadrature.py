@@ -251,12 +251,28 @@ class TestPanelResolution:
             berezin_numeric(u, SWEEP_POINTS)
 
     @pytest.mark.parametrize("centers", [(0.3,), (0.7199 + 0.6040j,), (0.96j,), (0.3, -0.4j)])
-    def test_coarse_count_below_fine_on_every_panel(self, centers):
-        rule = QuadratureRule.build()
-        radii = quadrature._patch_radii(centers)
-        for lo, hi in quadrature._radial_panels(centers, radii):
-            fine, _ = quadrature._panel_layout(lo, hi, centers, radii, rule)
-            assert int(quadrature._COARSE_SHARE * fine) < fine, (lo, hi)
+    def test_coarse_count_below_fine_on_every_panel(self, centers, monkeypatch,
+                                                    fresh_node_sets):
+        # the ring counts that building each set lays out, panel by panel
+        ring_angles = quadrature._ring_angles
+        counts = {}
+
+        def recording(count, uniform, bumps):
+            counts[coarse].append(count)
+            return ring_angles(count, uniform, bumps)
+
+        monkeypatch.setattr(quadrature, "_ring_angles", recording)
+        sizes = {}
+        for coarse in (False, True):
+            counts[coarse] = []
+            z, _ = singular_nodes(SingularityPlan(centers=centers), QuadratureRule.build(),
+                                  coarse=coarse)
+            sizes[coarse] = len(z)
+        panels = quadrature._radial_panels(centers, quadrature._patch_radii(centers))
+        assert len(counts[False]) == len(counts[True]) == len(panels)
+        for panel, n_fine, n_coarse in zip(panels, counts[False], counts[True]):
+            assert n_coarse < n_fine, panel
+        assert sizes[True] < sizes[False]
 
     def test_node_count_at_085(self):
         # one angular count for the whole disk gave 1,703,581 nodes here

@@ -8,10 +8,8 @@ from berezin.core import BidegreeSeries, PowerSeries
 from berezin.errors import DomainError, ZeroInput
 from berezin.quadrature import QuadratureRule, SingularityPlan, singular_nodes
 from berezin.rank import (
+    _assemble,
     calibrated_orientation,
-    coefficient_rows,
-    complexified_eval,
-    laplacian_weighted_monomial,
     moment_matrix,
     moment_matrix_from_grid,
     numerical_rank,
@@ -20,7 +18,6 @@ from berezin.rank import (
 from berezin.symbols import Atom, Symbol
 from berezin.transform import (
     log_atom_transform,
-    pole_atom_transform,
     product_grid,
     symbol_transform,
 )
@@ -31,27 +28,6 @@ def simple_grid(entries):
 
 
 class TestComplexified:
-    def test_substitution(self):
-        grid = simple_grid([[0, 0], [0, 1.0]])  # z conj(z)
-        assert complexified_eval(grid, 0.5, 0.2j) == pytest.approx(0.1j)
-
-    def test_diagonal_restriction(self, rng):
-        grids = [
-            log_atom_transform(0.3),
-            pole_atom_transform(-0.2 + 0.4j),
-            product_grid(0.5, 2, 1),
-        ]
-        for grid in grids:
-            for _ in range(5):
-                z = rng.uniform(0, 0.8) * np.exp(2j * np.pi * rng.uniform())
-                diag = complexified_eval(grid, z, np.conj(z))
-                assert diag == pytest.approx(grid.eval(z), abs=1e-12)
-
-    def test_harmonic_w_independent(self):
-        grid = simple_grid([[0, 0, 0], [0, 0, 0], [1.0, 0, 0]])  # z^2
-        for w in (0.1, -0.5j, 0.3 + 0.3j):
-            assert complexified_eval(grid, 0.4, w) == pytest.approx(0.16)
-
     def test_two_variable_defining_integral(self):
         # off-diagonal values must match the two-variable kernel integral
         # int u(t) (1 - z w)^2 / ((1 - conj(t) z)^2 (1 - t w)^2) dA(t)
@@ -66,7 +42,9 @@ class TestComplexified:
                 return np.log(np.abs(t - a)) * kern
 
             want = disk_integrate_singular(integrand, plan)
-            assert complexified_eval(grid, z, w) == pytest.approx(want, abs=1e-8)
+            # the two-variable extension sum c[m, n] z^m w^n of the grid
+            got = np.polynomial.polynomial.polyval2d(z, w, grid.coeffs)
+            assert got == pytest.approx(want, abs=1e-8)
 
 
 class TestNumericalRank:
@@ -119,59 +97,24 @@ class TestNumericalRank:
         assert doc["singular_values"][0] > 0
 
 
-class TestCoefficientRows:
-    def test_single_product(self):
-        grid = simple_grid(np.pad([[0, 0], [0, 1.0]], ((0, 2), (0, 2))))
-        rows = coefficient_rows(grid)
-        assert rows[0, 0] == pytest.approx(1.0)
-        assert np.count_nonzero(np.abs(rows) > 1e-14) == 1
-
-    def test_harmonic_gives_zero(self):
-        coeffs = np.zeros((5, 5), dtype=np.complex128)
-        coeffs[:, 0] = [1, 2, 3, 4, 5]
-        coeffs[0, 1:] = [1, 1, 1, 1]
-        assert np.max(np.abs(coefficient_rows(BidegreeSeries(coeffs)))) == 0
-
-    def test_differentiation_weight(self):
-        coeffs = np.zeros((4, 4), dtype=np.complex128)
-        coeffs[2, 1] = 1.0  # z^2 conj(z)
-        rows = coefficient_rows(BidegreeSeries(coeffs))
-        assert rows[0, 1] == pytest.approx(2.0)
-
-    def test_rank_bounded_by_grid_rank(self, rng):
-        grid = log_atom_transform(0.4) + product_grid(-0.3j, 2, 1)
-        r_grid = numerical_rank(grid).rank
-        r_rows = numerical_rank(coefficient_rows(grid)[:30, :30]).rank
-        assert r_rows <= r_grid
-
-
 class TestLaplacianWeightedMonomial:
-    def test_base_cases(self):
-        lw = laplacian_weighted_monomial(0, 0)
-        np.testing.assert_allclose(lw.coeffs, [[-2.0, 0], [0, 4.0]], atol=0)
-        lw = laplacian_weighted_monomial(1, 0)
-        np.testing.assert_allclose(
-            lw.coeffs, [[0, 0], [-4.0, 0], [0, 6.0]], atol=0
-        )
-
-    def test_against_symbolic_differentiation(self):
+    def test_against_symbolic_differentiation(self, rng):
         # (1 - z w)^2 z^k w^l as a coefficient array (w stands for conj(z)),
-        # then d/dz d/dw maps the coefficient at (m, n) to m n at (m-1, n-1)
-        for (k, l) in ((0, 0), (1, 0), (2, 3), (4, 1)):
-            product = np.zeros((k + 3, l + 3))
-            for j, c in enumerate((1.0, -2.0, 1.0)):
-                product[k + j, l + j] = c
-            m = np.arange(k + 3)[:, None]
-            n = np.arange(l + 3)[None, :]
-            want = (m * n * product)[1:, 1:]
-            got = laplacian_weighted_monomial(k, l).coeffs
-            np.testing.assert_array_equal(got, want)
-
-    def test_total_degree(self):
-        for (k, l) in ((0, 0), (3, 2), (5, 5)):
-            grid = laplacian_weighted_monomial(k, l).coeffs
-            ms, ns = np.nonzero(grid)
-            assert np.max(ms + ns) == k + l + 2
+        # then d/dz d/dw maps the coefficient at (m, n) to m n at (m-1, n-1);
+        # the moment M[k, l] pairs that Laplacian with the monomial moments G
+        kmax, lmax = 4, 3
+        G = (rng.integers(-9, 10, (kmax + 2, lmax + 2))
+             + 1j * rng.integers(-9, 10, (kmax + 2, lmax + 2)))
+        got = _assemble(G, kmax, lmax)
+        for k in range(kmax + 1):
+            for l in range(lmax + 1):
+                product = np.zeros((k + 3, l + 3))
+                for j, c in enumerate((1.0, -2.0, 1.0)):
+                    product[k + j, l + j] = c
+                m = np.arange(k + 3)[:, None]
+                n = np.arange(l + 3)[None, :]
+                laplacian = (m * n * product)[1:, 1:]
+                assert got[k, l] == np.sum(laplacian * G[: k + 2, : l + 2])
 
 
 class TestMomentMatrix:
@@ -258,5 +201,5 @@ class TestMomentMatrix:
     def test_serialization(self):
         M = moment_matrix(Symbol(atoms=(Atom("log", 0.2, 1.0),)), 2, 2)
         doc = M.to_dict()
-        assert doc["kmax"] == 2 and doc["orientation"] == "full"
+        assert doc["kmax"] == 2 and "orientation" not in doc
         assert len(doc["entries"]) == 3

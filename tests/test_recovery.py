@@ -74,14 +74,14 @@ class TestRecoverNodes:
         k = np.arange(9, dtype=float)
         entries = np.outer(1.2 ** k, 0.5 ** k).astype(complex)
         with pytest.raises(PencilFailure):
-            recover_nodes(MomentMatrix(entries=entries, orientation="full"), rank_bound=4)
+            recover_nodes(MomentMatrix(entries=entries), rank_bound=4)
 
     def test_close_nodes_rejected(self):
         k = np.arange(13, dtype=float)
         entries = (np.outer(0.30 ** k, np.conj(0.30) ** k)
                    + np.outer(0.33 ** k, np.conj(0.33) ** k)).astype(complex)
         with pytest.raises(IllConditioned):
-            recover_nodes(MomentMatrix(entries=entries, orientation="full"), rank_bound=6)
+            recover_nodes(MomentMatrix(entries=entries), rank_bound=6)
 
 
 class TestFitNodeForm:
@@ -456,7 +456,7 @@ class TestDecomposeForm:
         pieces, remainder, info = decompose_form(form)
         assert not info["anti_absorbed"]
         assert remainder is not None
-        assert remainder.is_harmonic()
+        assert not remainder.atoms
         total = self._total_grid(pieces, remainder)
         assert total.max_coeff_diff(node_form_transform(form)) <= 1e-7
 

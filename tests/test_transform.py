@@ -14,7 +14,6 @@ from berezin.transform import (
     covariance_residual,
     harmonic_transform,
     log_atom_transform,
-    monomial_transform,
     pole_atom_transform,
     product_grid,
     symbol_transform,
@@ -111,43 +110,12 @@ class TestPoleAtom:
 
 
 class TestMonomial:
-    def test_unit(self):
-        grid = monomial_transform(0, 0, 10)
-        assert grid.coeffs[0, 0] == pytest.approx(1.0)
-        assert np.count_nonzero(np.abs(grid.coeffs) > 1e-13) == 1
-
-    def test_radial_value_at_origin(self):
-        assert monomial_transform(1, 1).eval(0.0) == pytest.approx(0.5)
-
-    def test_harmonic_monomial_fixed_point(self):
-        grid = monomial_transform(2, 0, 10)
-        assert grid.coeffs[2, 0] == pytest.approx(1.0)
-        assert np.count_nonzero(np.abs(grid.coeffs) > 1e-12) == 1
-
     def test_against_quadrature(self):
-        for (k, l) in ((1, 1), (2, 1), (3, 2)):
-            u = lambda z: z ** k * np.conj(z) ** l
-            for z in (0.0, 0.5, 0.3 - 0.6j):
-                want = berezin_numeric(u, z)
-                assert monomial_transform(k, l).eval(z) == pytest.approx(want, abs=1e-8)
-
-    def test_conjugate_symmetry(self):
-        g1 = monomial_transform(3, 1, 20)
-        g2 = monomial_transform(1, 3, 20)
-        assert g1.conjugate().max_coeff_diff(g2) <= 1e-14
-
-    def test_degree_guard(self):
-        with pytest.raises(DomainError):
-            monomial_transform(12, 10)
-
-    def test_truncation_tail_at_rim(self):
-        # second-differenced radial coefficients decay fast enough that the
-        # default truncation leaves a tail below 1e-10 even at |z| = 0.9
-        z = 0.9 * np.exp(0.7j)
-        for (k, l) in ((1, 1), (4, 2), (10, 10)):
-            short = monomial_transform(k, l, 80).eval(z)
-            long = monomial_transform(k, l, 140).eval(z)
-            assert abs(short - long) < 1e-10
+        # B(|t|^2)(z) = x + (1 - x)^2 (-ln(1 - x) - x) / x^2 with x = |z|^2, and 1/2 at 0
+        for z in (0.0, 0.5, 0.3 - 0.6j):
+            x = abs(z) ** 2
+            want = 0.5 if x == 0 else x + (1 - x) ** 2 * (-np.log1p(-x) - x) / x ** 2
+            assert berezin_numeric(lambda t: abs(t) ** 2, z) == pytest.approx(want, abs=1e-12)
 
 
 class TestSymbolTransform:
