@@ -132,9 +132,7 @@ class PowerSeries:
     def __mul__(self, other):
         if np.isscalar(other):
             return PowerSeries(self.coeffs * other)
-        t = min(self.truncation + other.truncation, MAX_TRUNCATION)
-        full = np.convolve(self.coeffs, other.coeffs)
-        return PowerSeries(full[: t + 1])
+        return NotImplemented
 
     __rmul__ = __mul__
 

@@ -12,11 +12,11 @@
   unit grids fit row 0 and column 0 exactly, so the node constants come
   from a QR solve on the interior block ``c[1:, 1:]`` alone and the
   harmonic part is the edge residual; the conditioning guard still
-  measures the whole design, through a small square matrix with the same
-  singular values.
+  measures the whole design, through a 2k-square matrix (k = 3n) whose
+  singular values are the design's apart from 2T+1-k that are exactly 1.
 * :func:`factor_rank_one` writes a rank-one grid as ``p(phi_a) *
   conj(q(phi_a))`` with polynomials of degree at most 2 and ``deg p +
-  deg q <= 3``.
+  deg q <= 3``, scoring every center candidate in one array pass.
 * :func:`decompose_node` / :func:`decompose_form` split a canonical form
   into summable pieces whose transforms are rank one, absorbing as much of
   the harmonic part into the pieces as linear algebra allows.
@@ -65,83 +65,80 @@ class NodeEstimate:
     iterations: int
 
 
-def _pow0(a, exponents):
-    """``a**e`` with negative exponents masked to zero (0**0 = 1)."""
-    return np.where(exponents >= 0, a ** np.maximum(exponents, 0.0), 0.0)
+def _power_tables(nodes, kmax, lmax):
+    """Index-derivative power tables of every node.
+
+    ``H[s, i, k] = k!/(k-s)! a_i^(k-s)`` for s = 0, 1, 2 and ``k <= kmax``,
+    and ``B`` likewise in ``conj(a_i)`` up to ``lmax``, so that
+    ``dH_s/da = H_(s+1)``. A negative exponent meets a falling factorial of
+    0 (and is raised to 0), an exact zero that keeps the origin exact.
+    """
+    def table(z, top):
+        n = np.arange(top + 1)
+        exponent = np.maximum(n - np.arange(3)[:, None], 0)[:, None]
+        falling = np.array([np.ones(top + 1), n, n * (n - 1)])[:, None]
+        return falling * z[:, None] ** exponent
+
+    nodes = np.asarray(nodes, dtype=np.complex128)
+    return table(nodes, kmax), table(np.conj(nodes), lmax)
 
 
-def _moment_design(nodes, kmax, lmax):
+def _moment_design(H, B):
     """Confluent node basis: a^k conj(a)^l with its two index derivatives.
 
     The derivative columns k a^(k-1) conj(a)^l and l a^k conj(a)^(l-1) stay
     independent at a = 0, where the index-scaled variants would vanish.
     """
-    K = np.arange(kmax + 1, dtype=float)[:, None]
-    L = np.arange(lmax + 1, dtype=float)[None, :]
-    cols = []
-    for a in nodes:
-        ab = np.conj(a)
-        cols.append(_pow0(a, K) * _pow0(ab, L))
-        cols.append(K * _pow0(a, K - 1) * _pow0(ab, L))
-        cols.append(L * _pow0(a, K) * _pow0(ab, L - 1))
-    return np.stack([c.ravel() for c in cols], axis=1)
+    grids = np.stack([H[s][:, :, None] * B[t][:, None, :]
+                      for s, t in ((0, 0), (1, 0), (0, 1))], axis=1)
+    return grids.reshape(3 * H.shape[1], -1).T
+
+
+def _moment_jacobian(H, B, coeffs):
+    """Derivatives of ``design @ coeffs`` in Re and Im of each node, columns
+    interleaved (x_0, y_0, x_1, ...). As ``dH_s/da = H_(s+1)``, the
+    derivatives in a and conj(a) are designs on the shifted tables."""
+    n = H.shape[1]
+    d_da = (_moment_design(H[1:], B) * coeffs).reshape(-1, n, 3).sum(axis=2)
+    d_dab = (_moment_design(H, B[1:]) * coeffs).reshape(-1, n, 3).sum(axis=2)
+    return np.stack([d_da + d_dab, 1j * (d_da - d_dab)], axis=2).reshape(-1, 2 * n)
 
 
 def _moment_model_fit(entries, nodes):
-    design = _moment_design(nodes, entries.shape[0] - 1, entries.shape[1] - 1)
+    tables = _power_tables(nodes, entries.shape[0] - 1, entries.shape[1] - 1)
+    design = _moment_design(*tables)
     coeffs, *_ = np.linalg.lstsq(design, entries.ravel(), rcond=None)
-    residual = entries.ravel() - design @ coeffs
-    return coeffs, residual
+    return coeffs, entries.ravel() - design @ coeffs, tables
 
 
 def _refine_nodes(entries, nodes, max_iterations):
     """Gauss-Newton on the node positions, linear parameters eliminated."""
-    kmax, lmax = entries.shape[0] - 1, entries.shape[1] - 1
-    K = np.arange(kmax + 1, dtype=float)[:, None]
-    L = np.arange(lmax + 1, dtype=float)[None, :]
     scale = np.linalg.norm(entries)
     nodes = np.asarray(nodes, dtype=np.complex128)
 
-    coeffs, res = _moment_model_fit(entries, nodes)
+    coeffs, res, tables = _moment_model_fit(entries, nodes)
     best = float(np.linalg.norm(res))
     iterations = 0
     for _ in range(max_iterations):
         iterations += 1
-        jac_cols = []
-        for i, a in enumerate(nodes):
-            ab = np.conj(a)
-            alpha, beta, gamma = coeffs[3 * i: 3 * i + 3]
-            # derivatives of alpha*P + beta*dP/dk-index + gamma*dP/dl-index
-            # with respect to a and conj(a), masked at the confluent origin
-            d_da = (alpha * K * _pow0(a, K - 1) * _pow0(ab, L)
-                    + beta * K * (K - 1) * _pow0(a, K - 2) * _pow0(ab, L)
-                    + gamma * K * L * _pow0(a, K - 1) * _pow0(ab, L - 1))
-            d_dab = (alpha * L * _pow0(a, K) * _pow0(ab, L - 1)
-                     + beta * K * L * _pow0(a, K - 1) * _pow0(ab, L - 1)
-                     + gamma * L * (L - 1) * _pow0(a, K) * _pow0(ab, L - 2))
-            jac_cols.append((d_da + d_dab).ravel())          # d/dx
-            jac_cols.append((1j * (d_da - d_dab)).ravel())   # d/dy
-        J = np.stack(jac_cols, axis=1)
-        Jr = np.concatenate([J.real, J.imag], axis=0)
-        rr = np.concatenate([res.real, res.imag])
-        step, *_ = np.linalg.lstsq(Jr, rr, rcond=None)
+        J = _moment_jacobian(*tables, coeffs)
+        step, *_ = np.linalg.lstsq(np.concatenate([J.real, J.imag]),
+                                   np.concatenate([res.real, res.imag]), rcond=None)
         if not np.all(np.isfinite(step)):
             break
         step_c = step[0::2] + 1j * step[1::2]
 
-        damping = 1.0
-        improved = False
-        for _ in range(25):
+        for damping in 0.5 ** np.arange(25):
             trial = nodes + damping * step_c
             if np.all(np.abs(trial) < 1.0):
-                tc, tres = _moment_model_fit(entries, trial)
+                tc, tres, ttables = _moment_model_fit(entries, trial)
                 tnorm = float(np.linalg.norm(tres))
                 if tnorm < best:
-                    nodes, coeffs, res, best = trial, tc, tres, tnorm
-                    improved = True
+                    nodes, coeffs, res, tables, best = trial, tc, tres, ttables, tnorm
                     break
-            damping *= 0.5
-        if not improved or best <= 1e-14 * scale:
+        else:
+            break   # no damped step improves the fit
+        if best <= 1e-14 * scale:
             break
     return nodes, best / scale, iterations
 
@@ -169,9 +166,7 @@ def recover_nodes(M: MomentMatrix, rank_bound: int, *,
 
     report = numerical_rank(entries, tol_rel)
     if report.rank > rank_bound:
-        raise DomainError(
-            f"numerical rank {report.rank} exceeds rank bound {rank_bound}"
-        )
+        raise DomainError(f"numerical rank {report.rank} exceeds rank bound {rank_bound}")
     # Augment with the row-shifted copy: a confluent profile (a + b k) a^k
     # alone spans a space that is not shift-invariant, but together with its
     # shift it closes under the recurrence (S - a)^2 = 0. The augmented
@@ -238,8 +233,10 @@ def fit_node_form(grid: BidegreeSeries, nodes, *,
 
     The full design ``D`` satisfies ``D^H D = S^H S`` with the square
     ``S = [[R, 0], [edge, I]]``, so the singular values of ``S`` are those
-    of ``D``. Raises IllConditioned when the Gram condition of ``D``
-    exceeds 1e12.
+    of ``D``: with ``k = 3n`` and ``edge = Q_E R_E``, those of the 2k-square
+    ``[[R, 0], [R_E, I_k]]`` plus ``2T+1-k`` that are exactly 1, so the SVD
+    runs on that small matrix. Raises IllConditioned when the Gram
+    condition of ``D`` exceeds 1e12.
     """
     nodes = [complex(a) for a in nodes]
     for i in range(len(nodes)):
@@ -269,28 +266,25 @@ def fit_node_form(grid: BidegreeSeries, nodes, *,
     Q, R = np.linalg.qr(interior)
     square = np.zeros((k, k), dtype=np.complex128)
     square[: R.shape[0]] = R   # fewer interior rows than unknowns: singular
-    S = np.eye(k + 2 * T + 1, dtype=np.complex128)
+    # with edge = Q_E R_E, rotating the edge rows of S by Q_E^H keeps its
+    # singular values and splits off the 2T+1-k of them that are exactly 1
+    R_E = np.linalg.qr(edge, mode="r")
+    S = np.eye(k + len(R_E), dtype=np.complex128)
     S[:k, :k] = square
-    S[k:, :k] = edge
+    S[k:, :k] = R_E
     s = np.linalg.svd(S, compute_uv=False)
-    gram = np.inf if s[-1] == 0 else (s[0] / s[-1]) ** 2
+    if len(R_E) < len(edge):
+        s = np.append(s, 1.0)
+    gram = np.inf if s.min() == 0 else (s.max() / s.min()) ** 2
     if gram > 1e12:
         raise IllConditioned(f"regressor Gram condition {gram:.3e} exceeds 1e12")
     x = np.linalg.solve(square, Q.conj().T @ t_int)
     harmonic = t_edge - edge @ x
     residual = float(np.max(np.abs(interior @ x - t_int), initial=0.0))
 
-    holo = PowerSeries(harmonic[: T + 1])
-    anti_conj = np.concatenate(([0.0], harmonic[T + 1:]))
-    form = NodeForm(
-        holo=holo,
-        anti=PowerSeries(np.conj(anti_conj)),
-        nodes=tuple(
-            (nodes[i], x[3 * i], x[3 * i + 1], x[3 * i + 2])
-            for i in range(len(nodes))
-        ),
-    )
-    return form, residual
+    anti = PowerSeries(np.conj(np.concatenate(([0.0], harmonic[T + 1:]))))
+    constants = tuple((a, *x[3 * i: 3 * i + 3]) for i, a in enumerate(nodes))
+    return NodeForm(holo=PowerSeries(harmonic[: T + 1]), anti=anti, nodes=constants), residual
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +348,24 @@ def _polish_denominator_root(series, b_conj, span, steps=40):
     return best, best_norm
 
 
-def _phi_basis(a) -> np.ndarray:
-    """Columns: numerators of ``1``, ``phi_a`` and ``phi_a^2`` over
-    ``(1 - conj(a) z)^2``, as coefficients of ``1, z, z^2``."""
-    ab = np.conj(a)
-    return np.array([
-        [1.0, -a, a * a],
-        [-2.0 * ab, 1.0 + abs(a) ** 2, -2.0 * a],
-        [ab * ab, -ab, 1.0],
-    ])
+def _phi_basis(centers) -> np.ndarray:
+    """Per center, columns: numerators of ``1``, ``phi_a`` and ``phi_a^2``
+    over ``(1 - conj(a) z)^2``, as coefficients of ``1, z, z^2``."""
+    a = np.asarray(centers, dtype=np.complex128)
+    ab, one = np.conj(a), np.ones_like(a)
+    return np.moveaxis(np.array([[one, -a, a * a],
+                                 [-2.0 * ab, 1.0 + np.abs(a) ** 2, -2.0 * a],
+                                 [ab * ab, -ab, one]]), (0, 1), (-2, -1))
+
+
+def _over_square(b, truncation) -> np.ndarray:
+    """Series of ``z^j / (1 - b_c z)^2`` for j = 0, 1, 2 and each ``b_c``:
+    ``P[j, c, n] = (n-j+1) b_c^(n-j)``, zero for ``n < j``. A numerator
+    ``N`` of degree at most 2 over ``(1 - b_c z)^2`` has the series
+    ``N @ P[:, c]``."""
+    m = (np.arange(truncation + 1) - np.arange(3)[:, None])[:, None]
+    b = np.asarray(b, dtype=np.complex128)[:, None]
+    return np.where(m >= 0, (m + 1) * b ** np.maximum(m, 0), 0.0)
 
 
 def factor_rank_one(grid: BidegreeSeries, *, tol: float = 1e-7) -> MobiusFactorization:
@@ -376,11 +379,14 @@ def factor_rank_one(grid: BidegreeSeries, *, tol: float = 1e-7) -> MobiusFactori
     Center candidates come from each side's first vanishing condition
     (companion roots), a one-term ratio fit per side (exact for
     denominator power one), and zero; each is polished on the full
-    overdetermined vanishing system. Per candidate, each side's
-    numerator gives its polynomial in ``phi_a``, and the side is rebuilt
-    from that numerator truncated to degree 1 and to degree 2 and scored
-    by the largest relative coefficient error. The best reconstruction
-    must come within ``tol``, else NoDiskDenominator.
+    overdetermined vanishing system. All candidates are then scored in
+    one array pass: per candidate, each side's numerator gives its
+    polynomial in ``phi_a`` (one batched 3x3 solve), and the side is
+    rebuilt from that numerator truncated to degree 1 and to degree 2
+    (the series of ``N`` over ``(1 - b z)^2`` has coefficient
+    ``sum_j N_j (n-j+1) b^(n-j)``) and scored by the largest relative
+    coefficient error. The best reconstruction must come within ``tol``,
+    else NoDiskDenominator.
     """
     report = numerical_rank(grid)
     if report.rank != 1:
@@ -425,46 +431,39 @@ def factor_rank_one(grid: BidegreeSeries, *, tol: float = 1e-7) -> MobiusFactori
         return polished
 
     # both sides' roots estimate conj(a): neither is conjugated here
-    roots = [0.0 + 0.0j] + side_candidates(g, scale_g) + side_candidates(f, scale_f)
-
-    def fit_side(series, scale, a, basis):
-        """Polynomial in ``phi_a`` read off the numerator, and the side's
-        relative reconstruction error at degree 1 and 2 (indexed by d)."""
-        coeffs = np.linalg.solve(basis, _times_square(series, np.conj(a))[:3])
-        errors = {}
-        for d in (1, 2):
-            numerator = basis[:, : d + 1] @ coeffs[: d + 1]
-            rebuilt = RationalFactor(numerator, a, 2).series(len(series) - 1).coeffs
-            errors[d] = float(np.max(np.abs(rebuilt - series))) / scale
-        return coeffs, errors
+    roots = np.array([0.0] + side_candidates(g, scale_g) + side_candidates(f, scale_f))
+    bases = _phi_basis(np.conj(roots))
+    # per candidate b, each side's numerator is the head of
+    # side * (1 - b z)^2, and poly[c, :, s] (s = 0 for f, 1 for g) is
+    # that side's polynomial in phi_a
+    down, b = np.eye(3, k=-1), roots[:, None, None]
+    heads = np.stack([f[:3], g[:3]], axis=1)
+    poly = np.linalg.solve(bases, (np.eye(3) - 2.0 * b * down + b * b * down @ down) @ heads)
+    # rebuild each side from its numerator truncated to degree 1 and 2
+    kept = (np.arange(3) <= np.array([[1], [2]]))[..., None]
+    numerators = bases[:, None] @ (poly[:, None] * kept)
+    rebuilt = np.einsum("cdis,icn->cdsn", numerators,
+                        _over_square(roots, max(len(f), len(g)) - 1))
+    errors = np.stack([np.max(np.abs(rebuilt[:, :, s, : len(side)] - side), axis=-1) / scale
+                       for s, (side, scale) in enumerate(((f, scale_f), (g, scale_g)))],
+                      axis=-1)                        # errors[c, d - 1, s]
 
     # Minimal admissible degree pattern reproducing both factor series:
     # trimming to the pattern closes the spurious quadratic channel that a
     # slightly-off center could otherwise hide behind.
-    patterns = ((1, 1), (1, 2), (2, 1))
-    degrees = np.arange(3)
-    best = None          # (degree sum, score, a, p, q)
-    best_full = np.inf   # best untrimmed score, used only for diagnostics
-    for root in roots:
-        a_try = complex(np.conj(root))
-        basis = _phi_basis(a_try)
-        p_full, err_f = fit_side(f, scale_f, a_try, basis)
-        q_full, err_g = fit_side(g, scale_g, a_try, basis)
-        best_full = min(best_full, max(err_f[2], err_g[2]))
-        for dp, dq in patterns:
-            score = max(err_f[dp], err_g[dq])
-            if score <= tol and (best is None or (dp + dq, score) < best[:2]):
-                best = (dp + dq, score, a_try, np.where(degrees <= dp, p_full, 0.0),
-                        np.where(degrees <= dq, q_full, 0.0))
-    if best is None:
-        if best_full <= tol:
-            raise NoDiskDenominator(
-                "factor degrees violate the constraint deg p + deg q <= 3"
-            )
-        raise NoDiskDenominator(
-            "no center inside the disk reconstructs both factors"
-        )
-    _, _, a, p, q = best
+    dp, dq = np.array([(1, 1), (1, 2), (2, 1)]).T
+    scores = np.maximum(errors[:, dp - 1, 0], errors[:, dq - 1, 1]).ravel()
+    ok = np.flatnonzero(scores <= tol)
+    if ok.size == 0:
+        if np.min(np.max(errors[:, 1], axis=1)) <= tol:
+            raise NoDiskDenominator("factor degrees violate the constraint deg p + deg q <= 3")
+        raise NoDiskDenominator("no center inside the disk reconstructs both factors")
+    # smallest (degree sum, score); ties go to the earlier candidate and pattern
+    pick = ok[np.lexsort((scores[ok], np.tile(dp + dq, len(roots))[ok]))[0]]
+    c, k = divmod(int(pick), len(dp))
+    a = np.conj(roots[c])
+    p = np.where(np.arange(3) <= dp[k], poly[c, :, 0], 0.0)
+    q = np.where(np.arange(3) <= dq[k], poly[c, :, 1], 0.0)
     p[np.abs(p) <= 1e-9 * np.max(np.abs(p))] = 0.0
     q[np.abs(q) <= 1e-9 * np.max(np.abs(q))] = 0.0
     deg_p = int(np.max(np.flatnonzero(p != 0), initial=0))
@@ -496,13 +495,14 @@ class RationalFactor:
             raise DomainError("denominator power must be 0, 1 or 2")
 
     def series(self, truncation: int = DEFAULT_TRUNCATION) -> PowerSeries:
-        num = PowerSeries(self.numerator)
+        num = np.zeros(truncation + 1, dtype=np.complex128)
+        num[: min(len(self.numerator), truncation + 1)] = self.numerator[: truncation + 1]
         if self.power == 0 or self.center == 0:
-            return PowerSeries(num.padded(truncation))
+            return PowerSeries(num)
         ab = np.conj(self.center)
         n = np.arange(truncation + 1)
         geom = ab ** n if self.power == 1 else (n + 1) * ab ** n
-        return PowerSeries(np.convolve(num.padded(truncation), geom)[: truncation + 1])
+        return PowerSeries(np.convolve(num, geom)[: truncation + 1])
 
     def plus_constant(self, c: complex) -> "RationalFactor":
         ab = np.conj(self.center)

@@ -111,8 +111,9 @@ class TestPowerSeries:
         p = PowerSeries([1.0, 2.0])
         q = PowerSeries([0.0, 0.0, 3.0])
         assert (p + q).eval(0.5) == pytest.approx(1 + 1 + 0.75)
-        assert (p * q).eval(0.5) == pytest.approx(p.eval(0.5) * q.eval(0.5))
-        assert (2.0 * p).eval(0.5) == pytest.approx(4.0)
+        assert (2.0 * p).eval(0.5) == (p * 2.0).eval(0.5) == pytest.approx(4.0)
+        with pytest.raises(TypeError):
+            p * q
 
     def test_log_series(self):
         ell = log_one_minus_series(0.4, 60)

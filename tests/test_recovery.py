@@ -15,6 +15,11 @@ from berezin.errors import (
 )
 from berezin.rank import MomentMatrix, moment_matrix, moment_matrix_from_grid, numerical_rank
 from berezin.recovery import (
+    RationalFactor,
+    _moment_design,
+    _moment_jacobian,
+    _over_square,
+    _power_tables,
     decompose_form,
     decompose_node,
     factor_rank_one,
@@ -125,6 +130,55 @@ class TestFitNodeForm:
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(DomainError):
             fit_node_form(product_grid(0.3, 1, 1, 20), [0.3, 0.3])
+
+
+#: Nodes of the moment-model array tests: the confluent origin, one near
+#: the rim and one in between.
+MODEL_NODES = np.array([0.0, 0.85 * np.exp(2.1j), 0.3 - 0.4j])
+
+
+class TestMomentModelArrays:
+    def test_design_matches_direct_powers(self):
+        kmax, lmax = 9, 7
+        design = _moment_design(*_power_tables(MODEL_NODES, kmax, lmax))
+        K = np.arange(kmax + 1)[:, None]
+        L = np.arange(lmax + 1)[None, :]
+        for i, a in enumerate(MODEL_NODES):
+            ab = np.conj(a)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = (a ** K * ab ** L,
+                        np.where(K >= 1, K * a ** (K - 1) * ab ** L, 0.0),
+                        np.where(L >= 1, L * a ** K * ab ** (L - 1), 0.0))
+            got = design[:, 3 * i: 3 * i + 3].T.reshape(3, kmax + 1, lmax + 1)
+            for column, expected in zip(got, want):
+                np.testing.assert_allclose(column, expected, rtol=1e-14, atol=0.0)
+            # derivative columns are exact zeros where the exponent is negative
+            assert np.all(got[1][0] == 0.0) and np.all(got[2][:, 0] == 0.0)
+
+    def test_jacobian_matches_central_difference(self, rng):
+        kmax, lmax = 12, 12
+        coeffs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+
+        def model(nodes):
+            return _moment_design(*_power_tables(nodes, kmax, lmax)) @ coeffs
+
+        J = _moment_jacobian(*_power_tables(MODEL_NODES, kmax, lmax), coeffs)
+        h = 1e-6
+        for i in range(len(MODEL_NODES)):
+            for col, direction in ((2 * i, 1.0), (2 * i + 1, 1j)):
+                step = np.zeros(len(MODEL_NODES), dtype=np.complex128)
+                step[i] = h * direction
+                fd = (model(MODEL_NODES + step) - model(MODEL_NODES - step)) / (2 * h)
+                assert np.max(np.abs(fd - J[:, col])) <= 1e-7 * np.max(np.abs(J[:, col]))
+
+    @pytest.mark.parametrize("a", [0.0, 0.3 - 0.2j, -0.7j, 0.94 * np.exp(1.3j)])
+    def test_square_denominator_series(self, rng, a):
+        T = 80
+        P = _over_square([np.conj(a)], T)[:, 0]
+        for _ in range(5):
+            N = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            want = RationalFactor(N, a, 2).series(T).coeffs
+            assert np.max(np.abs(N @ P - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def full_design(nodes, T):
@@ -336,15 +390,29 @@ class TestFactorRankOne:
 
     def test_degree_violation(self):
         grid = rank_one_grid(0.3, [0, 0, 1.0], [0, 0, 1.0])
-        with pytest.raises(NoDiskDenominator):
+        with pytest.raises(NoDiskDenominator, match=r"constraint deg p \+ deg q <= 3"):
             factor_rank_one(grid)
 
     def test_constant_factor_rejected(self):
-        grid = BidegreeSeries.outer(
-            PowerSeries(np.r_[1.0, np.zeros(40)]),
-            PowerSeries(0.5 ** np.arange(41)),
-        )
-        with pytest.raises(NoDiskDenominator):
+        constant = PowerSeries(np.r_[1.0, np.zeros(40)])
+        geometric = PowerSeries(0.5 ** np.arange(41))
+        with pytest.raises(NoDiskDenominator, match="^holomorphic factor is constant"):
+            factor_rank_one(BidegreeSeries.outer(constant, geometric))
+        with pytest.raises(NoDiskDenominator, match="^anti-holomorphic factor is constant"):
+            factor_rank_one(BidegreeSeries.outer(geometric, constant))
+
+    def test_no_center_reconstructs(self):
+        # 1/(1 - 0.4 z)^3 is no numerator of degree <= 2 over a square
+        n = np.arange(41)
+        cube = PowerSeries((n + 1) * (n + 2) / 2 * 0.4 ** n)
+        with pytest.raises(NoDiskDenominator, match="no center inside the disk reconstructs"):
+            factor_rank_one(BidegreeSeries.outer(cube, PowerSeries(0.5 ** n)))
+
+    def test_factor_trimmed_to_constant(self):
+        # p = 1 + 5e-10 phi clears the constant-factor check (its tail is
+        # above 1e-10 of its scale) but its linear term falls to the 1e-9 trim
+        grid = rank_one_grid(0.3, [1.0, 5e-10, 0], [0, 1.0, 0])
+        with pytest.raises(NoDiskDenominator, match="factor reduces to a constant polynomial"):
             factor_rank_one(grid)
 
     def test_near_boundary_centers(self):
