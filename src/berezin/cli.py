@@ -192,7 +192,11 @@ FLAGS = {
     "symbol": dict(required=True, help="path to a symbol JSON document"),
     "trunc": dict(type=int, default=DEFAULT_TRUNCATION, help="grid truncation degree"),
     "tol": dict(type=float, default=None, help="tolerance override"),
-    "radial": dict(type=int, default=64, help="radial rule size"),
+    "radial": dict(type=int, default=64,
+                   help="radial rule size: Gauss points in t = r^2 of the plain rule that "
+                        "integrates the harmonic part. Atoms keep their fixed node sets, so a "
+                        "denser rule (needed past |z| = 0.9) resolves them up to about "
+                        "|z| = 0.95; beyond that the refinement check fails (exit 3)"),
     "angular": dict(type=int, default=256, help="angular rule size"),
     "output": dict(default=None, help="output path (default stdout)"),
     "format": dict(choices=("json", "csv"), default="json",

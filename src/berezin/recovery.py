@@ -320,30 +320,36 @@ def gauge_fix(p, q) -> tuple[np.ndarray, np.ndarray]:
     return p * np.conj(phase), q * np.conj(phase)
 
 
-def _times_square(series, b):
-    """``series * (1 - b z)^2``, truncated to the length of ``series``."""
-    return np.convolve(series, [1.0, -2.0 * b, b * b])[: len(series)]
+def _vanishing_residual(lagged, b):
+    """Degrees ``n`` of ``series * (1 - b z)^2`` from ``lagged`` =
+    ``(series[n], series[n - 1], series[n - 2])``: each degree is three
+    terms of the product, so the full convolution is never formed."""
+    s0, s1, s2 = lagged
+    return s0 - 2.0 * b * s1 + b * b * s2
 
 
 def _polish_denominator_root(series, b_conj, span, steps=40):
     """Gauss-Newton on the overdetermined vanishing system; residuals are
-    holomorphic in the unknown, so complex normal equations apply."""
+    holomorphic in the unknown, so complex normal equations apply. An
+    accepted trial's residual is the next step's."""
     n = np.asarray(span)
+    lagged = series[n], series[n - 1], series[n - 2]
+    floor = 1e-15 * max(1.0, float(np.max(np.abs(series))))
     best = b_conj
-    best_norm = float(np.linalg.norm(_times_square(series, best)[n]))
+    r = _vanishing_residual(lagged, best)
+    best_norm = float(np.linalg.norm(r))
     for _ in range(steps):
-        r = _times_square(series, best)[n]
-        J = -2.0 * series[n - 1] + 2.0 * best * series[n - 2]
+        J = -2.0 * lagged[1] + 2.0 * best * lagged[2]
         denom = np.vdot(J, J).real
         if denom == 0:
             break
-        delta = -np.vdot(J, r) / denom
-        trial = best + delta
-        trial_norm = float(np.linalg.norm(_times_square(series, trial)[n]))
+        trial = best - np.vdot(J, r) / denom
+        trial_r = _vanishing_residual(lagged, trial)
+        trial_norm = float(np.linalg.norm(trial_r))
         if trial_norm >= best_norm:
             break
-        best, best_norm = trial, trial_norm
-        if best_norm <= 1e-15 * max(1.0, float(np.max(np.abs(series)))):
+        best, best_norm, r = trial, trial_norm, trial_r
+        if best_norm <= floor:
             break
     return best, best_norm
 

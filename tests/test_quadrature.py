@@ -304,7 +304,7 @@ class TestPanelResolution:
         radii = quadrature._patch_radii(centers)
         mapped = 0
         for lo, hi in quadrature._radial_panels(centers, radii):
-            fine, bumps = quadrature._panel_layout(lo, hi, centers, radii, rule)
+            _, fine, bumps = quadrature._panel_layout(lo, hi, centers, radii, rule)
             mapped += bool(bumps)
             for n in (fine, int(quadrature._COARSE_SHARE * fine)):
                 theta, share = quadrature._ring_angles(n, rule.angular_count, bumps)
@@ -313,6 +313,81 @@ class TestPanelResolution:
                 assert abs(np.sum(share) - 1.0) <= 1e-14
                 assert not theta.flags.writeable and not share.flags.writeable
         assert mapped > 0
+
+    @pytest.mark.parametrize("centers", [(0.3 * np.exp(0.7j),), (0.72 * np.exp(0.7j),),
+                                         (0.85 * np.exp(0.7j),), (0.1,), (0.5, -0.5j)])
+    def test_radial_order_per_panel(self, centers):
+        # rings of r_lo <= r <= r_hi meet the support |z - c| < d where |r - |c|| < d
+        rule = QuadratureRule.build()
+        radii = quadrature._patch_radii(centers)
+        clear_panels = 0
+        for lo, hi in quadrature._radial_panels(centers, radii):
+            (fine, coarse), _, _ = quadrature._panel_layout(lo, hi, centers, radii, rule)
+            r_lo, r_hi = np.sqrt(lo), np.sqrt(hi)
+            meets = any(r_hi > abs(c) - d + 1e-12 and r_lo < abs(c) + d - 1e-12
+                        for c, d in zip(centers, radii))
+            assert (fine, coarse) == ((20, 14) if meets else (10, 8)), (lo, hi)
+            assert coarse < fine
+            clear_panels += not meets
+        assert clear_panels > 0
+
+    @pytest.mark.parametrize("centers", [(0.3 * np.exp(0.7j),), (0.85 * np.exp(0.7j),),
+                                         (0.1,), (0.5, -0.5j)])
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_clear_panels_skip_only_a_unit_cutoff(self, centers, coarse):
+        # the composite set against one that applies every cutoff on every panel
+        rule = QuadratureRule.build()
+        radii = quadrature._patch_radii(centers)
+        parts_z, parts_w = [], []
+        for lo, hi in quadrature._radial_panels(centers, radii):
+            order, count, bumps = quadrature._panel_layout(lo, hi, centers, radii, rule)
+            t, wt = quadrature._gauss(order[coarse], lo, hi)
+            if coarse:
+                count = int(quadrature._COARSE_SHARE * count)
+            theta, share = quadrature._ring_angles(count, rule.angular_count, bumps)
+            parts_z.append((np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]).ravel())
+            parts_w.append((wt[:, None] * share[None, :]).ravel())
+        z, w = np.concatenate(parts_z), np.concatenate(parts_w)
+        for c, d in zip(centers, radii):
+            w = w * (1.0 - quadrature._cutoff(np.abs(z - c), d))
+        keep = w != 0.0
+        gz, gw = quadrature._composite_global(centers, radii, rule, coarse=coarse)
+        assert np.array_equal(gz, z[keep]) and np.array_equal(gw, w[keep])
+
+    def test_check_catches_radial_under_resolution(self, monkeypatch, fresh_node_sets):
+        # clear panels at (4, 3) Gauss points miss a pole at |a| = 0.6 (deviation 9.2e-6)
+        u = Symbol(atoms=(Atom("pole", 0.6 * np.exp(0.7j), 1.0),))
+        berezin_numeric(u, SWEEP_POINTS)
+        quadrature._singular_nodes_cached.cache_clear()
+        monkeypatch.setattr(quadrature, "_CLEAR_GAUSS", (4, 3))
+        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
+            berezin_numeric(u, SWEEP_POINTS)
+
+
+class TestDenserRule:
+    """Node sets around atom centers keep their fixed radial sizes, so a
+    denser rule refines only the harmonic part's plain rule."""
+
+    RULE = (128, 512)
+
+    @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.9])
+    def test_matches_closed_form_at_095(self, modulus):
+        rule = QuadratureRule.build(*self.RULE)
+        zs = 0.95 * np.exp(1j * (2.0 * np.pi * np.arange(16) / 16 + 0.1))
+        for kind in ("log", "pole", "conjpole"):
+            u = Symbol(atoms=(Atom(kind, modulus * np.exp(0.7j), 1.0),))
+            error = np.max(np.abs(berezin_numeric(u, zs, rule) - symbol_values(u, zs)))
+            assert error <= 1e-9, (kind, error)
+
+    @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.9])
+    def test_check_raises_at_098(self, modulus):
+        # deviations of 2.5e-5 (log at 0.02) to 5.9e-3 (pole at 0.9)
+        rule = QuadratureRule.build(*self.RULE)
+        zs = 0.98 * np.exp(1j * (2.0 * np.pi * np.arange(16) / 16 + 0.1))
+        for kind in ("log", "pole", "conjpole"):
+            u = Symbol(atoms=(Atom(kind, modulus * np.exp(0.7j), 1.0),))
+            with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
+                berezin_numeric(u, zs, rule)
 
 
 class TestInsidePatch:

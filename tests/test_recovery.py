@@ -20,6 +20,7 @@ from berezin.recovery import (
     _moment_jacobian,
     _over_square,
     _power_tables,
+    _vanishing_residual,
     decompose_form,
     decompose_node,
     factor_rank_one,
@@ -179,6 +180,16 @@ class TestMomentModelArrays:
             N = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             want = RationalFactor(N, a, 2).series(T).coeffs
             assert np.max(np.abs(N @ P - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("b", [0.0, 0.3 - 0.2j, -0.7j, 0.94 * np.exp(1.3j)])
+    def test_vanishing_residual_matches_convolution(self, rng, b):
+        # degrees 3-12 of series * (1 - b z)^2, as the root polish reads them
+        n = np.arange(3, 13)
+        for _ in range(5):
+            series = rng.standard_normal(81) + 1j * rng.standard_normal(81)
+            want = np.convolve(series, [1.0, -2.0 * b, b * b])[n]
+            got = _vanishing_residual((series[n], series[n - 1], series[n - 2]), b)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def full_design(nodes, T):
