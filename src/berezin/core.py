@@ -143,8 +143,14 @@ class PowerSeries:
         return self.eval(z)
 
     def eval(self, z):
+        # Horner in place; the same operations in the same order as
+        # numpy's polyval, which starts from coeffs[-1] + z*0
         z = np.asarray(z, dtype=np.complex128)
-        out = np.polynomial.polynomial.polyval(z, self.coeffs)
+        out = z * 0
+        out += self.coeffs[-1]
+        for c in self.coeffs[-2::-1]:
+            out *= z
+            out += c
         return complex(out) if z.ndim == 0 else out
 
     def is_zero(self, tol: float = 0.0) -> bool:

@@ -6,7 +6,11 @@
   moment model ``sum_i a_i^k conj(a_i)^l (alpha_i + beta_i k + gamma_i l)``
   (the image of the canonical node forms under the moment map; first-order
   pole terms contribute the linear-in-index parts, so a node can appear as
-  a confluent eigenvalue pair of multiplicity two).
+  a confluent eigenvalue pair of multiplicity two). The refinement is a
+  variable projection: the linear parameters are eliminated by one SVD of
+  the design per fit, the step uses Kaufman's Jacobian with the design's
+  range projected out, and it stops at a step that moves no node farther
+  than CONVERGED_STEP.
 * :func:`fit_node_form` solves for the node constants and the harmonic
   part by linear least squares against exact product grids. The harmonic
   unit grids fit row 0 and column 0 exactly, so the node constants come
@@ -51,6 +55,10 @@ CLUSTER_RADIUS = 1e-4
 
 #: Node estimates separated by less than this are rejected as ill-posed.
 MIN_NODE_SEPARATION = 0.05
+
+#: Gauss-Newton stops once a step, accepted or not, moves no node farther
+#: than this: halving it further could not move one farther either.
+CONVERGED_STEP = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -105,40 +113,63 @@ def _moment_jacobian(H, B, coeffs):
 
 
 def _moment_model_fit(entries, nodes):
+    """Linear parameters at fixed nodes from one SVD of the design, which
+    also gives the residual and an orthonormal basis of the design's range.
+    Singular values are cut where ``lstsq`` cuts them, at eps * max(shape)
+    of the largest. Returns ``(coeffs, residual, tables, basis)``."""
     tables = _power_tables(nodes, entries.shape[0] - 1, entries.shape[1] - 1)
     design = _moment_design(*tables)
-    coeffs, *_ = np.linalg.lstsq(design, entries.ravel(), rcond=None)
-    return coeffs, entries.ravel() - design @ coeffs, tables
+    U, s, Vh = np.linalg.svd(design, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(design.shape) * s[0]
+    basis = U[:, keep]
+    y = entries.ravel()
+    projected = basis.conj().T @ y
+    coeffs = Vh[keep].conj().T @ (projected / s[keep])
+    return coeffs, y - basis @ projected, tables, basis
+
+
+def _projected_jacobian(tables, coeffs, basis):
+    """Kaufman's variable-projection Jacobian: the model Jacobian with the
+    design's range projected out. Its negative is the derivative of the
+    projected residual ``y - Phi Phi^+ y`` wherever that residual is 0."""
+    J = _moment_jacobian(*tables, coeffs)
+    return J - basis @ (basis.conj().T @ J)
 
 
 def _refine_nodes(entries, nodes, max_iterations):
-    """Gauss-Newton on the node positions, linear parameters eliminated."""
+    """Gauss-Newton on the node positions by variable projection (Golub and
+    Pereyra; Kaufman's Jacobian). Stops at the residual floor, at a step
+    that moves no node farther than CONVERGED_STEP, or when no damped step
+    lowers the residual."""
     scale = np.linalg.norm(entries)
     nodes = np.asarray(nodes, dtype=np.complex128)
 
-    coeffs, res, tables = _moment_model_fit(entries, nodes)
+    coeffs, res, tables, basis = _moment_model_fit(entries, nodes)
     best = float(np.linalg.norm(res))
     iterations = 0
     for _ in range(max_iterations):
         iterations += 1
-        J = _moment_jacobian(*tables, coeffs)
+        J = _projected_jacobian(tables, coeffs, basis)
         step, *_ = np.linalg.lstsq(np.concatenate([J.real, J.imag]),
                                    np.concatenate([res.real, res.imag]), rcond=None)
         if not np.all(np.isfinite(step)):
             break
         step_c = step[0::2] + 1j * step[1::2]
+        size = float(np.max(np.abs(step_c)))
 
         for damping in 0.5 ** np.arange(25):
             trial = nodes + damping * step_c
             if np.all(np.abs(trial) < 1.0):
-                tc, tres, ttables = _moment_model_fit(entries, trial)
+                tc, tres, ttables, tbasis = _moment_model_fit(entries, trial)
                 tnorm = float(np.linalg.norm(tres))
                 if tnorm < best:
-                    nodes, coeffs, res, tables, best = trial, tc, tres, ttables, tnorm
+                    nodes, coeffs, res, tables, basis, best = trial, tc, tres, ttables, tbasis, tnorm
                     break
+            if damping * size <= CONVERGED_STEP:
+                break   # a shorter step would be converged too
         else:
             break   # no damped step improves the fit
-        if best <= 1e-14 * scale:
+        if best <= 1e-14 * scale or damping * size <= CONVERGED_STEP:
             break
     return nodes, best / scale, iterations
 
@@ -152,8 +183,10 @@ def recover_nodes(M: MomentMatrix, rank_bound: int, *,
     Eigenvalues of the row shift restricted to the dominant singular
     subspace of the shift-augmented data give initial nodes; clusters
     within CLUSTER_RADIUS merge as confluent (multiplicity two, from
-    first-order pole terms); Gauss-Newton then refines until the residual
-    stalls.
+    first-order pole terms); variable-projection Gauss-Newton then refines
+    them until the residual reaches 1e-14 of the data's norm, a step moves
+    no node farther than CONVERGED_STEP, no halved step lowers the
+    residual, or ``max_iterations`` steps have been taken.
     """
     entries = np.asarray(M.entries, dtype=np.complex128)
     kmax = entries.shape[0] - 1

@@ -123,6 +123,26 @@ class TestPowerSeries:
         with pytest.raises(DomainError):
             PowerSeries([np.nan])
 
+    def test_eval_is_byte_identical_to_polyval(self, rng):
+        # the in-place Horner loop rounds exactly as numpy's polyval does,
+        # signed zeros included: conjugating real coefficients gives the
+        # -0.0 imaginary parts that conjugated symbol parts carry
+        polyval = np.polynomial.polynomial.polyval
+        z = 0.9 * np.sqrt(rng.uniform(size=(40, 64))) * np.exp(2j * np.pi * rng.uniform(size=(40, 64)))
+        series = [rng.standard_normal(81) + 1j * rng.standard_normal(81),
+                  np.conj(rng.standard_normal(17).astype(np.complex128)),
+                  [complex(-0.0, -0.0)], [0.5 - 2j]]
+        for coeffs in series:
+            p = PowerSeries(coeffs)
+            got = p.eval(z)
+            assert got.shape == z.shape
+            assert got.tobytes() == polyval(z, p.coeffs).tobytes()
+            for point in (0.3 - 0.6j, 0.0, -0.85j):
+                value = p.eval(point)
+                assert isinstance(value, complex)
+                want = complex(polyval(np.asarray(point, dtype=np.complex128), p.coeffs))
+                assert np.array([value]).tobytes() == np.array([want]).tobytes()
+
 
 class TestBidegree:
     def test_conjugate_swaps(self):

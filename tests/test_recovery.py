@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from berezin import recovery
 from berezin.core import BidegreeSeries, PowerSeries
 from berezin.errors import (
     DegenerateNode,
@@ -18,8 +19,11 @@ from berezin.recovery import (
     RationalFactor,
     _moment_design,
     _moment_jacobian,
+    _moment_model_fit,
     _over_square,
+    _polish_denominator_root,
     _power_tables,
+    _projected_jacobian,
     _vanishing_residual,
     decompose_form,
     decompose_node,
@@ -190,6 +194,88 @@ class TestMomentModelArrays:
             want = np.convolve(series, [1.0, -2.0 * b, b * b])[n]
             got = _vanishing_residual((series[n], series[n - 1], series[n - 2]), b)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("a", [0.05, 0.3 - 0.2j, -0.7j, 0.94 * np.exp(1.3j)])
+    def test_root_polish_converges_on_rational_series(self, a):
+        # N(z) / (1 - conj(a) z)^2 vanishes exactly on degrees 3-12 after
+        # the multiply, so a few Gauss-Newton steps from a 1e-3 offset land
+        # on conj(a); each step must use the residual of the accepted trial
+        series = RationalFactor([1.0, 0.4 - 0.3j, 0.2 + 0.5j], a, 2).series(80).coeffs
+        root, residual = _polish_denominator_root(series, np.conj(a) + 1e-3, np.arange(3, 13),
+                                                  steps=4)
+        assert abs(root - np.conj(a)) <= 1e-14
+        assert residual <= 1e-14
+
+
+#: The two-node probe of the noise measurements: every node constant nonzero.
+PROBE_FORM = NodeForm(nodes=((0.3 + 0.2j, 1.0, 0.5 - 0.3j, 0.4 + 0.2j),
+                             (-0.4 + 0.1j, 0.8j, -0.3 + 0.2j, 0.6)))
+
+
+def node_error(truth, found):
+    assert len(found) == len(truth)
+    return max(min(abs(a - b) for b in found) for a in truth)
+
+
+class TestRefineNodes:
+    def test_projected_jacobian_is_residual_derivative(self, rng):
+        # at exact nodes the projected residual y - Phi Phi^+ y is 0, and
+        # there minus the projected Jacobian is its derivative: the central
+        # difference matches it to O(h^2), the unprojected Jacobian not at all
+        kmax = lmax = 12
+        coeffs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        design = _moment_design(*_power_tables(MODEL_NODES, kmax, lmax))
+        entries = (design @ coeffs).reshape(kmax + 1, lmax + 1)
+        fitted, res, tables, basis = _moment_model_fit(entries, MODEL_NODES)
+        assert np.linalg.norm(res) <= 1e-14 * np.linalg.norm(entries)
+        delta = rng.standard_normal(2 * len(MODEL_NODES))
+        move = delta[0::2] + 1j * delta[1::2]
+        projected = _projected_jacobian(tables, fitted, basis) @ delta
+        plain = _moment_jacobian(*tables, fitted) @ delta
+
+        def residual(nodes):
+            return _moment_model_fit(entries, nodes)[1]
+
+        for h in (1e-3, 1e-4):
+            fd = (residual(MODEL_NODES + h * move) - residual(MODEL_NODES - h * move)) / (2 * h)
+            assert np.linalg.norm(fd + projected) <= 200 * h ** 2 * np.linalg.norm(projected)
+            assert np.linalg.norm(fd + plain) >= 0.1 * np.linalg.norm(projected)
+
+    def test_exact_moments_converge_in_few_iterations(self, rng):
+        forms = [random_form(rng, n_nodes=n) for n in (1, 2, 3, 4)] + [
+            NodeForm(nodes=((0.4 - 0.2j, 0.0, 0.7, 0.0),)),
+            NodeForm(nodes=((0.0, 1.0, 0.4, -0.3j), (0.45, 0.8, 0.2j, 0.5))),
+        ]
+        kinds = set()
+        for form in forms:
+            grid = node_form_transform(form)
+            est = recover_nodes(moment_matrix_from_grid(grid, 12, 12), rank_bound=8)
+            assert est.iterations <= 5
+            assert node_error([a for a, *_ in form.nodes], est.nodes) <= 1e-14
+            kinds.update(est.confluent)
+        assert kinds == {True, False}   # confluent and simple nodes both met
+
+    def test_noisy_probe_converges_in_few_iterations(self, rng, monkeypatch):
+        # at the noise floor no step lowers the residual; a converged step
+        # ends the refinement instead of 25 halvings of it, each one a fit
+        fits = []
+
+        def counted_fit(*args):
+            fits.append(1)
+            return _moment_model_fit(*args)
+
+        monkeypatch.setattr(recovery, "_moment_model_fit", counted_fit)
+        level = 1e-11
+        entries = moment_matrix_from_grid(node_form_transform(PROBE_FORM), 12, 12).entries
+        for _ in range(5):
+            noise = (rng.standard_normal(entries.shape)
+                     + 1j * rng.standard_normal(entries.shape)) / np.sqrt(2)
+            noisy = entries + level * np.max(np.abs(entries)) * noise
+            fits.clear()
+            est = recover_nodes(MomentMatrix(entries=noisy), rank_bound=8)
+            assert est.iterations <= 5
+            assert len(fits) <= 2 * est.iterations + 1
+            assert node_error([a for a, *_ in PROBE_FORM.nodes], est.nodes) <= 3 * level
 
 
 def full_design(nodes, T):
