@@ -20,7 +20,8 @@
   singular values are the design's apart from 2T+1-k that are exactly 1.
 * :func:`factor_rank_one` writes a rank-one grid as ``p(phi_a) *
   conj(q(phi_a))`` with polynomials of degree at most 2 and ``deg p +
-  deg q <= 3``, scoring every center candidate in one array pass.
+  deg q <= 3``, scoring in one array pass the closed-form center
+  estimates of each factor's tail (a ratio fit and a recurrence fit).
 * :func:`decompose_node` / :func:`decompose_form` split a canonical form
   into summable pieces whose transforms are rank one, absorbing as much of
   the harmonic part into the pieces as linear algebra allows.
@@ -59,6 +60,21 @@ MIN_NODE_SEPARATION = 0.05
 #: Gauss-Newton stops once a step, accepted or not, moves no node farther
 #: than this: halving it further could not move one farther either.
 CONVERGED_STEP = 1e-13
+
+#: Gauss-Newton takes at most this many steps.
+MAX_ITERATIONS = 50
+
+#: Moment matrices no entry of which exceeds this hold no node.
+ZERO_MOMENT_TOL = 1e-7
+
+#: Largest relative coefficient error of an accepted rank-one factorization.
+FACTOR_TOL = 1e-7
+
+#: Node constants at or below this modulus count as zero when a node splits.
+NODE_CONSTANT_TOL = 1e-14
+
+#: Largest relative error of a harmonic part absorbed into the pieces.
+ABSORB_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +152,7 @@ def _projected_jacobian(tables, coeffs, basis):
     return J - basis @ (basis.conj().T @ J)
 
 
-def _refine_nodes(entries, nodes, max_iterations):
+def _refine_nodes(entries, nodes):
     """Gauss-Newton on the node positions by variable projection (Golub and
     Pereyra; Kaufman's Jacobian). Stops at the residual floor, at a step
     that moves no node farther than CONVERGED_STEP, or when no damped step
@@ -147,7 +163,7 @@ def _refine_nodes(entries, nodes, max_iterations):
     coeffs, res, tables, basis = _moment_model_fit(entries, nodes)
     best = float(np.linalg.norm(res))
     iterations = 0
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         iterations += 1
         J = _projected_jacobian(tables, coeffs, basis)
         step, *_ = np.linalg.lstsq(np.concatenate([J.real, J.imag]),
@@ -174,10 +190,7 @@ def _refine_nodes(entries, nodes, max_iterations):
     return nodes, best / scale, iterations
 
 
-def recover_nodes(M: MomentMatrix, rank_bound: int, *,
-                  tol_rel: float = DEFAULT_RANK_TOL,
-                  zero_tol: float = 1e-7,
-                  max_iterations: int = 50) -> NodeEstimate:
+def recover_nodes(M: MomentMatrix, rank_bound: int) -> NodeEstimate:
     """Estimate singular centers from a moment matrix.
 
     Eigenvalues of the row shift restricted to the dominant singular
@@ -186,7 +199,7 @@ def recover_nodes(M: MomentMatrix, rank_bound: int, *,
     first-order pole terms); variable-projection Gauss-Newton then refines
     them until the residual reaches 1e-14 of the data's norm, a step moves
     no node farther than CONVERGED_STEP, no halved step lowers the
-    residual, or ``max_iterations`` steps have been taken.
+    residual, or MAX_ITERATIONS steps have been taken.
     """
     entries = np.asarray(M.entries, dtype=np.complex128)
     kmax = entries.shape[0] - 1
@@ -194,10 +207,10 @@ def recover_nodes(M: MomentMatrix, rank_bound: int, *,
     if rank_bound < 1 or rank_bound > 2 * kmax / 3:
         raise DomainError(f"rank_bound must lie in [1, 2*kmax/3], got {rank_bound}")
     scale = float(np.max(np.abs(entries)))
-    if scale <= zero_tol:
+    if scale <= ZERO_MOMENT_TOL:
         return NodeEstimate((), (), residual=scale, iterations=0)
 
-    report = numerical_rank(entries, tol_rel)
+    report = numerical_rank(entries)
     if report.rank > rank_bound:
         raise DomainError(f"numerical rank {report.rank} exceeds rank bound {rank_bound}")
     # Augment with the row-shifted copy: a confluent profile (a + b k) a^k
@@ -207,7 +220,7 @@ def recover_nodes(M: MomentMatrix, rank_bound: int, *,
     # the data, and the pencil eigenvalues are exactly the nodes.
     augmented = np.concatenate([entries[:-1, :], entries[1:, :]], axis=1)
     U, sigma, _ = np.linalg.svd(augmented)
-    r = int(np.sum(sigma > tol_rel * sigma[0]))
+    r = int(np.sum(sigma > DEFAULT_RANK_TOL * sigma[0]))
     U = U[:, :r]
     shift, *_ = np.linalg.lstsq(U[:-1, :], U[1:, :], rcond=None)
     lam = np.linalg.eigvals(shift)
@@ -235,7 +248,7 @@ def recover_nodes(M: MomentMatrix, rank_bound: int, *,
                     f"{MIN_NODE_SEPARATION}; ill-posed at this truncation"
                 )
 
-    nodes, residual, iterations = _refine_nodes(entries, nodes0, max_iterations)
+    nodes, residual, iterations = _refine_nodes(entries, nodes0)
     if residual > 1e-5:
         raise NonConvergence(f"node refinement stalled at relative residual {residual:.3e}")
     order = np.lexsort((nodes.imag, nodes.real))
@@ -353,40 +366,6 @@ def gauge_fix(p, q) -> tuple[np.ndarray, np.ndarray]:
     return p * np.conj(phase), q * np.conj(phase)
 
 
-def _vanishing_residual(lagged, b):
-    """Degrees ``n`` of ``series * (1 - b z)^2`` from ``lagged`` =
-    ``(series[n], series[n - 1], series[n - 2])``: each degree is three
-    terms of the product, so the full convolution is never formed."""
-    s0, s1, s2 = lagged
-    return s0 - 2.0 * b * s1 + b * b * s2
-
-
-def _polish_denominator_root(series, b_conj, span, steps=40):
-    """Gauss-Newton on the overdetermined vanishing system; residuals are
-    holomorphic in the unknown, so complex normal equations apply. An
-    accepted trial's residual is the next step's."""
-    n = np.asarray(span)
-    lagged = series[n], series[n - 1], series[n - 2]
-    floor = 1e-15 * max(1.0, float(np.max(np.abs(series))))
-    best = b_conj
-    r = _vanishing_residual(lagged, best)
-    best_norm = float(np.linalg.norm(r))
-    for _ in range(steps):
-        J = -2.0 * lagged[1] + 2.0 * best * lagged[2]
-        denom = np.vdot(J, J).real
-        if denom == 0:
-            break
-        trial = best - np.vdot(J, r) / denom
-        trial_r = _vanishing_residual(lagged, trial)
-        trial_norm = float(np.linalg.norm(trial_r))
-        if trial_norm >= best_norm:
-            break
-        best, best_norm, r = trial, trial_norm, trial_r
-        if best_norm <= floor:
-            break
-    return best, best_norm
-
-
 def _phi_basis(centers) -> np.ndarray:
     """Per center, columns: numerators of ``1``, ``phi_a`` and ``phi_a^2``
     over ``(1 - conj(a) z)^2``, as coefficients of ``1, z, z^2``."""
@@ -407,25 +386,38 @@ def _over_square(b, truncation) -> np.ndarray:
     return np.where(m >= 0, (m + 1) * b ** np.maximum(m, 0), 0.0)
 
 
-def factor_rank_one(grid: BidegreeSeries, *, tol: float = 1e-7) -> MobiusFactorization:
+def _center_estimates(series, end) -> np.ndarray:
+    """Estimates ``[ratio, u / 2]`` of ``conj(a)`` from the tail
+    ``t = series[1:end]``: the least-squares ratio ``t[n+1] / t[n]``, exact
+    for a simple pole, and ``u / 2`` from the least-squares recurrence
+    ``t[n+2] = u t[n+1] + v t[n]``, exact for a double pole (``u = 2
+    conj(a)``). A zero tail gives a nan ratio."""
+    t = series[1:end]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.vdot(t[:-1], t[1:]) / np.vdot(t[:-1], t[:-1]).real
+    (u, _), *_ = np.linalg.lstsq(np.stack([t[1:-1], t[:-2]], axis=1), t[2:], rcond=None)
+    return np.array([ratio, u / 2])
+
+
+def factor_rank_one(grid: BidegreeSeries) -> MobiusFactorization:
     """Factor a rank-one transform grid as ``p(phi_a) conj(q(phi_a))``.
 
     The dominant singular pair gives the two factor series; once
     :func:`numerical_rank` has proved rank one, two power steps find it
     without a full SVD. Both are a numerator of degree at most 2 over
-    ``(1 - conj(a) z)^2``, so both vanishing systems
-    ``series * (1 - conj(a) z)^2 = numerator`` share the root ``conj(a)``.
-    Center candidates come from each side's first vanishing condition
-    (companion roots), a one-term ratio fit per side (exact for
-    denominator power one), and zero; each is polished on the full
-    overdetermined vanishing system. All candidates are then scored in
-    one array pass: per candidate, each side's numerator gives its
-    polynomial in ``phi_a`` (one batched 3x3 solve), and the side is
-    rebuilt from that numerator truncated to degree 1 and to degree 2
-    (the series of ``N`` over ``(1 - b z)^2`` has coefficient
-    ``sum_j N_j (n-j+1) b^(n-j)``) and scored by the largest relative
-    coefficient error. The best reconstruction must come within ``tol``,
-    else NoDiskDenominator.
+    ``(1 - conj(a) z)^2``; as ``deg p + deg q <= 3``, at least one of them
+    has a simple pole. Center candidates are zero and, per side, two
+    closed-form estimates of ``conj(a)`` (:func:`_center_estimates`): a
+    ratio fit of the tail, exact for a simple pole, and half the first
+    coefficient of a two-term recurrence fit, exact for a double pole.
+    Candidates that are not finite or lie at or beyond MAX_CENTER_MODULUS are
+    dropped. All candidates are then scored in one array pass: per
+    candidate, each side's numerator gives its polynomial in ``phi_a``
+    (one batched 3x3 solve), and the side is rebuilt from that numerator
+    truncated to degree 1 and to degree 2 (the series of ``N`` over
+    ``(1 - b z)^2`` has coefficient ``sum_j N_j (n-j+1) b^(n-j)``) and
+    scored by the largest relative coefficient error. The best
+    reconstruction must come within FACTOR_TOL, else NoDiskDenominator.
     """
     report = numerical_rank(grid)
     if report.rank != 1:
@@ -437,8 +429,8 @@ def factor_rank_one(grid: BidegreeSeries, *, tol: float = 1e-7) -> MobiusFactori
     g = C.conj().T @ (C @ g)
     g = g / np.linalg.norm(g)
     f = C @ g
-    span = np.arange(3, min(13, len(g)))
-    if len(span) < 4:
+    end = min(13, *C.shape)
+    if end < 7:
         raise DomainError("grid truncation too small for factorization")
     scale_f = float(np.max(np.abs(f)))
     scale_g = float(np.max(np.abs(g)))
@@ -447,30 +439,10 @@ def factor_rank_one(grid: BidegreeSeries, *, tol: float = 1e-7) -> MobiusFactori
     if float(np.linalg.norm(f[1:])) <= 1e-10 * scale_f:
         raise NoDiskDenominator("holomorphic factor is constant")
 
-    def side_candidates(series, scale):
-        found = []
-        quad = np.array([series[1], -2.0 * series[2], series[3]])
-        if np.max(np.abs(quad)) > 1e-13 * scale:
-            lead = np.flatnonzero(np.abs(quad) > 1e-12 * np.max(np.abs(quad)))[0]
-            found.extend(np.roots(quad[lead:]))
-        # one-term ratio fit: exact when this factor has denominator power
-        # one (there the vanishing system has only a double root)
-        tail = series[2: span[-1] + 1]
-        denom = float(np.vdot(tail[:-1], tail[:-1]).real)
-        if denom > (1e-13 * scale) ** 2:
-            found.append(np.vdot(tail[:-1], tail[1:]) / denom)
-        polished = []
-        for cand in found:
-            if abs(cand) >= 1.0:
-                continue
-            root, _ = _polish_denominator_root(series, complex(cand), span)
-            # no admissible center lies beyond MAX_CENTER_MODULUS
-            if abs(root) < MAX_CENTER_MODULUS:
-                polished.append(complex(root))
-        return polished
-
-    # both sides' roots estimate conj(a): neither is conjugated here
-    roots = np.array([0.0] + side_candidates(g, scale_g) + side_candidates(f, scale_f))
+    # both sides' estimates are of conj(a): neither is conjugated here
+    roots = np.concatenate([[0.0], _center_estimates(g, end), _center_estimates(f, end)])
+    # no admissible center lies beyond MAX_CENTER_MODULUS
+    roots = roots[np.isfinite(roots) & (np.abs(roots) < MAX_CENTER_MODULUS)]
     bases = _phi_basis(np.conj(roots))
     # per candidate b, each side's numerator is the head of
     # side * (1 - b z)^2, and poly[c, :, s] (s = 0 for f, 1 for g) is
@@ -492,9 +464,9 @@ def factor_rank_one(grid: BidegreeSeries, *, tol: float = 1e-7) -> MobiusFactori
     # slightly-off center could otherwise hide behind.
     dp, dq = np.array([(1, 1), (1, 2), (2, 1)]).T
     scores = np.maximum(errors[:, dp - 1, 0], errors[:, dq - 1, 1]).ravel()
-    ok = np.flatnonzero(scores <= tol)
+    ok = np.flatnonzero(scores <= FACTOR_TOL)
     if ok.size == 0:
-        if np.min(np.max(errors[:, 1], axis=1)) <= tol:
+        if np.min(np.max(errors[:, 1], axis=1)) <= FACTOR_TOL:
             raise NoDiskDenominator("factor degrees violate the constraint deg p + deg q <= 3")
         raise NoDiskDenominator("no center inside the disk reconstructs both factors")
     # smallest (degree sum, score); ties go to the earlier candidate and pattern
@@ -588,8 +560,7 @@ def _phi_num(a) -> np.ndarray:
 
 
 def decompose_node(a: complex, c11: complex, c21: complex, c12: complex, *,
-                   truncation: int | None = None,
-                   tol: float = 1e-14) -> list[RankOnePiece]:
+                   truncation: int | None = None) -> list[RankOnePiece]:
     """Rank-one pieces for one node of a canonical form.
 
     With ``psi = (c11 phi + c21 phi^2) conj(phi) + c12 phi conj(phi)^2``:
@@ -600,9 +571,9 @@ def decompose_node(a: complex, c11: complex, c21: complex, c12: complex, *,
     """
     a = complex(a)
     ab = np.conj(a)
-    c11 = 0.0 if abs(c11) <= tol else complex(c11)
-    c21 = 0.0 if abs(c21) <= tol else complex(c21)
-    c12 = 0.0 if abs(c12) <= tol else complex(c12)
+    c11 = 0.0 if abs(c11) <= NODE_CONSTANT_TOL else complex(c11)
+    c21 = 0.0 if abs(c21) <= NODE_CONSTANT_TOL else complex(c21)
+    c12 = 0.0 if abs(c12) <= NODE_CONSTANT_TOL else complex(c12)
     if c11 == c21 == c12 == 0.0:
         raise DegenerateNode("all node constants vanish")
 
@@ -637,8 +608,7 @@ def decompose_node(a: complex, c11: complex, c21: complex, c12: complex, *,
     return pieces
 
 
-def decompose_form(form: NodeForm, *, truncation: int = DEFAULT_TRUNCATION,
-                   tol: float = 1e-8):
+def decompose_form(form: NodeForm, *, truncation: int = DEFAULT_TRUNCATION):
     """Split a canonical form into rank-one pieces plus a harmonic remainder.
 
     Per node the split follows :func:`decompose_node`. The harmonic part is
@@ -670,7 +640,7 @@ def decompose_form(form: NodeForm, *, truncation: int = DEFAULT_TRUNCATION,
         basis = np.stack([gs - gs[0] * np.eye(width + 1, 1).ravel() for gs in g_series], axis=1)
         target = anti.coeffs
         mu, *_ = np.linalg.lstsq(basis[1:], target[1:], rcond=None)
-        if float(np.max(np.abs(basis[1:] @ mu - target[1:]))) <= tol * scale:
+        if float(np.max(np.abs(basis[1:] @ mu - target[1:]))) <= ABSORB_TOL * scale:
             new_pieces = []
             for piece, mu_j, gs in zip(pieces, mu, g_series):
                 lam = np.conj(mu_j)
@@ -691,7 +661,7 @@ def decompose_form(form: NodeForm, *, truncation: int = DEFAULT_TRUNCATION,
         f_series = [piece.f.series(width).coeffs for piece in pieces]
         basis = np.stack([np.eye(width + 1, 1).ravel()] + f_series, axis=1)
         kappa, *_ = np.linalg.lstsq(basis, holo.coeffs, rcond=None)
-        if float(np.max(np.abs(basis @ kappa - holo.coeffs))) <= tol * scale:
+        if float(np.max(np.abs(basis @ kappa - holo.coeffs))) <= ABSORB_TOL * scale:
             new_pieces = []
             for piece, k_j, fs in zip(pieces, kappa[1:], f_series):
                 add = Symbol(holo=PowerSeries(k_j * fs))

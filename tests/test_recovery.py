@@ -17,14 +17,13 @@ from berezin.errors import (
 from berezin.rank import MomentMatrix, moment_matrix, moment_matrix_from_grid, numerical_rank
 from berezin.recovery import (
     RationalFactor,
+    _center_estimates,
     _moment_design,
     _moment_jacobian,
     _moment_model_fit,
     _over_square,
-    _polish_denominator_root,
     _power_tables,
     _projected_jacobian,
-    _vanishing_residual,
     decompose_form,
     decompose_node,
     factor_rank_one,
@@ -185,26 +184,16 @@ class TestMomentModelArrays:
             want = RationalFactor(N, a, 2).series(T).coeffs
             assert np.max(np.abs(N @ P - want)) <= 1e-14 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("b", [0.0, 0.3 - 0.2j, -0.7j, 0.94 * np.exp(1.3j)])
-    def test_vanishing_residual_matches_convolution(self, rng, b):
-        # degrees 3-12 of series * (1 - b z)^2, as the root polish reads them
-        n = np.arange(3, 13)
-        for _ in range(5):
-            series = rng.standard_normal(81) + 1j * rng.standard_normal(81)
-            want = np.convolve(series, [1.0, -2.0 * b, b * b])[n]
-            got = _vanishing_residual((series[n], series[n - 1], series[n - 2]), b)
-            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("a", [0.05, 0.3 - 0.2j, -0.7j, 0.94 * np.exp(1.3j)])
-    def test_root_polish_converges_on_rational_series(self, a):
-        # N(z) / (1 - conj(a) z)^2 vanishes exactly on degrees 3-12 after
-        # the multiply, so a few Gauss-Newton steps from a 1e-3 offset land
-        # on conj(a); each step must use the residual of the accepted trial
-        series = RationalFactor([1.0, 0.4 - 0.3j, 0.2 + 0.5j], a, 2).series(80).coeffs
-        root, residual = _polish_denominator_root(series, np.conj(a) + 1e-3, np.arange(3, 13),
-                                                  steps=4)
-        assert abs(root - np.conj(a)) <= 1e-14
-        assert residual <= 1e-14
+    @pytest.mark.parametrize("modulus", [0.0, 0.02, 0.3, 0.85, 0.94])
+    def test_center_estimates_are_exact(self, modulus):
+        # a side of degree 1 in phi_a has a simple pole, so the ratio fit is
+        # exact; one of degree 2 has a double pole, so the recurrence fit is
+        a = modulus * np.exp(2.3j)
+        for numerator, power, estimate in (([0.4 - 0.3j, 1.0], 1, 0),
+                                           ([1.0, 0.4 - 0.3j, 0.2 + 0.5j], 2, 1)):
+            series = RationalFactor(numerator, a, power).series(80).coeffs
+            found = _center_estimates(series, 13)[estimate]
+            assert abs(found - np.conj(a)) <= (1e-14, 1e-12)[estimate]
 
 
 #: The two-node probe of the noise measurements: every node constant nonzero.
@@ -519,9 +508,10 @@ class TestFactorRankOne:
             assert abs(fac.a - a) <= 1e-8
 
     def test_spurious_candidate_beyond_admissible_disk(self):
-        # this piece's polished companion roots include one at |a| = 0.957,
-        # inside the disk but beyond every admissible center; it must be
-        # skipped, not passed on to the Moebius series
+        # a piece whose holomorphic side also yields a spurious candidate
+        # (|b| = 0.89 from its ratio fit); the true center must still win.
+        # Any candidate at or beyond MAX_CENTER_MODULUS, inside the disk but
+        # beyond every admissible center, is dropped before scoring
         a = -0.5575249025186464 - 0.597361134544613j
         piece = decompose_node(a, -0.07440965094228542 + 1.339787267246392j,
                                -0.06458948526359198 - 0.33127795684423034j,
@@ -535,6 +525,18 @@ class TestFactorRankOne:
         a = 0.5 + 0.5j
         fac = factor_rank_one(rank_one_grid(a, [0.4, 1, 0], [0.2j, 1, 1e-4]))
         assert abs(fac.a - a) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(10, 81), (7, 81), (81, 10)])
+    def test_shorter_side_sizes_the_tail(self, shape):
+        grid = rank_one_grid(0.3 + 0.2j, [0.4, 1, 0], [0, 1, 0.5])
+        fac = factor_rank_one(BidegreeSeries(grid.coeffs[: shape[0], : shape[1]]))
+        assert abs(fac.a - (0.3 + 0.2j)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(6, 81), (81, 6)])
+    def test_fewer_than_seven_rows_or_columns_rejected(self, shape):
+        grid = rank_one_grid(0.3 + 0.2j, [0.4, 1, 0], [0, 1, 0.5])
+        with pytest.raises(DomainError, match="grid truncation too small for factorization"):
+            factor_rank_one(BidegreeSeries(grid.coeffs[: shape[0], : shape[1]]))
 
     def test_gauge_fix_canonical(self, rng):
         p = np.array([0.3 - 1j, 0.8, 0.0])
