@@ -14,10 +14,14 @@
 * :func:`fit_node_form` solves for the node constants and the harmonic
   part by linear least squares against exact product grids. The harmonic
   unit grids fit row 0 and column 0 exactly, so the node constants come
-  from a QR solve on the interior block ``c[1:, 1:]`` alone and the
-  harmonic part is the edge residual; the conditioning guard still
-  measures the whole design, through a 2k-square matrix (k = 3n) whose
-  singular values are the design's apart from 2T+1-k that are exactly 1.
+  from the interior block ``c[1:, 1:]`` alone, solved in projected
+  coordinates: every interior column is a Kronecker product of two of the
+  2n series ``phi_a``, ``phi_a^2`` (and conjugates), so projecting onto
+  the orthonormal bases of those series leaves a (2n)^2 x 3n problem with
+  the interior's singular values. The harmonic part is the edge residual;
+  the conditioning guard still measures the whole design, through a
+  2k-square matrix (k = 3n) whose singular values are the design's apart
+  from 2T+1-k that are exactly 1.
 * :func:`factor_rank_one` writes a rank-one grid as ``p(phi_a) *
   conj(q(phi_a))`` with polynomials of degree at most 2 and ``deg p +
   deg q <= 3``, scoring in one array pass the closed-form center
@@ -273,16 +277,26 @@ def fit_node_form(grid: BidegreeSeries, nodes, *,
     product ``f ⊗ conj(g)`` of two Moebius power series, plus one unit grid
     per harmonic coefficient. The unit grids touch only row 0 and column 0,
     where they fit the target exactly, so the node constants are the
-    least-squares solution on the interior block ``c[1:, 1:]`` alone: with
-    ``interior = Q R`` they are ``R^-1 Q^H t_int``, and the harmonic part
-    is the edge residual ``t_edge - edge x``.
+    least-squares solution on the interior block ``c[1:, 1:]`` alone, and
+    the harmonic part is the edge residual ``t_edge - edge x``.
+
+    The interior is never formed. Its columns are ``F e_a ⊗ conj(F e_b)``
+    for the T x 2n matrix ``F`` of the series ``phi_a``, ``phi_a^2`` (rows
+    1..T); with ``F = Q_F R_F`` the interior is ``(Q_F ⊗ conj(Q_F)) P``,
+    where ``P`` is the (2n)^2 x 3n design of columns ``R_F e_a ⊗
+    conj(R_F e_b)`` and ``Q_F ⊗ conj(Q_F)`` has orthonormal columns
+    (Kronecker least squares; Golub and Van Loan, Matrix Computations,
+    section 12.3). So with ``P = Q R`` the constants are ``R^-1 Q^H
+    vec(Q_F^H t_int Q_F)``, and ``R`` is the interior's QR factor up to
+    a unitary left factor, with the same singular values.
 
     The full design ``D`` satisfies ``D^H D = S^H S`` with the square
     ``S = [[R, 0], [edge, I]]``, so the singular values of ``S`` are those
     of ``D``: with ``k = 3n`` and ``edge = Q_E R_E``, those of the 2k-square
     ``[[R, 0], [R_E, I_k]]`` plus ``2T+1-k`` that are exactly 1, so the SVD
     runs on that small matrix. Raises IllConditioned when the Gram
-    condition of ``D`` exceeds 1e12.
+    condition of ``D`` exceeds 1e12. ``residual`` is the largest interior
+    misfit, ``max |f^T diag(x) g - t_int|`` over the 3n column factors.
     """
     nodes = [complex(a) for a in nodes]
     for i in range(len(nodes)):
@@ -293,23 +307,27 @@ def fit_node_form(grid: BidegreeSeries, nodes, *,
     target = grid.padded(T, T)
     k = 3 * len(nodes)
 
-    # factor series f (holomorphic) and conj(g) (anti-holomorphic) of the
-    # columns phi*conj(phi), phi^2*conj(phi), phi*conj(phi)^2 per node
-    f = np.empty((k, T + 1), dtype=np.complex128)
-    g = np.empty((k, T + 1), dtype=np.complex128)
+    # the 2n distinct series phi_a, phi_a^2; column j of the design is
+    # series[fa[j]] ⊗ conj(series[gb[j]]), that is phi*conj(phi),
+    # phi^2*conj(phi) and phi*conj(phi)^2 per node
+    series = np.empty((2 * len(nodes), T + 1), dtype=np.complex128)
     for i, a in enumerate(nodes):
         phi = mobius_power_series(a, 1, T).coeffs
-        phi2 = mobius_power_series(a, 2, T).coeffs
-        f[3 * i: 3 * i + 3] = (phi, phi2, phi)
-        g[3 * i: 3 * i + 3] = np.conj((phi, phi, phi2))
+        series[2 * i: 2 * i + 2] = (phi, np.convolve(phi, phi)[: T + 1])
+    fa = (2 * np.arange(len(nodes))[:, None] + [0, 1, 0]).ravel()
+    gb = (2 * np.arange(len(nodes))[:, None] + [0, 0, 1]).ravel()
+    f, g = series[fa], np.conj(series[gb])
 
     # rows (m, 0) for m = 0..T, then (0, n) for n = 1..T
     edge = np.concatenate([f * g[:, :1], f[:, :1] * g[:, 1:]], axis=1).T
     t_edge = np.concatenate([target[:, 0], target[0, 1:]])
-    interior = (f[:, 1:, None] * g[:, None, 1:]).reshape(k, T * T).T
-    t_int = target[1:, 1:].ravel()
+    t_int = target[1:, 1:]
 
-    Q, R = np.linalg.qr(interior)
+    # interior = (Q_F ⊗ conj(Q_F)) P with F = series[:, 1:].T = Q_F R_F
+    Q_F, R_F = np.linalg.qr(series[:, 1:].T)
+    r = len(R_F)
+    projected = (R_F[:, None, fa] * np.conj(R_F[:, gb])).reshape(r * r, k)
+    Q, R = np.linalg.qr(projected)
     square = np.zeros((k, k), dtype=np.complex128)
     square[: R.shape[0]] = R   # fewer interior rows than unknowns: singular
     # with edge = Q_E R_E, rotating the edge rows of S by Q_E^H keeps its
@@ -324,9 +342,9 @@ def fit_node_form(grid: BidegreeSeries, nodes, *,
     gram = np.inf if s.min() == 0 else (s.max() / s.min()) ** 2
     if gram > 1e12:
         raise IllConditioned(f"regressor Gram condition {gram:.3e} exceeds 1e12")
-    x = np.linalg.solve(square, Q.conj().T @ t_int)
+    x = np.linalg.solve(square, Q.conj().T @ (Q_F.conj().T @ t_int @ Q_F).ravel())
     harmonic = t_edge - edge @ x
-    residual = float(np.max(np.abs(interior @ x - t_int), initial=0.0))
+    residual = float(np.max(np.abs(f[:, 1:].T @ (x[:, None] * g[:, 1:]) - t_int), initial=0.0))
 
     anti = PowerSeries(np.conj(np.concatenate(([0.0], harmonic[T + 1:]))))
     constants = tuple((a, *x[3 * i: 3 * i + 3]) for i, a in enumerate(nodes))

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from berezin import recovery
 from berezin.core import BidegreeSeries, PowerSeries
@@ -290,7 +292,7 @@ def fitted_vector(form, T):
 class TestFitNodeFormDesign:
     @pytest.mark.parametrize("T", [40, 80])
     def test_matches_full_design_least_squares(self, rng, T):
-        for n in (1, 2, 3, 4):
+        for n in range(1, 7):
             form = random_form(rng, n_nodes=n)
             nodes = [a for a, *_ in form.nodes]
             grid = node_form_transform(form, T)
@@ -330,6 +332,57 @@ class TestFitNodeFormDesign:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_six_node_memory_is_projected(self, rng):
+        # the projected solve holds O(T^2) memory, about 1.4 MiB here; a
+        # T^2 x 3n interior block (22 MiB) would not fit under the bound
+        form = random_form(rng, n_nodes=6)
+        grid = node_form_transform(form, 160)
+        nodes = [a for a, *_ in form.nodes]
+        tracemalloc.start()
+        try:
+            fit_node_form(grid, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def disk_points(max_modulus):
+    return st.builds(lambda r, t: complex(r * np.exp(1j * t)),
+                     st.floats(0.0, max_modulus), st.floats(0.0, 2 * np.pi))
+
+
+@st.composite
+def exact_fit_cases(draw):
+    """A node form with 1-6 nodes of modulus at most 0.85, pairwise at least
+    0.2 apart, constants of modulus at most 1.5 and a degree-4 harmonic part."""
+    n = draw(st.integers(1, 6))
+    centers = draw(st.lists(disk_points(0.85), min_size=n, max_size=n))
+    assume(all(abs(a - b) >= 0.2 for i, a in enumerate(centers) for b in centers[:i]))
+    constants = draw(st.lists(disk_points(1.5), min_size=3 * n, max_size=3 * n))
+    holo = draw(st.lists(disk_points(1.0), min_size=5, max_size=5))
+    anti = [0.0] + draw(st.lists(disk_points(1.0), min_size=4, max_size=4))
+    return NodeForm(holo=PowerSeries(holo), anti=PowerSeries(anti), nodes=tuple(
+        (a, *constants[3 * i: 3 * i + 3]) for i, a in enumerate(centers)))
+
+
+class TestFitNodeFormProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(exact_fit_cases())
+    def test_exact_grid_fits_or_is_ill_conditioned(self, form):
+        T = 80
+        nodes = [a for a, *_ in form.nodes]
+        try:
+            fitted, residual = fit_node_form(node_form_transform(form, T), nodes)
+        except IllConditioned:
+            return
+        want = np.array([c for (_, *cs) in form.nodes for c in cs])
+        got = np.array([c for (_, *cs) in fitted.nodes for c in cs])
+        assert np.max(np.abs(got - want)) <= 1e-9
+        assert np.max(np.abs(fitted.holo.padded(T) - form.holo.padded(T))) <= 1e-9
+        assert np.max(np.abs(fitted.anti.padded(T) - form.anti.padded(T))) <= 1e-9
+        assert residual <= 1e-12
 
 
 class TestRoundTrip:
