@@ -64,15 +64,23 @@ def monomial_moments(nodes, values, pmax, qmax):
     nodes = np.asarray(nodes, dtype=np.complex128).ravel()
     values = np.asarray(values, dtype=np.complex128).ravel()
     G = np.zeros((pmax + 1, qmax + 1), dtype=np.complex128)
+    # row j of ``weighted`` holds values * block**j and row j of ``conj_powers``
+    # conj(block)**j, built row by row (np.vander's column-wise accumulate
+    # takes twice as long) in two buffers allocated once per call
+    size = min(len(nodes), _NODE_BLOCK)
+    weighted = np.empty((pmax + 1, size), dtype=np.complex128)
+    conj_powers = np.empty((qmax + 1, size), dtype=np.complex128)
     for start in range(0, len(nodes), _NODE_BLOCK):
         block = nodes[start:start + _NODE_BLOCK]
-        # row j holds block**j, built row by row: np.vander's column-wise
-        # accumulate takes twice as long. conj(z)^q = conj(z^q), so one
-        # table serves both sides.
-        powers = np.empty((max(pmax, qmax) + 1, len(block)), dtype=np.complex128)
-        powers[0] = 1.0
-        for j in range(1, len(powers)):
-            np.multiply(powers[j - 1], block, out=powers[j])
-        weighted = powers[:pmax + 1] * values[start:start + _NODE_BLOCK]
-        G += weighted @ np.conj(powers[:qmax + 1]).T
+        n = len(block)
+        w, c = weighted[:, :n], conj_powers[:, :n]
+        w[0] = values[start:start + n]
+        for j in range(1, pmax + 1):
+            np.multiply(w[j - 1], block, out=w[j])
+        c[0] = 1.0
+        if qmax:
+            np.conj(block, out=c[1])
+        for j in range(2, qmax + 1):
+            np.multiply(c[j - 1], c[1], out=c[j])
+        G += w @ c.T
     return G

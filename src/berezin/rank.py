@@ -112,7 +112,7 @@ def weighted_monomial_moments(u: Symbol, pmax: int, qmax: int,
 
     Splits the symbol as the numeric transform does (the harmonic part on
     the plain rule, the atoms of each distinct center together on that
-    center's singular node set), so every integral sees exactly one
+    center's polar node set), so every integral sees exactly one
     declared singularity and each node set is contracted once.
     """
     return np.zeros((pmax + 1, qmax + 1), dtype=np.complex128) + integrate_parts(

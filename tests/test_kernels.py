@@ -7,7 +7,7 @@ import pytest
 
 from berezin import _kernels
 from berezin.core import PowerSeries
-from berezin.quadrature import _singular_nodes_cached, berezin_numeric
+from berezin.quadrature import _polar_nodes_cached, berezin_numeric
 from berezin.symbols import Atom, Symbol
 
 
@@ -57,12 +57,12 @@ def test_monomial_moments_of_no_nodes_are_zero():
 
 
 def test_numeric_transform_memory_is_bounded():
-    # the full 1280 x 115,318 real kernel matrix of this atom would take
-    # 1126 MiB, 4.4 times the bound
+    # the full 1280 x 51,840 real kernel matrix of this atom's polar set
+    # would take 506 MiB, 2.0 times the bound
     symbol = Symbol(atoms=(Atom("log", 0.72 * np.exp(0.4j), 1.0),))
     # ten radii up to 0.9, 128 angles
     zs = (0.09 * np.arange(1, 11)[:, None] * np.exp(2j * np.pi * np.arange(128) / 128)).ravel()
-    _singular_nodes_cached.cache_clear()
+    _polar_nodes_cached.cache_clear()
     tracemalloc.start()
     try:
         berezin_numeric(symbol, zs, check=False)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from berezin import _kernels, quadrature
 from berezin.cli import _sample_points
@@ -12,6 +14,7 @@ from berezin.quadrature import (
     disk_integrate,
     disk_integrate_singular,
     plan_for_symbol,
+    polar_nodes,
     singular_nodes,
 )
 from berezin.symbols import Atom, Symbol, symbol_eval
@@ -170,20 +173,33 @@ class TestBerezinNumeric:
         together = berezin_numeric(Symbol(atoms=atoms), zs)
         apart = sum(berezin_numeric(Symbol(atoms=(atom,)), zs) for atom in atoms)
         # relative to the sum of absolute terms: the kernel is positive
-        z, w = singular_nodes(SingularityPlan(centers=(0.3 - 0.2j,)), QuadratureRule.build())
+        z, w = polar_nodes(0.3 - 0.2j, QuadratureRule.build())
         weights = sum(np.abs(atom.eval(z)) for atom in atoms) * w
         scale = _kernels.kernel_sum(z, weights, zs).real
         assert np.all(np.abs(together - apart) <= 1e-13 * scale)
 
     def test_refinement_check_guards_each_center_group(self, monkeypatch, fresh_node_sets):
-        # patches too coarse for the center: the group's fine and coarse sums disagree
-        atoms = (Atom("log", 0.5, 1.0), Atom("pole", 0.5, 0.5 + 0.25j),
-                 Atom("conjpole", 0.5, -0.25j))
+        # patches too coarse for the center: the group's fine and coarse sums
+        # disagree (the atoms as a callable run on the composite rule)
+        u, plan = _as_callable(Symbol(atoms=(Atom("log", 0.5, 1.0), Atom("pole", 0.5, 0.5 + 0.25j),
+                                             Atom("conjpole", 0.5, -0.25j))))
         monkeypatch.setattr(quadrature, "_PATCH_DEPTH", (4, 4))
         monkeypatch.setattr(quadrature, "_PATCH_GAUSS", (4, 8))
         monkeypatch.setattr(quadrature, "_PATCH_ANGULAR", (8, 6))
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
-            berezin_numeric(Symbol(atoms=atoms), np.array([0.1, 0.5 + 0.1j]))
+            berezin_numeric(u, np.array([0.1, 0.5 + 0.1j]), plan=plan)
+
+    def test_polar_check_guards_each_center_group(self, monkeypatch, fresh_node_sets):
+        # the default 256 angles at every modulus miss the 0.94 center: its
+        # group's fine and coarse sums disagree
+        near = 0.94 * np.exp(0.7j)
+        atoms = (Atom("log", 0.3, 1.0), Atom("pole", near, 0.5 + 0.25j),
+                 Atom("conjpole", near, -0.25j))
+        berezin_numeric(Symbol(atoms=atoms), SWEEP_POINTS)
+        quadrature._polar_nodes_cached.cache_clear()
+        monkeypatch.setattr(quadrature, "_POLAR_ANGLE_GROWTH", 0.0)
+        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
+            berezin_numeric(Symbol(atoms=atoms), SWEEP_POINTS)
 
     def test_symbol_with_plan_is_rejected(self):
         # a symbol declares its own centers; a plan next to it would be ignored
@@ -210,14 +226,23 @@ class TestNodeSets:
         z, w = singular_nodes(SingularityPlan(centers=centers), QuadratureRule.build(),
                               coarse=coarse)
         assert not z.flags.writeable and not w.flags.writeable
+        z, w = polar_nodes(0.3, QuadratureRule.build(), coarse=coarse)
+        assert not z.flags.writeable and not w.flags.writeable
 
 
 @pytest.fixture
 def fresh_node_sets():
     # node sets built under a patched count must not serve later tests
     quadrature._singular_nodes_cached.cache_clear()
+    quadrature._polar_nodes_cached.cache_clear()
     yield
     quadrature._singular_nodes_cached.cache_clear()
+    quadrature._polar_nodes_cached.cache_clear()
+
+
+def _as_callable(u: Symbol):
+    """``u`` as a callable with its plan, so it runs on the composite rule."""
+    return (lambda z: symbol_eval(u, z)), plan_for_symbol(u)
 
 
 class TestPanelResolution:
@@ -243,12 +268,12 @@ class TestPanelResolution:
 
     def test_check_catches_angular_under_resolution(self, monkeypatch, fresh_node_sets):
         # far panels on the plain rule's count alone miss a pole at |a| = 0.94
-        u = Symbol(atoms=(Atom("pole", 0.7199 + 0.6040j, 1.0),))
-        berezin_numeric(u, SWEEP_POINTS)
+        u, plan = _as_callable(Symbol(atoms=(Atom("pole", 0.7199 + 0.6040j, 1.0),)))
+        berezin_numeric(u, SWEEP_POINTS, plan=plan)
         quadrature._singular_nodes_cached.cache_clear()
         monkeypatch.setattr(quadrature, "_ring_count", lambda r_lo, r_hi, centers: 0)
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
-            berezin_numeric(u, SWEEP_POINTS)
+            berezin_numeric(u, SWEEP_POINTS, plan=plan)
 
     @pytest.mark.parametrize("centers", [(0.3,), (0.7199 + 0.6040j,), (0.96j,), (0.3, -0.4j)])
     def test_coarse_count_below_fine_on_every_panel(self, centers, monkeypatch,
@@ -282,14 +307,14 @@ class TestPanelResolution:
 
     def test_check_catches_unclustered_near_rings(self, monkeypatch, fresh_node_sets):
         # near rings at the mapped count but with uniform angles miss a pole at |a| = 0.85
-        u = Symbol(atoms=(Atom("pole", 0.85 * np.exp(0.7j), 1.0),))
-        berezin_numeric(u, SWEEP_POINTS)
+        u, plan = _as_callable(Symbol(atoms=(Atom("pole", 0.85 * np.exp(0.7j), 1.0),)))
+        berezin_numeric(u, SWEEP_POINTS, plan=plan)
         quadrature._singular_nodes_cached.cache_clear()
         ring_angles = quadrature._ring_angles
         monkeypatch.setattr(quadrature, "_ring_angles",
                             lambda count, uniform, bumps: ring_angles(count, uniform, ()))
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
-            berezin_numeric(u, SWEEP_POINTS)
+            berezin_numeric(u, SWEEP_POINTS, plan=plan)
 
     @pytest.mark.parametrize("modulus, most", [(0.72, 160_000), (0.85, 250_000)])
     def test_fine_node_count(self, modulus, most):
@@ -356,17 +381,17 @@ class TestPanelResolution:
 
     def test_check_catches_radial_under_resolution(self, monkeypatch, fresh_node_sets):
         # clear panels at (4, 3) Gauss points miss a pole at |a| = 0.6 (deviation 9.2e-6)
-        u = Symbol(atoms=(Atom("pole", 0.6 * np.exp(0.7j), 1.0),))
-        berezin_numeric(u, SWEEP_POINTS)
+        u, plan = _as_callable(Symbol(atoms=(Atom("pole", 0.6 * np.exp(0.7j), 1.0),)))
+        berezin_numeric(u, SWEEP_POINTS, plan=plan)
         quadrature._singular_nodes_cached.cache_clear()
         monkeypatch.setattr(quadrature, "_CLEAR_GAUSS", (4, 3))
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
-            berezin_numeric(u, SWEEP_POINTS)
+            berezin_numeric(u, SWEEP_POINTS, plan=plan)
 
 
 class TestDenserRule:
-    """Node sets around atom centers keep their fixed radial sizes, so a
-    denser rule refines only the harmonic part's plain rule."""
+    """A denser rule scales the polar rule's angles and outer panels with
+    its own sizes: enough for |z| = 0.95, not for 0.98."""
 
     RULE = (128, 512)
 
@@ -381,7 +406,7 @@ class TestDenserRule:
 
     @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.9])
     def test_check_raises_at_098(self, modulus):
-        # deviations of 2.5e-5 (log at 0.02) to 5.9e-3 (pole at 0.9)
+        # deviations of 2.5e-5 (log at 0.02) to 1.4e-3 (log at 0.9)
         rule = QuadratureRule.build(*self.RULE)
         zs = 0.98 * np.exp(1j * (2.0 * np.pi * np.arange(16) / 16 + 0.1))
         for kind in ("log", "pole", "conjpole"):
@@ -403,3 +428,75 @@ class TestInsidePatch:
             u = Symbol(atoms=(Atom(kind, center, 1.0 - 0.5j),))
             error = np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs)))
             assert error <= 1e-9, (kind, error)
+
+
+class TestPolarRule:
+    """The polar rule that integrates the atoms of each symbol center."""
+
+    @pytest.mark.parametrize("modulus", [0.0, 0.02, 0.5, 0.85, 0.94])
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_weights_integrate_one_inside_the_disk(self, modulus, coarse):
+        center = modulus * np.exp(2.5j)
+        z, w = polar_nodes(center, QuadratureRule.build(), coarse=coarse)
+        assert np.sum(w) == pytest.approx(1.0, abs=1e-13)
+        assert np.all(w > 0.0) and np.all(np.abs(z) < 1.0)
+        assert np.min(np.abs(z - center)) > 1e-8
+
+    @pytest.mark.parametrize("modulus", np.linspace(0.02, 0.94, 11))
+    def test_matches_closed_form(self, modulus):
+        # the worst of the 320 CLI points is 2.5e-11, at 0.756 (7.1e-11 at 0.848
+        # on the composite rule)
+        for angle in (0.7, 2.5):
+            for kind in ("log", "pole", "conjpole"):
+                u = Symbol(atoms=(Atom(kind, modulus * np.exp(1j * angle), 1.0),))
+                error = np.max(np.abs(berezin_numeric(u, SWEEP_POINTS)
+                                      - symbol_values(u, SWEEP_POINTS)))
+                assert error <= 1e-10, (kind, angle, error)
+
+    @pytest.mark.parametrize("modulus, most", [(0.72, 82_000), (0.94, 103_000)])
+    def test_node_count(self, modulus, most):
+        # fine and coarse sets together; the composite rule takes 134,095 at 0.72
+        rule = QuadratureRule.build()
+        center = modulus * np.exp(0.7j)
+        fine, coarse = (len(polar_nodes(center, rule, coarse=c)[0]) for c in (False, True))
+        assert coarse < fine and fine + coarse <= most
+
+    @pytest.mark.parametrize("name, orders, kind, modulus", [
+        ("_POLAR_OUTER_GAUSS", (8, 6), "pole", 0.6),  # deviation 2.4e-4
+        ("_POLAR_INNER_GAUSS", (4, 3), "log", 0.3),   # deviation 7.8e-6
+    ])
+    def test_check_catches_radial_under_resolution(self, name, orders, kind, modulus,
+                                                   monkeypatch, fresh_node_sets):
+        u = Symbol(atoms=(Atom(kind, modulus * np.exp(0.7j), 1.0),))
+        berezin_numeric(u, SWEEP_POINTS)
+        quadrature._polar_nodes_cached.cache_clear()
+        monkeypatch.setattr(quadrature, name, orders)
+        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
+            berezin_numeric(u, SWEEP_POINTS)
+
+
+@st.composite
+def atom_symbols(draw):
+    """1-3 atoms of any kind, centers of modulus at most 0.94 and pairwise at
+    least 1e-3 apart, coefficients of modulus at most 1.5."""
+    def disk_point(max_modulus):
+        return st.builds(lambda r, t: complex(r * np.exp(1j * t)),
+                         st.floats(0.0, max_modulus), st.floats(0.0, 2 * np.pi))
+
+    n = draw(st.integers(1, 3))
+    centers = draw(st.lists(disk_point(0.94), min_size=n, max_size=n))
+    assume(all(abs(a - b) >= 1e-3 for i, a in enumerate(centers) for b in centers[:i]))
+    kinds = draw(st.lists(st.sampled_from(("log", "pole", "conjpole")), min_size=n, max_size=n))
+    coeffs = draw(st.lists(disk_point(1.5), min_size=n, max_size=n))
+    points = draw(st.lists(disk_point(0.9), min_size=1, max_size=8))
+    return Symbol(atoms=tuple(map(Atom, kinds, centers, coeffs))), np.array(points)
+
+
+class TestSymbolProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(atom_symbols())
+    def test_numeric_matches_closed_form(self, case):
+        # NonConvergence is a failure: the default rule covers every such input
+        u, zs = case
+        error = np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs)))
+        assert error <= 1e-9

@@ -6,7 +6,7 @@ import pytest
 from berezin import _kernels
 from berezin.core import BidegreeSeries, PowerSeries
 from berezin.errors import DomainError, ZeroInput
-from berezin.quadrature import QuadratureRule, SingularityPlan, singular_nodes
+from berezin.quadrature import QuadratureRule, _polar_nodes_cached, polar_nodes
 from berezin.rank import (
     _assemble,
     calibrated_orientation,
@@ -175,23 +175,26 @@ class TestMomentMatrix:
         # relative to the sum of absolute terms, sum |u| w |z|^(p+q): the high
         # moments of this center cancel to under 1e-5 of that, so entrywise relative
         # differences there show rounding, not a change of node set
-        z, w = singular_nodes(SingularityPlan(centers=(0.3 - 0.2j,)), QuadratureRule.build())
+        z, w = polar_nodes(0.3 - 0.2j, QuadratureRule.build())
         weights = sum(np.abs(atom.eval(z)) for atom in atoms) * w
         scale = _kernels.monomial_moments(np.abs(z), weights, 13, 13).real
         assert np.all(np.abs(together - apart) <= 1e-13 * scale)
 
     def test_moment_memory_is_bounded(self):
-        # three atoms on one 0.75 center contract a node set of 678,159 nodes;
-        # a full 14 x 678,159 complex Vandermonde matrix alone takes 152 MB
+        # three atoms on one 0.75 center contract its polar set of 814,080
+        # nodes under this rule; the two unblocked 14 x 814,080 complex power
+        # tables alone would take 348 MiB, 2.7 times the bound
         a = 0.75 * np.exp(0.3j)
         u = Symbol(atoms=(Atom("log", a, 1.0), Atom("pole", a, 0.5), Atom("conjpole", a, -0.25j)))
-        singular_nodes(SingularityPlan(centers=(a,)), QuadratureRule.build())
+        rule = QuadratureRule.build(64, 4096)
+        assert len(polar_nodes(a, rule)[0]) == 814_080
         tracemalloc.start()
         try:
-            moment_matrix(u, 12, 12)
+            moment_matrix(u, 12, 12, rule)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            _polar_nodes_cached.cache_clear()
         assert peak < 128 * 2**20
 
     def test_grid_route_requires_truncation(self):
