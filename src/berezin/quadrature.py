@@ -14,6 +14,12 @@ of a pole atom (Duffy, SIAM J. Numer. Anal. 19, 1982) and geometric panels
 toward ``s = 0`` resolve the ``rho log rho`` of a log atom (Schwab,
 *p- and hp-Finite Element Methods*, 1998); ``rho_max`` is analytic in
 ``theta``, so the trapezoid rule in ``theta`` converges geometrically.
+Each panel takes the angles its rings need (:func:`_polar_layout`): the
+geometric panels only resolve the branch points of ``rho_max``, at
+imaginary angle ``beta = asinh(sqrt(1 - |a|^2) / |a|)``, where the error
+falls like ``exp(-n beta)`` (Trefethen and Weideman, SIAM Review 56,
+2014); an outer panel ending at ``s_hi`` takes ``s_hi`` times the count
+of the outermost rings, which come nearest the kernel's pole.
 
 A callable declares its singular centers with a :class:`SingularityPlan`
 and runs on a composite rule (:func:`singular_nodes`), which also resolves
@@ -49,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import ceil, comb
+from math import asinh, ceil, comb, sqrt
 
 import numpy as np
 
@@ -137,18 +143,38 @@ _POLAR_INNER_GAUSS = (12, 9)
 _POLAR_OUTER_GAUSS = (16, 12)
 
 #: Angle and outer-panel counts of the polar rule grow with the center's
-#: modulus. The kernel's pole ``1 / conj(z)`` lies at least ``1/|z| - 1``
-#: beyond the circle, so seen from ``a`` it sits at an imaginary angle of
-#: about ``(1/|z| - 1) / (1/|z| + |a|)``, and the trapezoid error decays like
-#: ``exp(-n)`` of that times the count ``n`` (measured rates per angle at
-#: ``|z| = 0.9``: 0.103 at ``|a| = 0.02``, 0.054 at 0.94). At the default
-#: 256 angles a center takes ``256 (1 + _POLAR_ANGLE_GROWTH |a|)`` angles,
-#: rounded up to 16. A ray is up to ``1 + |a|`` long, and at the default
-#: 64 radial points a center takes one outer panel per ``_POLAR_PANEL_SPAN``
-#: of that length. On the 320 CLI points, atoms at the moduli
-#: ``linspace(0.02, 0.94, 11)`` then agree with their closed forms to 2.5e-11.
+#: modulus (:func:`_polar_layout`). The kernel's pole ``1 / conj(z)`` lies
+#: at least ``1/|z| - 1`` beyond the circle, so seen from ``a`` it sits at
+#: an imaginary angle of about ``(1/|z| - 1) / (1/|z| + |a|)``, and the
+#: trapezoid error decays like ``exp(-n)`` of that times the count ``n``
+#: (measured rates per angle at ``|z| = 0.9``: 0.103 at ``|a| = 0.02``,
+#: 0.054 at 0.94). At the default 256 angles the full count is
+#: ``256 (1 + _POLAR_ANGLE_GROWTH |a|)``, rounded up to 16; it is the count
+#: of the outermost panel. A panel ending at ``s_hi`` takes ``s_hi`` times
+#: it: its rings stay a factor ``s_hi`` inside the circle, which adds about
+#: ``ln(1 / s_hi)`` to the pole's imaginary angle, so with the small angles
+#: above it needs fewer still. A ray is up to ``1 + |a|`` long, and at the
+#: default 64 radial points a center takes one outer panel per
+#: ``_POLAR_PANEL_SPAN`` of that length.
+#:
+#: The geometric panels stay within a quarter of each ray, where the
+#: kernel's pole is far: their rings need only resolve ``rho_max``, whose
+#: branch points (where ``c^2 + 1 - |a|^2 = 0``) lie at imaginary angle
+#: ``beta = asinh(sqrt(1 - |a|^2) / |a|)``. So the inner count is
+#: ``_RING_DECAY / (_COARSE_SHARE beta)``, which the coarse set's share
+#: still brings to 1e-13 (128 angles at ``|a| = 0.94``, 80 at 0.85), and at
+#: least ``_POLAR_INNER_FLOOR``. Near the origin ``beta`` is large and only
+#: the integrand's own angular modes are left: moment matrices up to kmax
+#: 18 of log, pole and conjpole atoms at ``|a| <= 0.1`` are off by up to
+#: 1.5e-9 with 16 inner angles and agree with the exact grids to 2.9e-13
+#: from 24 on, and at ``|a| <= 0.02`` the inner panels' kernel sums on the
+#: CLI points agree with those of 1024 angles to 5e-17 from 24 on. The
+#: floor of 64 keeps the coarse set's 48 at twice that.
+#: On the 320 CLI points, atoms at the moduli ``linspace(0.02, 0.94, 11)``
+#: agree with their closed forms to 2.5e-11.
 _POLAR_ANGLE_GROWTH = 0.875
 _POLAR_PANEL_SPAN = 0.6
+_POLAR_INNER_FLOOR = 64
 
 
 @lru_cache(maxsize=None)
@@ -494,40 +520,51 @@ def singular_nodes(plan: SingularityPlan, rule: QuadratureRule, *, coarse: bool 
 
 
 def _polar_layout(center: complex, radial: int, angular: int):
-    """Angle count and outer panel count ``(angles, panels)`` of the fine
-    polar set around ``center``: the default rule's counts (see
-    ``_POLAR_ANGLE_GROWTH``) scaled by ``angular / 256`` and ``radial / 64``."""
+    """Panel groups ``(edges, order, angles)`` of the fine polar set around
+    ``center``: the panel edges in ``s``, the ``(fine, coarse)`` Gauss pair
+    and the angle count of each group. The geometric panels below
+    ``_POLAR_INNER`` form one group; each outer panel is a group of its own.
+
+    The full count is ``angular (1 + _POLAR_ANGLE_GROWTH |a|)``. The inner
+    group takes ``_RING_DECAY / (_COARSE_SHARE beta)`` angles, so that the
+    coarse set still reaches 1e-13 there, at least ``_POLAR_INNER_FLOOR``;
+    an outer panel ending at ``s_hi`` takes ``s_hi`` times the full count,
+    at least the inner count. Counts are scaled by ``angular / 256``,
+    rounded up to 16 and capped at the full count; the outer panel count
+    is scaled by ``radial / 64``.
+    """
     m = abs(center)
-    angles = 16 * ceil(angular * (1.0 + _POLAR_ANGLE_GROWTH * m) / 16)
+    full = 16 * ceil(angular * (1.0 + _POLAR_ANGLE_GROWTH * m) / 16)
+    # the branch points of rho_max lie at imaginary angle beta; none at m = 0
+    need = _RING_DECAY / (_COARSE_SHARE * asinh(sqrt(1.0 - m * m) / m)) if m else 0.0
+    inner = 16 * ceil(min(full, angular / DEFAULT_ANGULAR * max(_POLAR_INNER_FLOOR, need)) / 16)
     panels = ceil(radial / DEFAULT_RADIAL * (1.0 + m) / _POLAR_PANEL_SPAN)
-    return angles, panels
+    geometric = (0.0,) + tuple(_POLAR_INNER * _POLAR_RATIO ** j
+                               for j in reversed(range(_POLAR_DEPTH)))
+    outer = np.linspace(_POLAR_INNER, 1.0, panels + 1)
+    return ((geometric, _POLAR_INNER_GAUSS, inner),) + tuple(
+        ((float(lo), float(hi)), _POLAR_OUTER_GAUSS, 16 * ceil(max(inner, full * hi) / 16))
+        for lo, hi in zip(outer[:-1], outer[1:]))
 
 
 @lru_cache(maxsize=8)
 def _polar_nodes_cached(center, radial, angular, coarse):
-    angles, panels = _polar_layout(center, radial, angular)
-    if coarse:
-        angles = int(_COARSE_SHARE * angles)
-    geometric = [0.0] + [_POLAR_INNER * _POLAR_RATIO ** j
-                         for j in reversed(range(_POLAR_DEPTH))]
-    outer = np.linspace(_POLAR_INNER, 1.0, panels + 1)
-    s_nodes, s_weights = [], []
-    for edges, order in ((geometric, _POLAR_INNER_GAUSS[coarse]),
-                         (outer, _POLAR_OUTER_GAUSS[coarse])):
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            x, w = _gauss(order, lo, hi)
-            s_nodes.append(x)
-            s_weights.append(w)
-    s = np.concatenate(s_nodes)
-    ws = np.concatenate(s_weights) * s
-    ray = np.exp(2j * np.pi * np.arange(angles) / angles)
-    # rho_max = -c + sqrt(c^2 + gap), c = Re(conj(a) e^{i theta}), in the
-    # form without cancellation
-    c = (np.conj(center) * ray).real
     gap = 1.0 - abs(center) ** 2
-    rho_max = gap / (c + np.sqrt(c * c + gap))
-    z = (center + s[:, None] * (rho_max * ray)[None, :]).ravel()
-    w = (ws[:, None] * (rho_max * rho_max * (2.0 / angles))[None, :]).ravel()
+    blocks_z, blocks_w = [], []
+    for edges, order, angles in _polar_layout(center, radial, angular):
+        if coarse:
+            angles = int(_COARSE_SHARE * angles)
+        x, wx = zip(*(_gauss(order[coarse], lo, hi) for lo, hi in zip(edges[:-1], edges[1:])))
+        s, ws = np.concatenate(x), np.concatenate(wx)
+        ray = np.exp(2j * np.pi * np.arange(angles) / angles)
+        # rho_max = -c + sqrt(c^2 + gap), c = Re(conj(a) e^{i theta}), in the
+        # form without cancellation
+        c = (np.conj(center) * ray).real
+        rho_max = gap / (c + np.sqrt(c * c + gap))
+        blocks_z.append((center + s[:, None] * (rho_max * ray)[None, :]).ravel())
+        blocks_w.append(((ws * s)[:, None]
+                         * (rho_max * rho_max * (2.0 / angles))[None, :]).ravel())
+    z, w = np.concatenate(blocks_z), np.concatenate(blocks_w)
     z.setflags(write=False)
     w.setflags(write=False)
     return z, w
@@ -538,11 +575,13 @@ def polar_nodes(center: complex, rule: QuadratureRule, *, coarse: bool = False):
     check variant.
 
     Nodes ``zeta = a + s rho_max(theta) e^{i theta}`` with weights
-    ``s rho_max^2 ds dtheta / pi``: trapezoid in ``theta``, and Gauss in
-    ``s`` on the geometric and outer panels of ``_POLAR_INNER`` and the
-    counts of :func:`_polar_layout`. The coarse set takes ``_COARSE_SHARE``
-    of the angles and the coarse Gauss orders on the same panels. Cached
-    per (center, rule size); the arrays are read-only.
+    ``s rho_max^2 ds dtheta / pi``: Gauss in ``s`` on the geometric and
+    outer panels of ``_POLAR_INNER``, and a trapezoid rule in ``theta``
+    with each panel group's own angle count, as :func:`_polar_layout`
+    decides them; each group is one tensor block. The coarse set takes
+    ``_COARSE_SHARE`` of every group's angles and the coarse Gauss orders
+    on the same panels, so an under-resolution of any group shows in the
+    check. Cached per (center, rule size); the arrays are read-only.
     """
     return _polar_nodes_cached(complex(center), rule.radial_count, rule.angular_count,
                                bool(coarse))

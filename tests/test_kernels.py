@@ -7,7 +7,7 @@ import pytest
 
 from berezin import _kernels
 from berezin.core import PowerSeries
-from berezin.quadrature import _polar_nodes_cached, berezin_numeric
+from berezin.quadrature import QuadratureRule, _polar_nodes_cached, berezin_numeric, polar_nodes
 from berezin.symbols import Atom, Symbol
 
 
@@ -57,11 +57,12 @@ def test_monomial_moments_of_no_nodes_are_zero():
 
 
 def test_numeric_transform_memory_is_bounded():
-    # the full 1280 x 51,840 real kernel matrix of this atom's polar set
-    # would take 506 MiB, 2.0 times the bound
-    symbol = Symbol(atoms=(Atom("log", 0.72 * np.exp(0.4j), 1.0),))
-    # ten radii up to 0.9, 128 angles
-    zs = (0.09 * np.arange(1, 11)[:, None] * np.exp(2j * np.pi * np.arange(128) / 128)).ravel()
+    # the full 3840 x 20,480 real kernel matrix of this atom's polar set
+    # would take 600 MiB, 2.3 times the bound
+    center = 0.72 * np.exp(0.4j)
+    symbol = Symbol(atoms=(Atom("log", center, 1.0),))
+    # ten radii up to 0.9, 384 angles
+    zs = (0.09 * np.arange(1, 11)[:, None] * np.exp(2j * np.pi * np.arange(384) / 384)).ravel()
     _polar_nodes_cached.cache_clear()
     tracemalloc.start()
     try:
@@ -69,6 +70,7 @@ def test_numeric_transform_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(polar_nodes(center, QuadratureRule.build())[0]) == 20_480
     assert peak < 256 * 2**20
 
 

@@ -453,13 +453,33 @@ class TestPolarRule:
                                       - symbol_values(u, SWEEP_POINTS)))
                 assert error <= 1e-10, (kind, angle, error)
 
-    @pytest.mark.parametrize("modulus, most", [(0.72, 82_000), (0.94, 103_000)])
+    @pytest.mark.parametrize("modulus, most", [(0.72, 33_000), (0.94, 51_000)])
     def test_node_count(self, modulus, most):
-        # fine and coarse sets together; the composite rule takes 134,095 at 0.72
+        # fine and coarse sets together: 32,000 at 0.72 and 49,600 at 0.94;
+        # the full angle count on every panel takes 81,000 and 102,000, and
+        # the composite rule 134,095 at 0.72
         rule = QuadratureRule.build()
         center = modulus * np.exp(0.7j)
         fine, coarse = (len(polar_nodes(center, rule, coarse=c)[0]) for c in (False, True))
         assert coarse < fine and fine + coarse <= most
+
+    @pytest.mark.parametrize("kind", ["log", "pole", "conjpole"])
+    def test_check_catches_inner_angular_under_resolution(self, kind, monkeypatch,
+                                                          fresh_node_sets):
+        # 32 angles on the geometric panels of a 0.94 center, against the 128
+        # its branch points need: deviations 2.1e-5 (log) and 6.4e-5 (poles)
+        u = Symbol(atoms=(Atom(kind, 0.94 * np.exp(0.7j), 1.0),))
+        berezin_numeric(u, SWEEP_POINTS)
+        quadrature._polar_nodes_cached.cache_clear()
+        layout = quadrature._polar_layout
+
+        def starved(center, radial, angular):
+            (edges, order, _), *outer = layout(center, radial, angular)
+            return ((edges, order, 32), *outer)
+
+        monkeypatch.setattr(quadrature, "_polar_layout", starved)
+        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
+            berezin_numeric(u, SWEEP_POINTS)
 
     @pytest.mark.parametrize("name, orders, kind, modulus", [
         ("_POLAR_OUTER_GAUSS", (8, 6), "pole", 0.6),  # deviation 2.4e-4
