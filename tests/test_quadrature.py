@@ -453,11 +453,18 @@ class TestPolarRule:
                                       - symbol_values(u, SWEEP_POINTS)))
                 assert error <= 1e-10, (kind, angle, error)
 
-    @pytest.mark.parametrize("modulus, most", [(0.72, 33_000), (0.94, 51_000)])
+    @pytest.mark.parametrize("modulus, most", [(0.72, 82_000), (0.94, 103_000)])
     def test_node_count(self, modulus, most):
+        # fine and coarse sets together; the composite rule takes 134,095 at 0.72
+        rule = QuadratureRule.build()
+        center = modulus * np.exp(0.7j)
+        fine, coarse = (len(polar_nodes(center, rule, coarse=c)[0]) for c in (False, True))
+        assert coarse < fine and fine + coarse <= most
+
+    @pytest.mark.parametrize("modulus, most", [(0.72, 33_000), (0.94, 51_000)])
+    def test_per_panel_node_count(self, modulus, most):
         # fine and coarse sets together: 32,000 at 0.72 and 49,600 at 0.94;
-        # the full angle count on every panel takes 81,000 and 102,000, and
-        # the composite rule 134,095 at 0.72
+        # the full angle count on every panel takes 81,000 and 102,000
         rule = QuadratureRule.build()
         center = modulus * np.exp(0.7j)
         fine, coarse = (len(polar_nodes(center, rule, coarse=c)[0]) for c in (False, True))
