@@ -6,14 +6,16 @@ measure one. The base rule is a polar tensor product: Gauss-Legendre in
 (trapezoid, spectrally accurate for periodic integrands).
 
 A :class:`Symbol` is integrated part by part (:func:`integrate_parts`):
-its harmonic part on the plain rule, and the atoms of each center ``a``
-together on one polar rule around that center (:func:`polar_nodes`),
-``zeta = a + s rho_max(theta) e^{i theta}`` with ``rho_max`` the distance
-to the unit circle along the ray. The polar Jacobian cancels the ``1/rho``
-of a pole atom (Duffy, SIAM J. Numer. Anal. 19, 1982) and geometric panels
-toward ``s = 0`` resolve the ``rho log rho`` of a log atom (Schwab,
-*p- and hp-Finite Element Methods*, 1998); ``rho_max`` is analytic in
-``theta``, so the trapezoid rule in ``theta`` converges geometrically.
+the atoms of each center ``a`` together on one polar rule around that
+center (:func:`polar_nodes`), ``zeta = a + s rho_max(theta) e^{i theta}``
+with ``rho_max`` the distance to the unit circle along the ray. Each
+polar set covers the whole disk, so the harmonic part joins the atoms of
+the center nearest the origin; only a symbol with no atoms runs on the
+plain rule. The polar Jacobian cancels the ``1/rho`` of a pole atom
+(Duffy, SIAM J. Numer. Anal. 19, 1982) and geometric panels toward
+``s = 0`` resolve the ``rho log rho`` of a log atom (Schwab, *p- and
+hp-Finite Element Methods*, 1998); ``rho_max`` is analytic in ``theta``,
+so the trapezoid rule in ``theta`` converges geometrically.
 Each panel takes the angles its rings need (:func:`_polar_layout`): the
 geometric panels only resolve the branch points of ``rho_max``, at
 imaginary angle ``beta = asinh(sqrt(1 - |a|^2) / |a|)``, where the error
@@ -634,23 +636,28 @@ def disk_integrate_singular(f, plan: SingularityPlan, rule: QuadratureRule | Non
 
 
 def _symbol_parts(u: Symbol, rule: QuadratureRule):
-    """Split ``u`` by linearity into ``(node_set, integrand, singular)`` parts.
+    """Split ``u`` by linearity into ``(node_set, integrand, checked)`` parts.
 
-    The harmonic part, when nonzero, runs on the plain rule. The atoms are
-    grouped by their exact center, the node-set cache key, so each group
-    integrates once on that center's polar set (:func:`polar_nodes`).
+    The atoms are grouped by their exact center, the node-set cache key, so
+    each group integrates once on that center's polar set
+    (:func:`polar_nodes`); every group is checked. A nonzero harmonic part
+    joins the group of the center nearest the origin (the first listed on
+    a tie), whose polar set is the smallest and whose angles are the most
+    uniform. With no atoms it runs alone on the plain rule, unchecked.
     """
-    parts = []
-    if not (u.holo.is_zero() and u.anti.is_zero()):
-        parts.append((partial(singular_nodes, SingularityPlan(), rule),
-                      lambda z: u.holo.eval(z) + np.conj(u.anti.eval(z)), False))
+    harmonic = None if u.holo.is_zero() and u.anti.is_zero() else (
+        lambda z: u.holo.eval(z) + np.conj(u.anti.eval(z)))
     by_center: dict[complex, list] = {}
     for atom in u.atoms:
-        by_center.setdefault(atom.center, []).append(atom)
-    for center, atoms in by_center.items():
-        parts.append((partial(polar_nodes, center, rule),
-                      lambda z, atoms=atoms: sum(atom.eval(z) for atom in atoms), True))
-    return parts
+        by_center.setdefault(atom.center, []).append(atom.eval)
+    if not by_center:
+        return [] if harmonic is None else [
+            (partial(singular_nodes, SingularityPlan(), rule), harmonic, False)]
+    if harmonic is not None:
+        by_center[min(by_center, key=abs)].append(harmonic)
+    return [(partial(polar_nodes, center, rule),
+             lambda z, terms=terms: sum(term(z) for term in terms), True)
+            for center, terms in by_center.items()]
 
 
 def integrate_parts(u, functional, rule: QuadratureRule,
@@ -660,9 +667,11 @@ def integrate_parts(u, functional, rule: QuadratureRule,
     A :class:`Symbol` splits as :func:`_symbol_parts` does and declares its
     own centers, so passing a ``plan`` with one raises DomainError. Any
     other callable runs on the composite node set of ``plan`` (the plain
-    rule when ``None``). With ``check`` every part with a center is
-    recomputed on its coarse node set (:func:`_refined`); the plain rule is
-    not checked. Returns ``0.0`` when ``u`` has no parts.
+    rule when ``None``). With ``check`` every part with a center, the
+    harmonic part of a symbol with atoms included, is recomputed on its
+    coarse node set (:func:`_refined`); the plain rule, which serves only
+    symbols with no atoms and callables with no plan, is not checked.
+    Returns ``0.0`` when ``u`` has no parts.
     """
     if isinstance(u, Symbol):
         if plan is not None:
@@ -672,9 +681,9 @@ def integrate_parts(u, functional, rule: QuadratureRule,
         plan = plan or SingularityPlan()
         parts = [(partial(singular_nodes, plan, rule), u, bool(plan.centers))]
     total = 0.0
-    for node_set, integrand, singular in parts:
+    for node_set, integrand, checked in parts:
         total = total + _refined(node_set, integrand, functional,
-                                 check=check and singular, what=what)
+                                 check=check and checked, what=what)
     return total
 
 
@@ -699,11 +708,12 @@ def berezin_numeric(u, z, rule: QuadratureRule | None = None,
     ``u`` may be a :class:`Symbol` or any callable mapping a node array to
     values whose singularities are declared via ``plan``; a symbol declares
     its own, and a symbol with a ``plan`` raises DomainError. A symbol
-    splits as :func:`_symbol_parts` does: the harmonic part on the plain
-    rule, the atoms of each distinct center together on that center's
-    polar node set (:func:`integrate_parts`); a callable runs on the
-    composite node set of ``plan``. With ``check`` each
-    singular part is recomputed on its coarse node set, so the 1e-6
+    splits as :func:`_symbol_parts` does: the atoms of each distinct
+    center together on that center's polar node set, the harmonic part
+    with the atoms of the center nearest the origin, or on the plain rule
+    when there are no atoms (:func:`integrate_parts`); a callable runs on
+    the composite node set of ``plan``. With ``check`` each polar or
+    composite part is recomputed on its coarse node set, so the 1e-6
     refinement check guards each center's summed contribution. ``z`` may
     be a scalar or an array; the result matches its shape.
     """

@@ -110,10 +110,12 @@ def weighted_monomial_moments(u: Symbol, pmax: int, qmax: int,
                               rule: QuadratureRule | None = None) -> np.ndarray:
     """Monomial moments ``G[p, q] = integral u z^p conj(z)^q dA``.
 
-    Splits the symbol as the numeric transform does (the harmonic part on
-    the plain rule, the atoms of each distinct center together on that
-    center's polar node set), so every integral sees exactly one
-    declared singularity and each node set is contracted once.
+    Splits the symbol as the numeric transform does (the atoms of each
+    distinct center together on that center's polar node set, the
+    harmonic part with the atoms of the center nearest the origin, or on
+    the plain rule when there are no atoms), so every integral sees
+    exactly one declared singularity and each node set is contracted
+    once.
     """
     return np.zeros((pmax + 1, qmax + 1), dtype=np.complex128) + integrate_parts(
         canonicalize(u), lambda z, values: _kernels.monomial_moments(z, values, pmax, qmax),

@@ -17,8 +17,9 @@ from berezin.quadrature import (
     polar_nodes,
     singular_nodes,
 )
-from berezin.symbols import Atom, Symbol, symbol_eval
-from berezin.transform import symbol_values
+from berezin.rank import moment_matrix, moment_matrix_from_grid
+from berezin.symbols import Atom, NodeForm, Symbol, symbol_eval
+from berezin.transform import symbol_transform, symbol_values
 
 #: Every tenth CLI sample point: all ten radii up to 0.9, rotating angles.
 SWEEP_POINTS = _sample_points()[::10]
@@ -206,6 +207,56 @@ class TestBerezinNumeric:
         u = Symbol(atoms=(Atom("log", 0.5, 1.0),))
         with pytest.raises(DomainError):
             berezin_numeric(u, 0.1, plan=SingularityPlan(centers=(0.5,)))
+
+
+class TestHarmonicPart:
+    """A symbol with atoms integrates its harmonic part on the polar set of
+    the center nearest the origin, under that set's check."""
+
+    # -0.2 + 0.1j and 0.1 - 0.2j tie for the nearest center; the first listed hosts
+    HOST = -0.2 + 0.1j
+    SYMBOL = Symbol(holo=PowerSeries([0.3, -0.5j, 0.2]), anti=PowerSeries([0.0, 0.4]),
+                    atoms=(Atom("pole", 0.6j, 0.5), Atom("log", HOST, 1.0),
+                           Atom("conjpole", 0.6j, 0.3), Atom("log", 0.1 - 0.2j, 0.7)))
+
+    def test_parts_are_polar_and_checked(self):
+        u = self.SYMBOL
+        parts = quadrature._symbol_parts(u, QuadratureRule.build())
+        assert [node_set.func for node_set, _, _ in parts] == [polar_nodes] * 3
+        assert [node_set.args[0] for node_set, _, _ in parts] == [0.6j, self.HOST, 0.1 - 0.2j]
+        assert all(checked for _, _, checked in parts)
+        harmonic = u.holo.eval(SWEEP_POINTS) + np.conj(u.anti.eval(SWEEP_POINTS))
+        for node_set, integrand, _ in parts:
+            center = node_set.args[0]
+            expected = sum(atom.eval(SWEEP_POINTS) for atom in u.atoms if atom.center == center)
+            if center == self.HOST:
+                expected = expected + harmonic
+            np.testing.assert_allclose(integrand(SWEEP_POINTS), expected, rtol=0, atol=1e-14)
+
+    def test_only_symbols_without_atoms_build_a_plain_set(self, fresh_node_sets):
+        berezin_numeric(self.SYMBOL, SWEEP_POINTS)
+        moment_matrix(self.SYMBOL, 6, 6)
+        assert quadrature._singular_nodes_cached.cache_info().currsize == 0
+        berezin_numeric(Symbol(holo=self.SYMBOL.holo, anti=self.SYMBOL.anti), SWEEP_POINTS)
+        assert quadrature._singular_nodes_cached.cache_info().currsize == 1
+
+    def test_check_guards_the_harmonic_part(self, monkeypatch, fresh_node_sets):
+        # 32 angles on every panel group of the host set: the tiny atom alone
+        # stays within 3.6e-8 of its closed form and passes the check, while
+        # the z^40 term it hosts deviates by 0.50 between fine and coarse sets
+        atom = Atom("log", 0.3, 1e-6)
+        u = Symbol(holo=PowerSeries(np.r_[np.zeros(40), 1.0]), atoms=(atom,))
+        berezin_numeric(u, SWEEP_POINTS)
+        quadrature._polar_nodes_cached.cache_clear()
+        layout = quadrature._polar_layout
+
+        def starved(center, radial, angular):
+            return tuple((edges, order, 32) for edges, order, _ in layout(center, radial, angular))
+
+        monkeypatch.setattr(quadrature, "_polar_layout", starved)
+        berezin_numeric(Symbol(atoms=(atom,)), SWEEP_POINTS)
+        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
+            berezin_numeric(u, SWEEP_POINTS)
 
 
 class TestNodeSets:
@@ -502,21 +553,55 @@ class TestPolarRule:
             berezin_numeric(u, SWEEP_POINTS)
 
 
+def disk_point(max_modulus):
+    return st.builds(lambda r, t: complex(r * np.exp(1j * t)),
+                     st.floats(0.0, max_modulus), st.floats(0.0, 2 * np.pi))
+
+
+@st.composite
+def distinct_centers(draw, max_modulus):
+    """1-3 disk points of modulus at most ``max_modulus``, pairwise at least
+    1e-3 apart."""
+    n = draw(st.integers(1, 3))
+    centers = draw(st.lists(disk_point(max_modulus), min_size=n, max_size=n))
+    assume(all(abs(a - b) >= 1e-3 for i, a in enumerate(centers) for b in centers[:i]))
+    return centers
+
+
+@st.composite
+def harmonic_parts(draw):
+    """Holomorphic and antiholomorphic series of degree 0-6, coefficients
+    of modulus at most 1.5."""
+    degree = draw(st.integers(0, 6))
+    return tuple(PowerSeries(draw(st.lists(disk_point(1.5), min_size=degree + 1,
+                                           max_size=degree + 1))) for _ in range(2))
+
+
 @st.composite
 def atom_symbols(draw):
     """1-3 atoms of any kind, centers of modulus at most 0.94 and pairwise at
-    least 1e-3 apart, coefficients of modulus at most 1.5."""
-    def disk_point(max_modulus):
-        return st.builds(lambda r, t: complex(r * np.exp(1j * t)),
-                         st.floats(0.0, max_modulus), st.floats(0.0, 2 * np.pi))
-
-    n = draw(st.integers(1, 3))
-    centers = draw(st.lists(disk_point(0.94), min_size=n, max_size=n))
-    assume(all(abs(a - b) >= 1e-3 for i, a in enumerate(centers) for b in centers[:i]))
+    least 1e-3 apart, coefficients of modulus at most 1.5, and a harmonic
+    part (:func:`harmonic_parts`)."""
+    centers = draw(distinct_centers(0.94))
+    n = len(centers)
     kinds = draw(st.lists(st.sampled_from(("log", "pole", "conjpole")), min_size=n, max_size=n))
     coeffs = draw(st.lists(disk_point(1.5), min_size=n, max_size=n))
+    holo, anti = draw(harmonic_parts())
     points = draw(st.lists(disk_point(0.9), min_size=1, max_size=8))
-    return Symbol(atoms=tuple(map(Atom, kinds, centers, coeffs))), np.array(points)
+    return (Symbol(holo=holo, anti=anti, atoms=tuple(map(Atom, kinds, centers, coeffs))),
+            np.array(points))
+
+
+@st.composite
+def node_form_symbols(draw):
+    """Symbols of node forms with 1-3 nodes of modulus at most 0.85, node
+    coefficients of modulus at most 1.5 and a harmonic part: each node adds
+    the degree-80 series of its product preimages."""
+    nodes = tuple((a, *draw(st.lists(disk_point(1.5), min_size=3, max_size=3)))
+                  for a in draw(distinct_centers(0.85)))
+    holo, anti = draw(harmonic_parts())
+    points = draw(st.lists(disk_point(0.9), min_size=1, max_size=8))
+    return NodeForm(holo=holo, anti=anti, nodes=nodes).to_symbol(), np.array(points)
 
 
 class TestSymbolProperty:
@@ -527,3 +612,13 @@ class TestSymbolProperty:
         u, zs = case
         error = np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs)))
         assert error <= 1e-9
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(node_form_symbols())
+    def test_node_form_matches_closed_form_and_grid(self, case):
+        u, zs = case
+        error = np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs)))
+        assert error <= 1e-9
+        quad = moment_matrix(u, 12, 12).entries
+        exact = moment_matrix_from_grid(symbol_transform(u), 12, 12).entries
+        assert np.max(np.abs(quad - exact)) <= 1e-9
