@@ -17,10 +17,12 @@ power tables, also whatever the node count.
 import numpy as np
 
 #: Nodes per tile; the monomial moments walk the nodes in the same blocks.
-#: A 2-CPU Xeon (2 MiB L2 per core) ran ``kernel_sum`` of a 97k-node set at
-#: 320 points (median of 9) in 0.065 s with 4096 x 32 tiles (1 MiB),
-#: 0.072 s with 1024 x 32, 0.091 s with 16384 x 32 and 0.092 s with
-#: 4096 x 256 (8 MiB): the in-place passes over a tile stay in cache.
+#: A tile of 4096 nodes by ``_POINT_BLOCK`` (16) points takes 512 KiB. The
+#: node count was chosen when tiles had 32 point rows: a 2-CPU Xeon (2 MiB
+#: L2 per core) ran ``kernel_sum`` of a 97k-node set at 320 points (median
+#: of 9) in 0.065 s with 4096 x 32 tiles (1 MiB), 0.072 s with 1024 x 32,
+#: 0.091 s with 16384 x 32 and 0.092 s with 4096 x 256 (8 MiB): the
+#: in-place passes over a tile stay in cache.
 _NODE_BLOCK = 1 << 12
 
 #: Evaluation points per tile. A tile's GEMM then has m n k = 16 x 4096 x 4

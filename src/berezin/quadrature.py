@@ -9,13 +9,14 @@ A :class:`Symbol` is integrated part by part (:func:`integrate_parts`):
 the atoms of each center ``a`` together on one polar rule around that
 center (:func:`polar_nodes`), ``zeta = a + s rho_max(theta) e^{i theta}``
 with ``rho_max`` the distance to the unit circle along the ray. Each
-polar set covers the whole disk, so the harmonic part joins the atoms of
-the center nearest the origin; only a symbol with no atoms runs on the
-plain rule. The polar Jacobian cancels the ``1/rho`` of a pole atom
-(Duffy, SIAM J. Numer. Anal. 19, 1982) and geometric panels toward
-``s = 0`` resolve the ``rho log rho`` of a log atom (Schwab, *p- and
-hp-Finite Element Methods*, 1998); ``rho_max`` is analytic in ``theta``,
-so the trapezoid rule in ``theta`` converges geometrically.
+polar set covers the whole disk, so a harmonic part small enough for the
+check (:func:`_symbol_parts`) joins the atoms of the center nearest the
+origin; a larger one, and a symbol with no atoms, runs on the plain rule.
+The polar Jacobian cancels the ``1/rho`` of a pole atom (Duffy, SIAM J.
+Numer. Anal. 19, 1982) and geometric panels toward ``s = 0`` resolve the
+``rho log rho`` of a log atom (Schwab, *p- and hp-Finite Element
+Methods*, 1998); ``rho_max`` is analytic in ``theta``, so the trapezoid
+rule in ``theta`` converges geometrically.
 Each panel takes the angles its rings need (:func:`_polar_layout`): the
 geometric panels only resolve the branch points of ``rho_max``, at
 imaginary angle ``beta = asinh(sqrt(1 - |a|^2) / |a|)``, where the error
@@ -635,29 +636,52 @@ def disk_integrate_singular(f, plan: SingularityPlan, rule: QuadratureRule | Non
                             check=check, what="singular quadrature"))
 
 
+#: Largest |z| the default rule evaluates at (:func:`_check_eval_points`).
+_DEFAULT_REACH = 0.9
+
+#: Largest size of a harmonic part that a polar set hosts. The coarse polar
+#: set's deviation on ``z^n`` or ``conj(z)^n`` at points up to
+#: ``_DEFAULT_REACH`` grows like ``_DEFAULT_REACH^-n``, the kernel's angular
+#: tail shifted by n: over host moduli 0 to 0.94 it is at most
+#: ``4.1e-8 * 0.9^-n`` for n up to 120 (2.6e-5 at n = 80), and on rule
+#: 128 x 512 at |z| = 0.95 at most 6.9e-8 times the same factor. So
+#: ``sum |c_n| 0.9^-n`` over both series, the size of the harmonic part, at
+#: most 10 keeps its share of the check below 7e-7, inside the 1e-6
+#: tolerance; a larger or higher-degree part stays on the plain rule.
+_HOSTED_SIZE = 10.0
+
+
+def _harmonic_size(u: Symbol) -> float:
+    """``sum |c_n| _DEFAULT_REACH^-n`` over the coefficients of both series."""
+    return float(sum(np.sum(np.abs(s.coeffs) / _DEFAULT_REACH ** np.arange(len(s.coeffs)))
+                     for s in (u.holo, u.anti)))
+
+
 def _symbol_parts(u: Symbol, rule: QuadratureRule):
     """Split ``u`` by linearity into ``(node_set, integrand, checked)`` parts.
 
     The atoms are grouped by their exact center, the node-set cache key, so
     each group integrates once on that center's polar set
     (:func:`polar_nodes`); every group is checked. A nonzero harmonic part
-    joins the group of the center nearest the origin (the first listed on
-    a tie), whose polar set is the smallest and whose angles are the most
-    uniform. With no atoms it runs alone on the plain rule, unchecked.
+    of size at most ``_HOSTED_SIZE`` (:func:`_harmonic_size`) joins the
+    group of the center nearest the origin (the first listed on a tie),
+    whose polar set is the smallest and whose angles are the most uniform.
+    A larger one, or one with no atoms beside it, runs alone on the plain
+    rule, unchecked.
     """
-    harmonic = None if u.holo.is_zero() and u.anti.is_zero() else (
-        lambda z: u.holo.eval(z) + np.conj(u.anti.eval(z)))
     by_center: dict[complex, list] = {}
     for atom in u.atoms:
         by_center.setdefault(atom.center, []).append(atom.eval)
-    if not by_center:
-        return [] if harmonic is None else [
-            (partial(singular_nodes, SingularityPlan(), rule), harmonic, False)]
-    if harmonic is not None:
-        by_center[min(by_center, key=abs)].append(harmonic)
-    return [(partial(polar_nodes, center, rule),
-             lambda z, terms=terms: sum(term(z) for term in terms), True)
-            for center, terms in by_center.items()]
+    parts = []
+    if not (u.holo.is_zero() and u.anti.is_zero()):
+        harmonic = lambda z: u.holo.eval(z) + np.conj(u.anti.eval(z))
+        if by_center and _harmonic_size(u) <= _HOSTED_SIZE:
+            by_center[min(by_center, key=abs)].append(harmonic)
+        else:
+            parts.append((partial(singular_nodes, SingularityPlan(), rule), harmonic, False))
+    return parts + [(partial(polar_nodes, center, rule),
+                     lambda z, terms=terms: sum(term(z) for term in terms), True)
+                    for center, terms in by_center.items()]
 
 
 def integrate_parts(u, functional, rule: QuadratureRule,
@@ -667,10 +691,11 @@ def integrate_parts(u, functional, rule: QuadratureRule,
     A :class:`Symbol` splits as :func:`_symbol_parts` does and declares its
     own centers, so passing a ``plan`` with one raises DomainError. Any
     other callable runs on the composite node set of ``plan`` (the plain
-    rule when ``None``). With ``check`` every part with a center, the
-    harmonic part of a symbol with atoms included, is recomputed on its
-    coarse node set (:func:`_refined`); the plain rule, which serves only
-    symbols with no atoms and callables with no plan, is not checked.
+    rule when ``None``). With ``check`` every part with a center, a
+    harmonic part hosted there included, is recomputed on its coarse node
+    set (:func:`_refined`); the plain rule, which serves harmonic parts
+    too large to host, symbols with no atoms and callables with no plan,
+    is not checked.
     Returns ``0.0`` when ``u`` has no parts.
     """
     if isinstance(u, Symbol):
@@ -695,7 +720,7 @@ def _check_eval_points(zs: np.ndarray, rule: QuadratureRule):
     mags = np.abs(zs)
     if np.any(mags >= 0.999):
         raise OutOfRange("numeric transform needs |z| < 0.999")
-    if np.any(mags > 0.9 + 1e-12) and rule.is_default_size():
+    if np.any(mags > _DEFAULT_REACH + 1e-12) and rule.is_default_size():
         raise OutOfRange(
             "|z| > 0.9 exceeds the default rule's resolution; pass a denser rule"
         )
@@ -711,11 +736,12 @@ def berezin_numeric(u, z, rule: QuadratureRule | None = None,
     splits as :func:`_symbol_parts` does: the atoms of each distinct
     center together on that center's polar node set, the harmonic part
     with the atoms of the center nearest the origin, or on the plain rule
-    when there are no atoms (:func:`integrate_parts`); a callable runs on
-    the composite node set of ``plan``. With ``check`` each polar or
-    composite part is recomputed on its coarse node set, so the 1e-6
-    refinement check guards each center's summed contribution. ``z`` may
-    be a scalar or an array; the result matches its shape.
+    when it is too large for the check or there are no atoms
+    (:func:`integrate_parts`); a callable runs on the composite node set
+    of ``plan``. With ``check`` each polar or composite part is recomputed
+    on its coarse node set, so the 1e-6 refinement check guards each
+    center's summed contribution. ``z`` may be a scalar or an array; the
+    result matches its shape.
     """
     rule = rule or QuadratureRule.build()
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()

@@ -113,9 +113,9 @@ def weighted_monomial_moments(u: Symbol, pmax: int, qmax: int,
     Splits the symbol as the numeric transform does (the atoms of each
     distinct center together on that center's polar node set, the
     harmonic part with the atoms of the center nearest the origin, or on
-    the plain rule when there are no atoms), so every integral sees
-    exactly one declared singularity and each node set is contracted
-    once.
+    the plain rule when it is too large for the check or there are no
+    atoms), so every integral sees exactly one declared singularity and
+    each node set is contracted once.
     """
     return np.zeros((pmax + 1, qmax + 1), dtype=np.complex128) + integrate_parts(
         canonicalize(u), lambda z, values: _kernels.monomial_moments(z, values, pmax, qmax),

@@ -210,8 +210,9 @@ class TestBerezinNumeric:
 
 
 class TestHarmonicPart:
-    """A symbol with atoms integrates its harmonic part on the polar set of
-    the center nearest the origin, under that set's check."""
+    """A symbol with atoms integrates a harmonic part of size at most
+    ``_HOSTED_SIZE`` on the polar set of the center nearest the origin,
+    under that set's check; a larger one stays on the plain rule."""
 
     # -0.2 + 0.1j and 0.1 - 0.2j tie for the nearest center; the first listed hosts
     HOST = -0.2 + 0.1j
@@ -243,9 +244,9 @@ class TestHarmonicPart:
     def test_check_guards_the_harmonic_part(self, monkeypatch, fresh_node_sets):
         # 32 angles on every panel group of the host set: the tiny atom alone
         # stays within 3.6e-8 of its closed form and passes the check, while
-        # the z^40 term it hosts deviates by 0.50 between fine and coarse sets
+        # the harmonic part it hosts deviates between fine and coarse sets
         atom = Atom("log", 0.3, 1e-6)
-        u = Symbol(holo=PowerSeries(np.r_[np.zeros(40), 1.0]), atoms=(atom,))
+        u = Symbol(holo=self.SYMBOL.holo, anti=self.SYMBOL.anti, atoms=(atom,))
         berezin_numeric(u, SWEEP_POINTS)
         quadrature._polar_nodes_cached.cache_clear()
         layout = quadrature._polar_layout
@@ -257,6 +258,22 @@ class TestHarmonicPart:
         berezin_numeric(Symbol(atoms=(atom,)), SWEEP_POINTS)
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
             berezin_numeric(u, SWEEP_POINTS)
+
+    @pytest.mark.parametrize("holo, anti", [
+        # size 9.5e3; hosted, it would raise at every modulus (deviations to 5e-5)
+        (np.r_[np.zeros(80), 1.0], np.r_[np.zeros(81), 1.0]),
+        # size 100 in degree 0; hosted at 0.94, it would raise (deviation 1.3e-6)
+        ([100.0], [0.0]),
+    ])
+    @pytest.mark.parametrize("modulus", [0.0, 0.3, 0.94])
+    def test_large_harmonic_part_stays_on_the_plain_rule(self, holo, anti, modulus):
+        u = Symbol(holo=PowerSeries(holo), anti=PowerSeries(anti),
+                   atoms=(Atom("pole", modulus * np.exp(0.7j), 1.0),))
+        parts = quadrature._symbol_parts(u, QuadratureRule.build())
+        assert [(node_set.func, checked) for node_set, _, checked in parts] == [
+            (singular_nodes, False), (polar_nodes, True)]
+        zs = _sample_points()
+        assert np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs))) <= 1e-7
 
 
 class TestNodeSets:
@@ -594,11 +611,11 @@ def atom_symbols(draw):
 
 @st.composite
 def node_form_symbols(draw):
-    """Symbols of node forms with 1-3 nodes of modulus at most 0.85, node
+    """Symbols of node forms with 1-3 nodes of modulus at most 0.94, node
     coefficients of modulus at most 1.5 and a harmonic part: each node adds
     the degree-80 series of its product preimages."""
     nodes = tuple((a, *draw(st.lists(disk_point(1.5), min_size=3, max_size=3)))
-                  for a in draw(distinct_centers(0.85)))
+                  for a in draw(distinct_centers(0.94)))
     holo, anti = draw(harmonic_parts())
     points = draw(st.lists(disk_point(0.9), min_size=1, max_size=8))
     return NodeForm(holo=holo, anti=anti, nodes=nodes).to_symbol(), np.array(points)
