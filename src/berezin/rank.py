@@ -110,12 +110,13 @@ def weighted_monomial_moments(u: Symbol, pmax: int, qmax: int,
                               rule: QuadratureRule | None = None) -> np.ndarray:
     """Monomial moments ``G[p, q] = integral u z^p conj(z)^q dA``.
 
-    Splits the symbol as the numeric transform does (the atoms of each
-    distinct center together on that center's polar node set, the
-    harmonic part with the atoms of the center nearest the origin, or on
-    the plain rule when it is too large for the check or there are no
-    atoms), so every integral sees exactly one declared singularity and
-    each node set is contracted once.
+    Splits the symbol as the numeric transform does
+    (:func:`quadrature.symbol_parts`): the atoms of each distinct center
+    together on that center's polar node set, the harmonic part with the
+    atoms of the center nearest the origin, or on the plain rule when it
+    is too large for the check or there are no atoms. So every integral
+    sees at most one singular center, and each node set is contracted
+    once, on its fine set only (no refinement check).
     """
     return np.zeros((pmax + 1, qmax + 1), dtype=np.complex128) + integrate_parts(
         canonicalize(u), lambda z, values: _kernels.monomial_moments(z, values, pmax, qmax),

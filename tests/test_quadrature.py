@@ -9,13 +9,12 @@ from berezin.core import PowerSeries
 from berezin.errors import DomainError, NonConvergence, OutOfRange
 from berezin.quadrature import (
     QuadratureRule,
-    SingularityPlan,
     berezin_numeric,
     disk_integrate,
     disk_integrate_singular,
-    plan_for_symbol,
     polar_nodes,
     singular_nodes,
+    symbol_parts,
 )
 from berezin.rank import moment_matrix, moment_matrix_from_grid
 from berezin.symbols import Atom, NodeForm, Symbol, symbol_eval
@@ -67,36 +66,32 @@ class TestPlainRule:
 class TestSingular:
     def test_log_at_origin(self):
         # int 2 r ln r dr = -1/2
-        plan = SingularityPlan(centers=(0.0,))
-        value = disk_integrate_singular(lambda z: np.log(np.abs(z)), plan)
+        value = disk_integrate_singular(lambda z: np.log(np.abs(z)), 0.0)
         assert value == pytest.approx(-0.5, abs=1e-10)
 
     def test_pole_at_origin_vanishes(self):
-        plan = SingularityPlan(centers=(0.0,))
-        assert abs(disk_integrate_singular(lambda z: 1 / z, plan)) <= 1e-12
+        assert abs(disk_integrate_singular(lambda z: 1 / z, 0.0)) <= 1e-12
 
     def test_log_off_center(self):
         # transform value at 0 equals the plain integral of the symbol
-        plan = SingularityPlan(centers=(0.3,))
-        value = disk_integrate_singular(lambda z: np.log(np.abs(z - 0.3)), plan)
+        value = disk_integrate_singular(lambda z: np.log(np.abs(z - 0.3)), 0.3)
         assert value == pytest.approx((0.09 - 1) / 2, abs=1e-8)
 
     def test_grading_depth_doubling(self, monkeypatch, fresh_node_sets):
-        plan = SingularityPlan(centers=(0.4,))
         rule = QuadratureRule.build()
         funcs = (lambda z: np.log(np.abs(z - 0.4)), lambda z: 1 / (z - 0.4))
-        depth12 = [disk_integrate_singular(f, plan, rule) for f in funcs]
-        quadrature._singular_nodes_cached.cache_clear()
-        monkeypatch.setattr(quadrature, "_PATCH_DEPTH", (24, 21))
-        for f, a in zip(funcs, depth12):
-            b = disk_integrate_singular(f, plan, rule)
+        depth6 = [disk_integrate_singular(f, 0.4, rule) for f in funcs]
+        quadrature._polar_nodes_cached.cache_clear()
+        monkeypatch.setattr(quadrature, "_POLAR_DEPTH", 12)
+        for f, a in zip(funcs, depth6):
+            b = disk_integrate_singular(f, 0.4, rule)
             assert abs(a - b) < 1e-8
 
     def test_multi_center(self):
-        plan = SingularityPlan(centers=(0.3, -0.2 + 0.4j))
+        # one integral per declared center, summed by linearity
         a = -0.2 + 0.4j
-        f = lambda z: np.log(np.abs(z - 0.3)) + 1 / (z - a)
-        value = disk_integrate_singular(f, plan)
+        value = (disk_integrate_singular(lambda z: np.log(np.abs(z - 0.3)), 0.3)
+                 + disk_integrate_singular(lambda z: 1 / (z - a), a))
         want_log = (abs(0.3) ** 2 - 1) / 2
         # pole transform at z = 0: (conj(a) + 2*conj(phi(0)) - phi(0)*conj(phi(0))^2)
         # / (1 - |a|^2) with phi(0) = -a collapses to -conj(a)
@@ -104,15 +99,12 @@ class TestSingular:
         assert value == pytest.approx(want_log + want_pole, abs=1e-8)
 
     def test_undeclared_singularity_detected(self):
-        plan = SingularityPlan(centers=(-0.5,))
         with pytest.raises(NonConvergence):
-            disk_integrate_singular(lambda z: 1 / np.abs(z - 0.5) ** 1.5, plan)
+            disk_integrate_singular(lambda z: 1 / np.abs(z - 0.5) ** 1.5, -0.5)
 
     def test_center_validation(self):
         with pytest.raises(DomainError):
-            SingularityPlan(centers=(0.99,))
-        with pytest.raises(DomainError):
-            SingularityPlan(centers=(0.3, 0.3 + 1e-5))
+            disk_integrate_singular(lambda z: np.log(np.abs(z - 0.99)), 0.99)
 
 
 class TestBerezinNumeric:
@@ -134,14 +126,12 @@ class TestBerezinNumeric:
             Symbol(holo=PowerSeries([0.3, 1.0]), atoms=(Atom("conjpole", 0.1j, 1.0),)),
         ]
         for u in corpus:
-            plan = plan_for_symbol(u)
-            direct = disk_integrate_singular(lambda z: symbol_eval(u, z), plan)
+            direct = disk_integrate_singular(lambda z: symbol_eval(u, z), u.centers[0])
             assert berezin_numeric(u, 0.0) == pytest.approx(direct, abs=1e-8)
 
     def test_positivity(self):
         for u in (lambda z: np.abs(z) ** 2, lambda z: -np.log(np.abs(z))):
-            plan = SingularityPlan(centers=(0.0,))
-            value = berezin_numeric(u, 0.4 + 0.2j, plan=plan)
+            value = berezin_numeric(u, 0.4 + 0.2j, center=0.0)
             assert value.real >= -1e-10
 
     def test_conjugation_symmetry(self):
@@ -180,15 +170,23 @@ class TestBerezinNumeric:
         assert np.all(np.abs(together - apart) <= 1e-13 * scale)
 
     def test_refinement_check_guards_each_center_group(self, monkeypatch, fresh_node_sets):
-        # patches too coarse for the center: the group's fine and coarse sums
-        # disagree (the atoms as a callable run on the composite rule)
-        u, plan = _as_callable(Symbol(atoms=(Atom("log", 0.5, 1.0), Atom("pole", 0.5, 0.5 + 0.25j),
-                                             Atom("conjpole", 0.5, -0.25j))))
-        monkeypatch.setattr(quadrature, "_PATCH_DEPTH", (4, 4))
-        monkeypatch.setattr(quadrature, "_PATCH_GAUSS", (4, 8))
-        monkeypatch.setattr(quadrature, "_PATCH_ANGULAR", (8, 6))
+        # 8 angles on every panel group of the center's polar set: the
+        # group's fine and coarse sums disagree by 1.4e-3 (the atoms as a
+        # callable; 1.1e-11 unstarved)
+        u, center = _as_callable(Symbol(atoms=(Atom("log", 0.5, 1.0),
+                                               Atom("pole", 0.5, 0.5 + 0.25j),
+                                               Atom("conjpole", 0.5, -0.25j))))
+        zs = np.array([0.1, 0.5 + 0.1j])
+        berezin_numeric(u, zs, center=center)
+        quadrature._polar_nodes_cached.cache_clear()
+        layout = quadrature._polar_layout
+
+        def starved(center, radial, angular):
+            return tuple((edges, order, 8) for edges, order, _ in layout(center, radial, angular))
+
+        monkeypatch.setattr(quadrature, "_polar_layout", starved)
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
-            berezin_numeric(u, np.array([0.1, 0.5 + 0.1j]), plan=plan)
+            berezin_numeric(u, zs, center=center)
 
     def test_polar_check_guards_each_center_group(self, monkeypatch, fresh_node_sets):
         # the default 256 angles at every modulus miss the 0.94 center: its
@@ -202,11 +200,11 @@ class TestBerezinNumeric:
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
             berezin_numeric(Symbol(atoms=atoms), SWEEP_POINTS)
 
-    def test_symbol_with_plan_is_rejected(self):
-        # a symbol declares its own centers; a plan next to it would be ignored
+    def test_symbol_with_center_is_rejected(self):
+        # a symbol declares its own centers; a center next to it would be ignored
         u = Symbol(atoms=(Atom("log", 0.5, 1.0),))
         with pytest.raises(DomainError):
-            berezin_numeric(u, 0.1, plan=SingularityPlan(centers=(0.5,)))
+            berezin_numeric(u, 0.1, center=0.5)
 
 
 class TestHarmonicPart:
@@ -221,14 +219,12 @@ class TestHarmonicPart:
                            Atom("conjpole", 0.6j, 0.3), Atom("log", 0.1 - 0.2j, 0.7)))
 
     def test_parts_are_polar_and_checked(self):
+        # every part has a center, so it runs on that center's polar set, checked
         u = self.SYMBOL
-        parts = quadrature._symbol_parts(u, QuadratureRule.build())
-        assert [node_set.func for node_set, _, _ in parts] == [polar_nodes] * 3
-        assert [node_set.args[0] for node_set, _, _ in parts] == [0.6j, self.HOST, 0.1 - 0.2j]
-        assert all(checked for _, _, checked in parts)
+        parts = symbol_parts(u)
+        assert [center for center, _ in parts] == [0.6j, self.HOST, 0.1 - 0.2j]
         harmonic = u.holo.eval(SWEEP_POINTS) + np.conj(u.anti.eval(SWEEP_POINTS))
-        for node_set, integrand, _ in parts:
-            center = node_set.args[0]
+        for center, integrand in parts:
             expected = sum(atom.eval(SWEEP_POINTS) for atom in u.atoms if atom.center == center)
             if center == self.HOST:
                 expected = expected + harmonic
@@ -269,33 +265,21 @@ class TestHarmonicPart:
     def test_large_harmonic_part_stays_on_the_plain_rule(self, holo, anti, modulus):
         u = Symbol(holo=PowerSeries(holo), anti=PowerSeries(anti),
                    atoms=(Atom("pole", modulus * np.exp(0.7j), 1.0),))
-        parts = quadrature._symbol_parts(u, QuadratureRule.build())
-        assert [(node_set.func, checked) for node_set, _, checked in parts] == [
-            (singular_nodes, False), (polar_nodes, True)]
+        assert [center for center, _ in symbol_parts(u)] == [None, u.atoms[0].center]
         zs = _sample_points()
         assert np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs))) <= 1e-7
 
 
 class TestNodeSets:
-    def test_weights_integrate_one(self):
-        plan = SingularityPlan(centers=(0.3, -0.4j))
-        z, w = singular_nodes(plan, QuadratureRule.build())
-        assert np.sum(w) == pytest.approx(1.0, abs=1e-10)
-        assert np.all(np.abs(z) < 1.0)
-
-    def test_no_node_at_center(self):
-        plan = SingularityPlan(centers=(0.3,))
-        z, _ = singular_nodes(plan, QuadratureRule.build())
-        assert np.min(np.abs(z - 0.3)) > 1e-8
-
     @pytest.mark.parametrize("centers", [(), (0.3,)])
     @pytest.mark.parametrize("coarse", [False, True])
     def test_cached_sets_are_read_only(self, centers, coarse):
-        z, w = singular_nodes(SingularityPlan(centers=centers), QuadratureRule.build(),
-                              coarse=coarse)
-        assert not z.flags.writeable and not w.flags.writeable
-        z, w = polar_nodes(0.3, QuadratureRule.build(), coarse=coarse)
-        assert not z.flags.writeable and not w.flags.writeable
+        # the plain set, and the polar set of each center
+        rule = QuadratureRule.build()
+        sets = [singular_nodes(rule, coarse=coarse)]
+        sets += [polar_nodes(c, rule, coarse=coarse) for c in centers]
+        for z, w in sets:
+            assert not z.flags.writeable and not w.flags.writeable
 
 
 @pytest.fixture
@@ -309,8 +293,9 @@ def fresh_node_sets():
 
 
 def _as_callable(u: Symbol):
-    """``u`` as a callable with its plan, so it runs on the composite rule."""
-    return (lambda z: symbol_eval(u, z)), plan_for_symbol(u)
+    """``u``, whose atoms share one center, as a callable with that center."""
+    (center,) = set(u.centers)
+    return (lambda z: symbol_eval(u, z)), center
 
 
 class TestPanelResolution:
@@ -326,135 +311,13 @@ class TestPanelResolution:
 
     @pytest.mark.parametrize("modulus", [0.05, 0.1, 0.122, 0.2])
     def test_patch_covering_origin_matches_closed_form(self, modulus):
-        # the patch radius d exceeds |a|: panel edges must sit at d - |a| and ||a| - 0.45 d|
+        # centers near the origin, on all 320 CLI points
         center = modulus * np.exp(0.7j)
         zs = _sample_points()
         for kind in ("log", "pole", "conjpole"):
             u = Symbol(atoms=(Atom(kind, center, 1.0 - 0.5j),))
             error = np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs)))
             assert error <= 1e-10, (kind, error)
-
-    def test_check_catches_angular_under_resolution(self, monkeypatch, fresh_node_sets):
-        # far panels on the plain rule's count alone miss a pole at |a| = 0.94
-        u, plan = _as_callable(Symbol(atoms=(Atom("pole", 0.7199 + 0.6040j, 1.0),)))
-        berezin_numeric(u, SWEEP_POINTS, plan=plan)
-        quadrature._singular_nodes_cached.cache_clear()
-        monkeypatch.setattr(quadrature, "_ring_count", lambda r_lo, r_hi, centers: 0)
-        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
-            berezin_numeric(u, SWEEP_POINTS, plan=plan)
-
-    @pytest.mark.parametrize("centers", [(0.3,), (0.7199 + 0.6040j,), (0.96j,), (0.3, -0.4j)])
-    def test_coarse_count_below_fine_on_every_panel(self, centers, monkeypatch,
-                                                    fresh_node_sets):
-        # the ring counts that building each set lays out, panel by panel
-        ring_angles = quadrature._ring_angles
-        counts = {}
-
-        def recording(count, uniform, bumps):
-            counts[coarse].append(count)
-            return ring_angles(count, uniform, bumps)
-
-        monkeypatch.setattr(quadrature, "_ring_angles", recording)
-        sizes = {}
-        for coarse in (False, True):
-            counts[coarse] = []
-            z, _ = singular_nodes(SingularityPlan(centers=centers), QuadratureRule.build(),
-                                  coarse=coarse)
-            sizes[coarse] = len(z)
-        panels = quadrature._radial_panels(centers, quadrature._patch_radii(centers))
-        assert len(counts[False]) == len(counts[True]) == len(panels)
-        for panel, n_fine, n_coarse in zip(panels, counts[False], counts[True]):
-            assert n_coarse < n_fine, panel
-        assert sizes[True] < sizes[False]
-
-    def test_node_count_at_085(self):
-        # one angular count for the whole disk gave 1,703,581 nodes here
-        z, _ = singular_nodes(SingularityPlan(centers=(0.85 * np.exp(0.7j),)),
-                              QuadratureRule.build())
-        assert len(z) <= 850_000
-
-    def test_check_catches_unclustered_near_rings(self, monkeypatch, fresh_node_sets):
-        # near rings at the mapped count but with uniform angles miss a pole at |a| = 0.85
-        u, plan = _as_callable(Symbol(atoms=(Atom("pole", 0.85 * np.exp(0.7j), 1.0),)))
-        berezin_numeric(u, SWEEP_POINTS, plan=plan)
-        quadrature._singular_nodes_cached.cache_clear()
-        ring_angles = quadrature._ring_angles
-        monkeypatch.setattr(quadrature, "_ring_angles",
-                            lambda count, uniform, bumps: ring_angles(count, uniform, ()))
-        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
-            berezin_numeric(u, SWEEP_POINTS, plan=plan)
-
-    @pytest.mark.parametrize("modulus, most", [(0.72, 160_000), (0.85, 250_000)])
-    def test_fine_node_count(self, modulus, most):
-        # uniform near rings gave 279,654 nodes at 0.72 and 632,325 at 0.85
-        z, _ = singular_nodes(SingularityPlan(centers=(modulus * np.exp(0.7j),)),
-                              QuadratureRule.build())
-        assert len(z) <= most
-
-    @pytest.mark.parametrize("centers", [(0.72 * np.exp(0.7j),), (0.94j,), (0.5, -0.5j)])
-    def test_ring_angle_map(self, centers):
-        rule = QuadratureRule.build()
-        radii = quadrature._patch_radii(centers)
-        mapped = 0
-        for lo, hi in quadrature._radial_panels(centers, radii):
-            _, fine, bumps = quadrature._panel_layout(lo, hi, centers, radii, rule)
-            mapped += bool(bumps)
-            for n in (fine, int(quadrature._COARSE_SHARE * fine)):
-                theta, share = quadrature._ring_angles(n, rule.angular_count, bumps)
-                assert len(theta) == n and 0.0 <= theta[0] and theta[-1] < 2.0 * np.pi
-                assert np.all(np.diff(theta) > 0.0)
-                assert abs(np.sum(share) - 1.0) <= 1e-14
-                assert not theta.flags.writeable and not share.flags.writeable
-        assert mapped > 0
-
-    @pytest.mark.parametrize("centers", [(0.3 * np.exp(0.7j),), (0.72 * np.exp(0.7j),),
-                                         (0.85 * np.exp(0.7j),), (0.1,), (0.5, -0.5j)])
-    def test_radial_order_per_panel(self, centers):
-        # rings of r_lo <= r <= r_hi meet the support |z - c| < d where |r - |c|| < d
-        rule = QuadratureRule.build()
-        radii = quadrature._patch_radii(centers)
-        clear_panels = 0
-        for lo, hi in quadrature._radial_panels(centers, radii):
-            (fine, coarse), _, _ = quadrature._panel_layout(lo, hi, centers, radii, rule)
-            r_lo, r_hi = np.sqrt(lo), np.sqrt(hi)
-            meets = any(r_hi > abs(c) - d + 1e-12 and r_lo < abs(c) + d - 1e-12
-                        for c, d in zip(centers, radii))
-            assert (fine, coarse) == ((20, 14) if meets else (10, 8)), (lo, hi)
-            assert coarse < fine
-            clear_panels += not meets
-        assert clear_panels > 0
-
-    @pytest.mark.parametrize("centers", [(0.3 * np.exp(0.7j),), (0.85 * np.exp(0.7j),),
-                                         (0.1,), (0.5, -0.5j)])
-    @pytest.mark.parametrize("coarse", [False, True])
-    def test_clear_panels_skip_only_a_unit_cutoff(self, centers, coarse):
-        # the composite set against one that applies every cutoff on every panel
-        rule = QuadratureRule.build()
-        radii = quadrature._patch_radii(centers)
-        parts_z, parts_w = [], []
-        for lo, hi in quadrature._radial_panels(centers, radii):
-            order, count, bumps = quadrature._panel_layout(lo, hi, centers, radii, rule)
-            t, wt = quadrature._gauss(order[coarse], lo, hi)
-            if coarse:
-                count = int(quadrature._COARSE_SHARE * count)
-            theta, share = quadrature._ring_angles(count, rule.angular_count, bumps)
-            parts_z.append((np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]).ravel())
-            parts_w.append((wt[:, None] * share[None, :]).ravel())
-        z, w = np.concatenate(parts_z), np.concatenate(parts_w)
-        for c, d in zip(centers, radii):
-            w = w * (1.0 - quadrature._cutoff(np.abs(z - c), d))
-        keep = w != 0.0
-        gz, gw = quadrature._composite_global(centers, radii, rule, coarse=coarse)
-        assert np.array_equal(gz, z[keep]) and np.array_equal(gw, w[keep])
-
-    def test_check_catches_radial_under_resolution(self, monkeypatch, fresh_node_sets):
-        # clear panels at (4, 3) Gauss points miss a pole at |a| = 0.6 (deviation 9.2e-6)
-        u, plan = _as_callable(Symbol(atoms=(Atom("pole", 0.6 * np.exp(0.7j), 1.0),)))
-        berezin_numeric(u, SWEEP_POINTS, plan=plan)
-        quadrature._singular_nodes_cached.cache_clear()
-        monkeypatch.setattr(quadrature, "_CLEAR_GAUSS", (4, 3))
-        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
-            berezin_numeric(u, SWEEP_POINTS, plan=plan)
 
 
 class TestDenserRule:
@@ -486,9 +349,10 @@ class TestDenserRule:
 class TestInsidePatch:
     @pytest.mark.parametrize("modulus", [0.3, 0.72, 0.85, 0.9])
     def test_matches_closed_form(self, modulus):
-        # points on circles of radius f * d around the center, f up to the patch radius
+        # points on circles of radius f * d around the center, f up to 1, with
+        # d = min(0.4 (1 - |a|), 0.35): close to the center, where it dominates
         center = modulus * np.exp(0.7j)
-        d = quadrature._patch_radii((center,))[0]
+        d = min(0.4 * (1.0 - modulus), 0.35)
         psi = 2.0 * np.pi * np.arange(16) / 16
         zs = (center + d * np.multiply.outer([0.3, 0.7, 1.0], np.exp(1j * psi))).ravel()
         zs = zs[np.abs(zs) <= 0.9]
@@ -542,9 +406,12 @@ class TestPolarRule:
     def test_check_catches_inner_angular_under_resolution(self, kind, monkeypatch,
                                                           fresh_node_sets):
         # 32 angles on the geometric panels of a 0.94 center, against the 128
-        # its branch points need: deviations 2.1e-5 (log) and 6.4e-5 (poles)
+        # its branch points need: deviations 2.1e-5 (log) and 6.4e-5 (poles),
+        # for the symbol and for the same atom as a callable with its center
         u = Symbol(atoms=(Atom(kind, 0.94 * np.exp(0.7j), 1.0),))
-        berezin_numeric(u, SWEEP_POINTS)
+        inputs = ((u, None), _as_callable(u))
+        for value, center in inputs:
+            berezin_numeric(value, SWEEP_POINTS, center=center)
         quadrature._polar_nodes_cached.cache_clear()
         layout = quadrature._polar_layout
 
@@ -553,8 +420,9 @@ class TestPolarRule:
             return ((edges, order, 32), *outer)
 
         monkeypatch.setattr(quadrature, "_polar_layout", starved)
-        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
-            berezin_numeric(u, SWEEP_POINTS)
+        for value, center in inputs:
+            with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
+                berezin_numeric(value, SWEEP_POINTS, center=center)
 
     @pytest.mark.parametrize("name, orders, kind, modulus", [
         ("_POLAR_OUTER_GAUSS", (8, 6), "pole", 0.6),  # deviation 2.4e-4
@@ -562,12 +430,16 @@ class TestPolarRule:
     ])
     def test_check_catches_radial_under_resolution(self, name, orders, kind, modulus,
                                                    monkeypatch, fresh_node_sets):
+        # the symbol, and the same atom as a callable with its center
         u = Symbol(atoms=(Atom(kind, modulus * np.exp(0.7j), 1.0),))
-        berezin_numeric(u, SWEEP_POINTS)
+        inputs = ((u, None), _as_callable(u))
+        for value, center in inputs:
+            berezin_numeric(value, SWEEP_POINTS, center=center)
         quadrature._polar_nodes_cached.cache_clear()
         monkeypatch.setattr(quadrature, name, orders)
-        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
-            berezin_numeric(u, SWEEP_POINTS)
+        for value, center in inputs:
+            with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
+                berezin_numeric(value, SWEEP_POINTS, center=center)
 
 
 def disk_point(max_modulus):

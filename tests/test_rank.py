@@ -31,17 +31,16 @@ class TestComplexified:
     def test_two_variable_defining_integral(self):
         # off-diagonal values must match the two-variable kernel integral
         # int u(t) (1 - z w)^2 / ((1 - conj(t) z)^2 (1 - t w)^2) dA(t)
-        from berezin.quadrature import SingularityPlan, disk_integrate_singular
+        from berezin.quadrature import disk_integrate_singular
 
         a = 0.3
         grid = log_atom_transform(a)
-        plan = SingularityPlan(centers=(a,))
         for (z, w) in ((0.4, 0.2j), (0.3 + 0.2j, -0.1 + 0.25j)):
             def integrand(t):
                 kern = (1 - z * w) ** 2 / ((1 - np.conj(t) * z) ** 2 * (1 - t * w) ** 2)
                 return np.log(np.abs(t - a)) * kern
 
-            want = disk_integrate_singular(integrand, plan)
+            want = disk_integrate_singular(integrand, a)
             # the two-variable extension sum c[m, n] z^m w^n of the grid
             got = np.polynomial.polynomial.polyval2d(z, w, grid.coeffs)
             assert got == pytest.approx(want, abs=1e-8)
