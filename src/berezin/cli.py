@@ -15,7 +15,7 @@ import numpy as np
 
 from berezin.core import DEFAULT_TRUNCATION
 from berezin.errors import BerezinError, SchemaError
-from berezin.quadrature import QuadratureRule, berezin_numeric
+from berezin.quadrature import berezin_numeric
 from berezin.rank import moment_matrix, moment_matrix_from_grid, numerical_rank
 from berezin.recovery import decompose_form, fit_node_form, recover_nodes
 from berezin.symbols import (
@@ -86,7 +86,6 @@ def _samples_to_csv(zs: np.ndarray, values: np.ndarray) -> str:
 
 def cmd_transform(args) -> int:
     symbol = symbol_from_dict(_load_document(args.symbol))
-    rule = QuadratureRule.build(args.radial, args.angular)
     zs = np.array([_parse_point(args.z)]) if args.z else _sample_points()
 
     if args.mode == "exact" and args.format == "json" and args.z is None:
@@ -96,7 +95,7 @@ def cmd_transform(args) -> int:
     if args.mode == "exact":
         _write_output(_samples_to_csv(zs, symbol_values(symbol, zs)), args.output)
         return 0
-    numeric_vals = np.asarray(berezin_numeric(symbol, zs, rule))
+    numeric_vals = np.asarray(berezin_numeric(symbol, zs))
     _write_output(_samples_to_csv(zs, numeric_vals), args.output)
     if args.mode == "both":
         deviation = float(np.max(np.abs(numeric_vals - symbol_values(symbol, zs))))
@@ -118,8 +117,7 @@ def cmd_rank(args) -> int:
 
 def cmd_moments(args) -> int:
     symbol = symbol_from_dict(_load_document(args.symbol))
-    rule = QuadratureRule.build(args.radial, args.angular)
-    matrix = moment_matrix(symbol, args.kmax, args.kmax, rule)
+    matrix = moment_matrix(symbol, args.kmax, args.kmax)
     _write_output(json.dumps(matrix.to_dict()), args.output)
     return 0
 
@@ -192,16 +190,10 @@ FLAGS = {
     "symbol": dict(required=True, help="path to a symbol JSON document"),
     "trunc": dict(type=int, default=DEFAULT_TRUNCATION, help="grid truncation degree"),
     "tol": dict(type=float, default=None, help="tolerance override"),
-    "radial": dict(type=int, default=64,
-                   help="radial rule size: Gauss points in t = r^2 of the plain rule that "
-                        "integrates the harmonic part. Atoms keep their fixed node sets, so a "
-                        "denser rule (needed past |z| = 0.9) resolves them up to about "
-                        "|z| = 0.95; beyond that the refinement check fails (exit 3)"),
-    "angular": dict(type=int, default=256, help="angular rule size"),
     "output": dict(default=None, help="output path (default stdout)"),
     "format": dict(choices=("json", "csv"), default="json",
                    help="exact grids honor json|csv; numeric samples are always CSV"),
-    "z": dict(default=None, help="single evaluation point 're,im'"),
+    "z": dict(default=None, help="single evaluation point 're,im', |z| <= 0.99"),
     "mode": dict(choices=("exact", "numeric", "both"), default="exact"),
     "kmax": dict(type=int, default=8, help="moment index bound"),
     "seed": dict(type=int, default=0, help="seed for randomized suites"),
@@ -209,11 +201,11 @@ FLAGS = {
 
 COMMANDS = (
     ("transform", "exact grid and/or numeric samples", cmd_transform,
-     ("symbol", "trunc", "tol", "radial", "angular", "output", "format", "z", "mode")),
+     ("symbol", "trunc", "tol", "output", "format", "z", "mode")),
     ("rank", "rank report of the exact transform grid", cmd_rank,
      ("symbol", "trunc", "tol", "output")),
     ("moments", "moment matrix by singular quadrature", cmd_moments,
-     ("symbol", "radial", "angular", "output", "kmax")),
+     ("symbol", "output", "kmax")),
     ("recover", "recover node structure from a symbol", cmd_recover,
      ("symbol", "trunc", "output")),
     ("decompose", "rank-one decomposition of a form or symbol", cmd_decompose,

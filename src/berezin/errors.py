@@ -26,7 +26,7 @@ class SchemaError(BerezinError):
 
 
 class OutOfRange(BerezinError):
-    """Evaluation point outside the range the active rule can resolve."""
+    """Evaluation point beyond the reach the numeric transform serves."""
 
 
 class NonConvergence(BerezinError):

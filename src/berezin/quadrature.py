@@ -34,6 +34,10 @@ polar rule does not resolve, such as ``|u|`` with kinks on the zero set
 of ``u``, raises NonConvergence there rather than returning a wrong
 value. The node/weight sets are cached, so one set serves a whole family
 of integrands.
+
+The numeric transform sizes its rule from the reach ``r = max |z|`` of its
+points: the kernel's pole ``1 / conj(z)`` lies ``1/r - 1`` beyond the
+circle, so every count grows like ``1 / (1 - r)`` (:func:`_reach_rule`).
 """
 from __future__ import annotations
 
@@ -47,9 +51,14 @@ from berezin import _kernels
 from berezin.errors import DomainError, NonConvergence, OutOfRange
 from berezin.symbols import Symbol
 
-#: Default rule sizes: 64 radial Gauss points, 256 uniform angles.
+#: Base rule sizes: 64 radial Gauss points, 256 uniform angles. The base
+#: rule serves points up to ``|z| = _BASE_REACH``, and the numeric transform
+#: scales it up to ``_MAX_REACH`` (:func:`_reach_rule`); a rule for 0.995
+#: would take about 4 times the memory of the 0.99 one (ROADMAP item 8).
 DEFAULT_RADIAL = 64
 DEFAULT_ANGULAR = 256
+_BASE_REACH = 0.9
+_MAX_REACH = 0.99
 
 #: Every trapezoid count of the polar rule aims at an error of at most
 #: ``exp(-_RING_DECAY)`` = 1e-13.
@@ -77,13 +86,13 @@ _POLAR_OUTER_GAUSS = (16, 12)
 #: an imaginary angle of about ``(1/|z| - 1) / (1/|z| + |a|)``, and the
 #: trapezoid error decays like ``exp(-n)`` of that times the count ``n``
 #: (measured rates per angle at ``|z| = 0.9``: 0.103 at ``|a| = 0.02``,
-#: 0.054 at 0.94). At the default 256 angles the full count is
+#: 0.054 at 0.94). At the base 256 angles the full count is
 #: ``256 (1 + _POLAR_ANGLE_GROWTH |a|)``, rounded up to 16; it is the count
 #: of the outermost panel. A panel ending at ``s_hi`` takes ``s_hi`` times
 #: it: its rings stay a factor ``s_hi`` inside the circle, which adds about
 #: ``ln(1 / s_hi)`` to the pole's imaginary angle, so with the small angles
 #: above it needs fewer still. A ray is up to ``1 + |a|`` long, and at the
-#: default 64 radial points a center takes one outer panel per
+#: base 64 radial points a center takes one outer panel per
 #: ``_POLAR_PANEL_SPAN`` of that length.
 #:
 #: The geometric panels stay within a quarter of each ray, where the
@@ -140,9 +149,6 @@ class QuadratureRule:
     def radial_count(self) -> int:
         return len(self.radial_nodes)
 
-    def is_default_size(self) -> bool:
-        return self.radial_count <= DEFAULT_RADIAL and self.angular_count <= DEFAULT_ANGULAR
-
     def nodes(self):
         """Node array (complex) and weight array for the plain disk rule."""
         theta = 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
@@ -150,6 +156,17 @@ class QuadratureRule:
         z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
         w = np.repeat(self.radial_weights / self.angular_count, self.angular_count)
         return z, w
+
+
+def _reach_rule(reach: float) -> QuadratureRule:
+    """Rule for points up to ``|z| = reach``: the base rule with every size
+    scaled by ``k = ceil((1 - _BASE_REACH) / (1 - reach))``, where a reach
+    within 1e-12 above a ring counts as on it (the CLI grid's outer ring is
+    at 0.9000000000000001, and takes k = 1). At 16 points on |z| = 0.95 to
+    0.99 (k = 2 to 10), atoms at moduli 0.02 to 0.94 are within 1.2e-10 of
+    their closed forms."""
+    k = ceil((1.0 - _BASE_REACH) / (1.0 + 1e-12 - reach))
+    return QuadratureRule.build(DEFAULT_RADIAL * k, DEFAULT_ANGULAR * k)
 
 
 @lru_cache(maxsize=8)
@@ -270,37 +287,37 @@ def _refined(node_set, integrand, functional, *, check: bool, what: str):
     return fine
 
 
-def disk_integrate_singular(f, center, rule: QuadratureRule | None = None,
-                            *, check: bool = True) -> complex:
+def disk_integrate_singular(f, center, *, check: bool = True) -> complex:
     """Integral of a callable with a log or simple-pole singularity at
-    ``center``, on that center's polar set (:func:`integrate_parts`).
+    ``center``, on that center's polar set of the base rule
+    (:func:`integrate_parts`); a ``center`` of ``None`` raises DomainError
+    (:func:`disk_integrate` takes smooth integrands).
 
     With ``check=True`` the value is recomputed on the coarse polar set; a
     discrepancy above 1e-6 raises NonConvergence.
     """
-    return complex(integrate_parts(f, lambda z, values: np.sum(values),
-                                   rule or QuadratureRule.build(), center,
-                                   check=check, what="singular quadrature"))
+    if center is None:
+        raise DomainError("a singular integral needs a center; disk_integrate takes none")
+    return complex(integrate_parts(f, lambda z, values: np.sum(values), _reach_rule(0.0),
+                                   center, check=check, what="singular quadrature"))
 
-
-#: Largest |z| the default rule evaluates at (:func:`_check_eval_points`).
-_DEFAULT_REACH = 0.9
 
 #: Largest size of a harmonic part that a polar set hosts. The coarse polar
 #: set's deviation on ``z^n`` or ``conj(z)^n`` at points up to
-#: ``_DEFAULT_REACH`` grows like ``_DEFAULT_REACH^-n``, the kernel's angular
+#: ``_BASE_REACH`` grows like ``_BASE_REACH^-n``, the kernel's angular
 #: tail shifted by n: over host moduli 0 to 0.94 it is at most
-#: ``4.1e-8 * 0.9^-n`` for n up to 120 (2.6e-5 at n = 80), and on rule
-#: 128 x 512 at |z| = 0.95 at most 6.9e-8 times the same factor. So
+#: ``4.1e-8 * 0.9^-n`` for n up to 120 (2.6e-5 at n = 80), and on the
+#: rules of :func:`_reach_rule` at 16 points on |z| = 0.95 to 0.99 at most
+#: 9.6e-8 times the same factor (at n = 0 and |z| = 0.99). So
 #: ``sum |c_n| 0.9^-n`` over both series, the size of the harmonic part, at
-#: most 10 keeps its share of the check below 7e-7, inside the 1e-6
+#: most 10 keeps its share of the check below 9.6e-7, inside the 1e-6
 #: tolerance; a larger or higher-degree part stays on the plain rule.
 _HOSTED_SIZE = 10.0
 
 
 def _harmonic_size(u: Symbol) -> float:
-    """``sum |c_n| _DEFAULT_REACH^-n`` over the coefficients of both series."""
-    return float(sum(np.sum(np.abs(s.coeffs) / _DEFAULT_REACH ** np.arange(len(s.coeffs)))
+    """``sum |c_n| _BASE_REACH^-n`` over the coefficients of both series."""
+    return float(sum(np.sum(np.abs(s.coeffs) / _BASE_REACH ** np.arange(len(s.coeffs)))
                      for s in (u.holo, u.anti)))
 
 
@@ -367,18 +384,7 @@ def integrate_parts(u, functional, rule: QuadratureRule, center=None, *, check: 
 # Numeric Berezin transform
 # ---------------------------------------------------------------------------
 
-def _check_eval_points(zs: np.ndarray, rule: QuadratureRule):
-    mags = np.abs(zs)
-    if np.any(mags >= 0.999):
-        raise OutOfRange("numeric transform needs |z| < 0.999")
-    if np.any(mags > _DEFAULT_REACH + 1e-12) and rule.is_default_size():
-        raise OutOfRange(
-            "|z| > 0.9 exceeds the default rule's resolution; pass a denser rule"
-        )
-
-
-def berezin_numeric(u, z, rule: QuadratureRule | None = None, center=None, *,
-                    check: bool = True):
+def berezin_numeric(u, z, center=None, *, check: bool = True):
     """Numeric Berezin transform ``B(u)(z)`` by quadrature.
 
     ``u`` may be a :class:`Symbol` or any callable mapping a node array to
@@ -391,16 +397,19 @@ def berezin_numeric(u, z, rule: QuadratureRule | None = None, center=None, *,
     no atoms (:func:`integrate_parts`). A callable runs on the polar set of
     its ``center``, or on the plain rule without one. With ``check`` each
     polar part is recomputed on its coarse node set, so the 1e-6
-    refinement check guards each center's summed contribution. ``z`` may
-    be a scalar or an array; the result matches its shape.
+    refinement check guards each center's summed contribution. The rule
+    follows the points' reach (:func:`_reach_rule`); a point beyond
+    ``|z| = 0.99`` raises OutOfRange. ``z`` may be a scalar or an array;
+    the result matches its shape.
     """
-    rule = rule or QuadratureRule.build()
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
-    _check_eval_points(zs, rule)
+    mags = np.abs(zs)
+    if not np.all(mags <= _MAX_REACH + 1e-12):
+        raise OutOfRange(f"numeric transform needs |z| <= {_MAX_REACH}")
 
     out = np.zeros(len(zs), dtype=np.complex128) + integrate_parts(
-        u, lambda nodes, values: _kernels.kernel_sum(nodes, values, zs), rule, center,
+        u, lambda nodes, values: _kernels.kernel_sum(nodes, values, zs),
+        _reach_rule(float(np.max(mags))), center,
         check=check, what="numeric transform")
 
-    zarr = np.asarray(z, dtype=np.complex128)
-    return complex(out[0]) if zarr.ndim == 0 else out.reshape(zarr.shape)
+    return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))

@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from berezin import _kernels
+from berezin import _kernels, quadrature
 from berezin.core import BidegreeSeries
 from berezin.errors import DomainError, ZeroInput
-from berezin.quadrature import QuadratureRule, integrate_parts
 from berezin.symbols import Symbol, canonicalize
 
 #: Relative singular-value threshold for rank decisions.
@@ -106,8 +105,7 @@ class MomentMatrix:
         }
 
 
-def weighted_monomial_moments(u: Symbol, pmax: int, qmax: int,
-                              rule: QuadratureRule | None = None) -> np.ndarray:
+def weighted_monomial_moments(u: Symbol, pmax: int, qmax: int) -> np.ndarray:
     """Monomial moments ``G[p, q] = integral u z^p conj(z)^q dA``.
 
     Splits the symbol as the numeric transform does
@@ -116,11 +114,13 @@ def weighted_monomial_moments(u: Symbol, pmax: int, qmax: int,
     atoms of the center nearest the origin, or on the plain rule when it
     is too large for the check or there are no atoms. So every integral
     sees at most one singular center, and each node set is contracted
-    once, on its fine set only (no refinement check).
+    once, on its fine set only (no refinement check). Monomials have no
+    pole, so the base rule serves (:func:`quadrature._reach_rule` at
+    reach 0).
     """
-    return np.zeros((pmax + 1, qmax + 1), dtype=np.complex128) + integrate_parts(
+    return np.zeros((pmax + 1, qmax + 1), dtype=np.complex128) + quadrature.integrate_parts(
         canonicalize(u), lambda z, values: _kernels.monomial_moments(z, values, pmax, qmax),
-        rule or QuadratureRule.build(), check=False, what="monomial moments")
+        quadrature._reach_rule(0.0), check=False, what="monomial moments")
 
 
 def calibrated_orientation() -> str:
@@ -144,12 +144,11 @@ def _assemble(G: np.ndarray, kmax: int, lmax: int) -> np.ndarray:
             + (k + 2) * (l + 2) * G[1: kmax + 2, 1: lmax + 2])
 
 
-def moment_matrix(u: Symbol, kmax: int, lmax: int,
-                  rule: QuadratureRule | None = None) -> MomentMatrix:
+def moment_matrix(u: Symbol, kmax: int, lmax: int) -> MomentMatrix:
     """Moment matrix of a symbol by singular quadrature."""
     if kmax < 0 or lmax < 0 or kmax > 18 or lmax > 18:
         raise DomainError("moment matrix needs 0 <= kmax, lmax <= 18")
-    G = weighted_monomial_moments(u, kmax + 1, lmax + 1, rule)
+    G = weighted_monomial_moments(u, kmax + 1, lmax + 1)
     return MomentMatrix(entries=_assemble(G, kmax, lmax))
 
 

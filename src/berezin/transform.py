@@ -34,7 +34,7 @@ from berezin.core import (
     require_finite,
 )
 from berezin.errors import DomainError
-from berezin.quadrature import QuadratureRule, berezin_numeric, symbol_parts
+from berezin.quadrature import berezin_numeric, symbol_parts
 from berezin.symbols import NodeForm, Symbol, canonicalize
 
 
@@ -147,8 +147,7 @@ def node_form_transform(form: NodeForm, truncation: int = DEFAULT_TRUNCATION) ->
     return grid
 
 
-def covariance_residual(s: Symbol, a: complex, z: complex,
-                        rule: QuadratureRule | None = None) -> float:
+def covariance_residual(s: Symbol, a: complex, z: complex) -> float:
     """Deviation from Moebius covariance at one point.
 
     Compares the numeric transform of the composed function
@@ -166,7 +165,7 @@ def covariance_residual(s: Symbol, a: complex, z: complex,
         raise DomainError("covariance check needs |a| <= 0.8 and |z| <= 0.8")
     phi = DiskAutomorphism(a)
     inverse = mobius_inverse(phi)
-    numeric = sum(berezin_numeric(lambda w, part=part: part(mobius_eval(phi, w)), z, rule,
+    numeric = sum(berezin_numeric(lambda w, part=part: part(mobius_eval(phi, w)), z,
                                   None if center is None else inverse(center))
                   for center, part in symbol_parts(s))
     exact = symbol_values(s, mobius_eval(phi, z))

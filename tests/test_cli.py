@@ -83,7 +83,11 @@ def test_subcommands_reject_flags_they_ignore(product_symbol_file):
     for argv in (["rank", "--symbol", product_symbol_file, "--radial", "5"],
                  ["recover", "--symbol", product_symbol_file, "--tol", "1e-3"],
                  ["moments", "--symbol", product_symbol_file, "--trunc", "20"],
-                 ["verify", "--trunc", "20"]):
+                 ["verify", "--trunc", "20"],
+                 # no subcommand takes a rule size: the numeric transform
+                 # sizes its rule from the points' reach
+                 ["transform", "--symbol", product_symbol_file, "--radial", "64"],
+                 ["moments", "--symbol", product_symbol_file, "--angular", "512"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -191,6 +195,6 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "sym.json"
     path.write_text(serialize_symbol(Symbol.constant(1.0)))
     code = main(["transform", "--symbol", str(path), "--mode", "numeric",
-                 "--z", "0.95,0"])
+                 "--z", "0.995,0"])
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err

@@ -74,6 +74,24 @@ def test_numeric_transform_memory_is_bounded():
     assert peak < 256 * 2**20
 
 
+def test_numeric_transform_memory_at_the_largest_reach():
+    # 16 points on |z| = 0.99 take rule 640 x 2560, and atoms at three
+    # centers up to 0.9 take their fine and coarse polar sets of it, checked:
+    # the peak was 181 MiB
+    atoms = tuple(Atom(kind, modulus * np.exp(0.7j), 1.0)
+                  for kind, modulus in (("log", 0.3), ("pole", 0.72), ("conjpole", 0.9)))
+    zs = 0.99 * np.exp(1j * (2.0 * np.pi * np.arange(16) / 16 + 0.1))
+    _polar_nodes_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        berezin_numeric(Symbol(atoms=atoms), zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _polar_nodes_cached.cache_clear()
+    assert peak < 256 * 2**20
+
+
 class TestFallbackContracts:
     """Contracts of the NumPy kernels and of batched series evaluation."""
 

@@ -78,13 +78,12 @@ class TestSingular:
         assert value == pytest.approx((0.09 - 1) / 2, abs=1e-8)
 
     def test_grading_depth_doubling(self, monkeypatch, fresh_node_sets):
-        rule = QuadratureRule.build()
         funcs = (lambda z: np.log(np.abs(z - 0.4)), lambda z: 1 / (z - 0.4))
-        depth6 = [disk_integrate_singular(f, 0.4, rule) for f in funcs]
+        depth6 = [disk_integrate_singular(f, 0.4) for f in funcs]
         quadrature._polar_nodes_cached.cache_clear()
         monkeypatch.setattr(quadrature, "_POLAR_DEPTH", 12)
         for f, a in zip(funcs, depth6):
-            b = disk_integrate_singular(f, 0.4, rule)
+            b = disk_integrate_singular(f, 0.4)
             assert abs(a - b) < 1e-8
 
     def test_multi_center(self):
@@ -105,6 +104,11 @@ class TestSingular:
     def test_center_validation(self):
         with pytest.raises(DomainError):
             disk_integrate_singular(lambda z: np.log(np.abs(z - 0.99)), 0.99)
+
+    def test_center_is_required(self):
+        # without a center the value would come from the plain rule, unchecked
+        with pytest.raises(DomainError, match="needs a center"):
+            disk_integrate_singular(lambda z: np.log(np.abs(z)), None)
 
 
 class TestBerezinNumeric:
@@ -143,12 +147,11 @@ class TestBerezinNumeric:
         assert left == pytest.approx(right, abs=1e-12)
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            berezin_numeric(Symbol.constant(1.0), 0.95)
-        dense = QuadratureRule.build(96, 512)
-        assert berezin_numeric(Symbol.constant(1.0), 0.95, dense) == pytest.approx(
-            1.0, abs=1e-10
-        )
+        # 0.95 takes the rule of twice the base sizes; beyond 0.99 no rule is built
+        assert berezin_numeric(Symbol.constant(1.0), 0.95) == pytest.approx(1.0, abs=1e-10)
+        for z in (0.991, 0.9989j, np.array([0.5, -0.995])):
+            with pytest.raises(OutOfRange):
+                berezin_numeric(Symbol.constant(1.0), z)
 
     def test_array_evaluation_matches_scalar(self):
         u = Symbol(atoms=(Atom("log", 0.2, 1.0),))
@@ -270,6 +273,20 @@ class TestHarmonicPart:
         assert np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs))) <= 1e-7
 
 
+    @pytest.mark.parametrize("reach", [0.98, 0.99])
+    @pytest.mark.parametrize("holo, hosted", [([0.0, 0.0, 3.0], True), ([1.0, 0.0, 3.0], True),
+                                              ([1.0, 0.0, 3.0], False)])
+    def test_matches_closed_form_near_the_edge(self, reach, holo, hosted, fresh_node_sets):
+        # hosted beside a log atom: errors 2.2e-10 to 3.9e-10; alone, on the
+        # plain rule: 5.9e-11 and 8.8e-12
+        atoms = (Atom("log", 0.3 * np.exp(0.7j), 1.0),) if hosted else ()
+        u = Symbol(holo=PowerSeries(holo), atoms=atoms)
+        expected = [atom.center for atom in atoms] or [None]
+        assert [center for center, _ in symbol_parts(u)] == expected
+        zs = _ring(reach)
+        assert np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs))) <= 1e-9
+
+
 class TestNodeSets:
     @pytest.mark.parametrize("centers", [(), (0.3,)])
     @pytest.mark.parametrize("coarse", [False, True])
@@ -320,30 +337,55 @@ class TestPanelResolution:
             assert error <= 1e-10, (kind, error)
 
 
-class TestDenserRule:
-    """A denser rule scales the polar rule's angles and outer panels with
-    its own sizes: enough for |z| = 0.95, not for 0.98."""
+def _ring(reach):
+    """16 points on ``|z| = reach``, off the real axis."""
+    return reach * np.exp(1j * (2.0 * np.pi * np.arange(16) / 16 + 0.1))
 
-    RULE = (128, 512)
+
+class TestDenserRule:
+    """Points beyond |z| = 0.9 get a denser rule, sized from their reach
+    (:func:`quadrature._reach_rule`)."""
+
+    def test_sizes_follow_the_reach(self):
+        # the CLI grid's outer ring, 0.9000000000000001, keeps the base rule;
+        # a ring at 0.99 that rounds above it takes 10 times its sizes, not 11
+        for reach, k in ((np.max(np.abs(_sample_points())), 1), (0.95, 2), (0.98, 5),
+                         (np.max(np.abs(_ring(0.99))), 10)):
+            rule = quadrature._reach_rule(reach)
+            assert (rule.radial_count, rule.angular_count) == (64 * k, 256 * k)
 
     @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.9])
-    def test_matches_closed_form_at_095(self, modulus):
-        rule = QuadratureRule.build(*self.RULE)
-        zs = 0.95 * np.exp(1j * (2.0 * np.pi * np.arange(16) / 16 + 0.1))
+    def test_matches_closed_form_at_095(self, modulus, fresh_node_sets):
+        # rule 128 x 512; worst error 2.0e-11
+        zs = _ring(0.95)
         for kind in ("log", "pole", "conjpole"):
             u = Symbol(atoms=(Atom(kind, modulus * np.exp(0.7j), 1.0),))
-            error = np.max(np.abs(berezin_numeric(u, zs, rule) - symbol_values(u, zs)))
+            error = np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs)))
             assert error <= 1e-9, (kind, error)
 
+    @pytest.mark.parametrize("reach", [0.97, 0.98, 0.99])
+    @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.9, 0.94])
+    def test_matches_closed_form_near_the_edge(self, reach, modulus, fresh_node_sets):
+        # rules 256 x 1024 to 640 x 2560; worst error 1.2e-10. At 0.99 the
+        # three kinds share one center, so one call builds its sets once
+        center, zs = modulus * np.exp(0.7j), _ring(reach)
+        atoms = [Atom(kind, center, 1.0) for kind in ("log", "pole", "conjpole")]
+        for group in ([atoms] if reach == 0.99 else [[atom] for atom in atoms]):
+            u = Symbol(atoms=tuple(group))
+            error = np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs)))
+            assert error <= 1e-9, (group, error)
+
     @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.9])
-    def test_check_raises_at_098(self, modulus):
-        # deviations of 2.5e-5 (log at 0.02) to 1.4e-3 (log at 0.9)
-        rule = QuadratureRule.build(*self.RULE)
-        zs = 0.98 * np.exp(1j * (2.0 * np.pi * np.arange(16) / 16 + 0.1))
+    def test_check_raises_at_098(self, modulus, monkeypatch, fresh_node_sets):
+        # 0.98 takes 320 x 1280; on 128 x 512 the deviations run from 2.5e-5
+        # (log at 0.02) to 1.4e-3 (log at 0.9)
+        monkeypatch.setattr(quadrature, "_reach_rule",
+                            lambda reach: QuadratureRule.build(128, 512))
+        zs = _ring(0.98)
         for kind in ("log", "pole", "conjpole"):
             u = Symbol(atoms=(Atom(kind, modulus * np.exp(0.7j), 1.0),))
             with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
-                berezin_numeric(u, zs, rule)
+                berezin_numeric(u, zs)
 
 
 class TestInsidePatch:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from berezin import _kernels
+from berezin import _kernels, quadrature
 from berezin.core import BidegreeSeries, PowerSeries
 from berezin.errors import DomainError, ZeroInput
 from berezin.quadrature import QuadratureRule, _polar_nodes_cached, polar_nodes
@@ -179,17 +179,18 @@ class TestMomentMatrix:
         scale = _kernels.monomial_moments(np.abs(z), weights, 13, 13).real
         assert np.all(np.abs(together - apart) <= 1e-13 * scale)
 
-    def test_moment_memory_is_bounded(self):
+    def test_moment_memory_is_bounded(self, monkeypatch):
         # three atoms on one 0.75 center contract its polar set of 953,856
         # nodes under this rule; the two unblocked 14 x 953,856 complex power
         # tables alone would take 408 MiB, 3.2 times the bound
         a = 0.75 * np.exp(0.3j)
         u = Symbol(atoms=(Atom("log", a, 1.0), Atom("pole", a, 0.5), Atom("conjpole", a, -0.25j)))
         rule = QuadratureRule.build(64, 12288)
+        monkeypatch.setattr(quadrature, "_reach_rule", lambda reach: rule)
         assert len(polar_nodes(a, rule)[0]) == 953_856
         tracemalloc.start()
         try:
-            moment_matrix(u, 12, 12, rule)
+            moment_matrix(u, 12, 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
