@@ -193,7 +193,8 @@ FLAGS = {
     "output": dict(default=None, help="output path (default stdout)"),
     "format": dict(choices=("json", "csv"), default="json",
                    help="exact grids honor json|csv; numeric samples are always CSV"),
-    "z": dict(default=None, help="single evaluation point 're,im', |z| <= 0.99"),
+    "z": dict(default=None, help="single evaluation point 're,im', |z| <= 0.99; "
+                                 "write --z=-0.7,-0.7 when 're' is negative"),
     "mode": dict(choices=("exact", "numeric", "both"), default="exact"),
     "kmax": dict(type=int, default=8, help="moment index bound"),
     "seed": dict(type=int, default=0, help="seed for randomized suites"),

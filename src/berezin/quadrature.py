@@ -5,15 +5,15 @@ measure one. The base rule is a polar tensor product: Gauss-Legendre in
 ``t = r^2`` (which makes the radial weight trivial) and uniform angles
 (trapezoid, spectrally accurate for periodic integrands).
 
-A :class:`Symbol` is integrated part by part (:func:`integrate_parts`):
-the atoms of each center ``a`` together on one polar rule around that
-center (:func:`polar_nodes`), ``zeta = a + s rho_max(theta) e^{i theta}``
-with ``rho_max`` the distance to the unit circle along the ray. Each
-polar set covers the whole disk, so a harmonic part small enough for the
-check (:func:`symbol_parts`) joins the atoms of the center nearest the
-origin; a larger one, and a symbol with no atoms, runs on the plain rule.
-Any other callable declares at most one singular center and runs on that
-center's polar set, or on the plain rule when it declares none.
+The transform fixes every summable harmonic function (mean-value
+property), so :func:`berezin_numeric` adds the harmonic part ``K +
+conj(L)`` of a :class:`Symbol` at the points and integrates only its
+atoms, part by part (:func:`integrate_parts`): the atoms of each center
+``a`` together on one polar rule around that center
+(:func:`polar_nodes`), ``zeta = a + s rho_max(theta) e^{i theta}`` with
+``rho_max`` the distance to the unit circle along the ray. Any other
+callable declares at most one singular center and runs on that center's
+polar set, or on the plain rule when it declares none.
 The polar Jacobian cancels the ``1/rho`` of a pole atom (Duffy, SIAM J.
 Numer. Anal. 19, 1982) and geometric panels toward ``s = 0`` resolve the
 ``rho log rho`` of a log atom (Schwab, *p- and hp-Finite Element
@@ -28,8 +28,9 @@ of the outermost rings, which come nearest the kernel's pole.
 
 Every polar set has a coarse check variant that takes a fixed smaller
 share of each angular count and the coarse member of every fixed
-``(fine, coarse)`` size pair, so an angular or radial under-resolution
-shows as a fine-vs-coarse deviation (:func:`_refined`). An integrand the
+``(fine, coarse)`` size pair, and the plain rule one with 3/4 of its
+sizes, so an angular or radial under-resolution shows as a
+fine-vs-coarse deviation (:func:`_refined`). An integrand the
 polar rule does not resolve, such as ``|u|`` with kinks on the zero set
 of ``u``, raises NonConvergence there rather than returning a wrong
 value. The node/weight sets are cached, so one set serves a whole family
@@ -302,63 +303,33 @@ def disk_integrate_singular(f, center, *, check: bool = True) -> complex:
                                    center, check=check, what="singular quadrature"))
 
 
-#: Largest size of a harmonic part that a polar set hosts. The coarse polar
-#: set's deviation on ``z^n`` or ``conj(z)^n`` at points up to
-#: ``_BASE_REACH`` grows like ``_BASE_REACH^-n``, the kernel's angular
-#: tail shifted by n: over host moduli 0 to 0.94 it is at most
-#: ``4.1e-8 * 0.9^-n`` for n up to 120 (2.6e-5 at n = 80), and on the
-#: rules of :func:`_reach_rule` at 16 points on |z| = 0.95 to 0.99 at most
-#: 9.6e-8 times the same factor (at n = 0 and |z| = 0.99). So
-#: ``sum |c_n| 0.9^-n`` over both series, the size of the harmonic part, at
-#: most 10 keeps its share of the check below 9.6e-7, inside the 1e-6
-#: tolerance; a larger or higher-degree part stays on the plain rule.
-_HOSTED_SIZE = 10.0
-
-
-def _harmonic_size(u: Symbol) -> float:
-    """``sum |c_n| _BASE_REACH^-n`` over the coefficients of both series."""
-    return float(sum(np.sum(np.abs(s.coeffs) / _BASE_REACH ** np.arange(len(s.coeffs)))
-                     for s in (u.holo, u.anti)))
-
-
 def symbol_parts(u: Symbol):
-    """Split ``u`` by linearity into ``(center, integrand)`` parts; a part
-    with center ``None`` runs on the plain rule.
-
-    The atoms are grouped by their exact center, the node-set cache key, so
-    each group integrates once on that center's polar set
-    (:func:`polar_nodes`). A nonzero harmonic part of size at most
-    ``_HOSTED_SIZE`` (:func:`_harmonic_size`) joins the group of the center
-    nearest the origin (the first listed on a tie), whose polar set is the
-    smallest and whose angles are the most uniform. A larger one, or one
-    with no atoms beside it, is a part of its own with center ``None``.
+    """The atoms of ``u`` as ``(center, integrand)`` parts, one per exact
+    center, the node-set cache key, so each group integrates once on that
+    center's polar set (:func:`polar_nodes`). The harmonic part is not a
+    part: the transform fixes it, so the callers add its exact value
+    (:func:`berezin_numeric`) or moments (``rank.weighted_monomial_moments``).
     """
     by_center: dict[complex, list] = {}
     for atom in u.atoms:
         by_center.setdefault(atom.center, []).append(atom.eval)
-    parts = []
-    if not (u.holo.is_zero() and u.anti.is_zero()):
-        harmonic = lambda z: u.holo.eval(z) + np.conj(u.anti.eval(z))
-        if by_center and _harmonic_size(u) <= _HOSTED_SIZE:
-            by_center[min(by_center, key=abs)].append(harmonic)
-        else:
-            parts.append((None, harmonic))
-    return parts + [(center, lambda z, terms=terms: sum(term(z) for term in terms))
-                    for center, terms in by_center.items()]
+    return [(center, lambda z, terms=terms: sum(term(z) for term in terms))
+            for center, terms in by_center.items()]
 
 
 def integrate_parts(u, functional, rule: QuadratureRule, center=None, *, check: bool,
                     what: str):
     """Sum of ``functional(nodes, u(nodes) * weights)`` over the node sets of ``u``.
 
-    A :class:`Symbol` splits as :func:`symbol_parts` does and declares its
-    own centers, so passing a ``center`` with one raises DomainError. Any
-    other callable is one part with the declared ``center``, which must lie
-    in ``|c| < 0.97`` (DomainError otherwise). A part with a center runs on
-    that center's polar set (:func:`polar_nodes`) and, with ``check``, is
-    recomputed on its coarse set (:func:`_refined`); a part with none runs
-    on the plain rule (:func:`singular_nodes`), unchecked.
-    Returns ``0.0`` when ``u`` has no parts.
+    A :class:`Symbol` splits into its atom groups as :func:`symbol_parts`
+    does (its harmonic part is left to the caller) and declares its own
+    centers, so passing a ``center`` with one raises DomainError. Any other
+    callable is one part with the declared ``center``, which must lie in
+    ``|c| < 0.97`` (DomainError otherwise). A part with a center runs on
+    that center's polar set (:func:`polar_nodes`), a part with none on the
+    plain rule (:func:`singular_nodes`); with ``check`` each is recomputed
+    on its coarse set (:func:`_refined`). Returns ``0.0`` when ``u`` has no
+    parts.
     """
     if isinstance(u, Symbol):
         if center is not None:
@@ -375,8 +346,7 @@ def integrate_parts(u, functional, rule: QuadratureRule, center=None, *, check: 
     for part_center, integrand in parts:
         node_set = (partial(singular_nodes, rule) if part_center is None
                     else partial(polar_nodes, part_center, rule))
-        total = total + _refined(node_set, integrand, functional,
-                                 check=check and part_center is not None, what=what)
+        total = total + _refined(node_set, integrand, functional, check=check, what=what)
     return total
 
 
@@ -390,14 +360,13 @@ def berezin_numeric(u, z, center=None, *, check: bool = True):
     ``u`` may be a :class:`Symbol` or any callable mapping a node array to
     values with at most one log or simple-pole singularity, declared as
     ``center``; a symbol declares its own, and a symbol with a ``center``
-    raises DomainError. A symbol splits as :func:`symbol_parts` does: the
-    atoms of each distinct center together on that center's polar node
-    set, the harmonic part with the atoms of the center nearest the origin,
-    or on the plain rule when it is too large for the check or there are
-    no atoms (:func:`integrate_parts`). A callable runs on the polar set of
-    its ``center``, or on the plain rule without one. With ``check`` each
-    polar part is recomputed on its coarse node set, so the 1e-6
-    refinement check guards each center's summed contribution. The rule
+    raises DomainError. Of a symbol only the atoms are integrated, those of
+    each distinct center together on that center's polar node set
+    (:func:`integrate_parts`); its harmonic part ``h = K + conj(L)`` is
+    added as ``h(z)``, since ``B(h) = h`` by the mean-value property. A
+    callable runs on the polar set of its ``center``, or on the plain rule
+    without one. With ``check`` each part is recomputed on its coarse node
+    set, so the 1e-6 refinement check guards each summed contribution. The rule
     follows the points' reach (:func:`_reach_rule`); a point beyond
     ``|z| = 0.99`` raises OutOfRange. ``z`` may be a scalar or an array;
     the result matches its shape.
@@ -411,5 +380,7 @@ def berezin_numeric(u, z, center=None, *, check: bool = True):
         u, lambda nodes, values: _kernels.kernel_sum(nodes, values, zs),
         _reach_rule(float(np.max(mags))), center,
         check=check, what="numeric transform")
+    if isinstance(u, Symbol):
+        out += u.harmonic(zs)
 
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))

@@ -108,18 +108,26 @@ class MomentMatrix:
 def weighted_monomial_moments(u: Symbol, pmax: int, qmax: int) -> np.ndarray:
     """Monomial moments ``G[p, q] = integral u z^p conj(z)^q dA``.
 
-    Splits the symbol as the numeric transform does
-    (:func:`quadrature.symbol_parts`): the atoms of each distinct center
-    together on that center's polar node set, the harmonic part with the
-    atoms of the center nearest the origin, or on the plain rule when it
-    is too large for the check or there are no atoms. So every integral
-    sees at most one singular center, and each node set is contracted
+    The harmonic part ``K + conj(L)`` adds its closed form: from
+    ``integral z^m conj(z)^n dA = delta_mn / (n + 1)``,
+    ``G[p, q] = K_{q-p} / (q + 1)`` for ``q >= p`` plus
+    ``conj(L_{p-q}) / (p + 1)`` for ``p >= q``, with coefficients past a
+    series' end taken as 0. The atoms are integrated as the numeric
+    transform integrates them (:func:`quadrature.symbol_parts`): those of
+    each distinct center together on that center's polar node set, so every
+    integral sees one singular center, and each node set is contracted
     once, on its fine set only (no refinement check). Monomials have no
     pole, so the base rule serves (:func:`quadrature._reach_rule` at
     reach 0).
     """
-    return np.zeros((pmax + 1, qmax + 1), dtype=np.complex128) + quadrature.integrate_parts(
-        canonicalize(u), lambda z, values: _kernels.monomial_moments(z, values, pmax, qmax),
+    u = canonicalize(u)
+    n = max(pmax, qmax) + 1
+    K, L = (np.pad(c, (0, n - len(c))) for c in (u.holo.coeffs[:n], u.anti.coeffs[:n]))
+    p, q = np.arange(pmax + 1)[:, None], np.arange(qmax + 1)[None, :]
+    harmonic = (np.where(q >= p, K[q - p] / (q + 1), 0.0)
+                + np.where(p >= q, np.conj(L[p - q]) / (p + 1), 0.0))
+    return harmonic + quadrature.integrate_parts(
+        u, lambda z, values: _kernels.monomial_moments(z, values, pmax, qmax),
         quadrature._reach_rule(0.0), check=False, what="monomial moments")
 
 

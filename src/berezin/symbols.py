@@ -88,6 +88,10 @@ class Symbol:
     def centers(self) -> tuple[complex, ...]:
         return tuple(a.center for a in self.atoms)
 
+    def harmonic(self, z):
+        """Values ``K(z) + conj(L(z))`` of the harmonic part at ``z``."""
+        return self.holo.eval(z) + np.conj(self.anti.eval(z))
+
     def __add__(self, other: "Symbol") -> "Symbol":
         return Symbol(
             holo=self.holo + other.holo,
@@ -114,7 +118,7 @@ def symbol_eval(s: Symbol, z):
     for atom in s.atoms:
         if np.any(np.abs(zarr - atom.center) <= 1e-12):
             raise SingularPoint(f"evaluation at singular center {atom.center}")
-    out = s.holo.eval(zarr) + np.conj(s.anti.eval(zarr))
+    out = s.harmonic(zarr)
     for atom in s.atoms:
         out = out + atom.eval(zarr)
     return complex(out) if zarr.ndim == 0 else out

@@ -110,7 +110,7 @@ def symbol_values(s: Symbol, z):
     zarr = np.asarray(z, dtype=np.complex128)
     if np.any(np.abs(zarr) >= 1.0):
         raise DomainError("symbol_values requires |z| < 1")
-    out = s.holo.eval(zarr) + np.conj(s.anti.eval(zarr))
+    out = s.harmonic(zarr)
     for atom in s.atoms:
         a = atom.center
         den = 1.0 - np.conj(a) * zarr
@@ -153,11 +153,13 @@ def covariance_residual(s: Symbol, a: complex, z: complex) -> float:
     Compares the numeric transform of the composed function
     ``w -> s(phi_a(w))`` at ``z`` against the exact transform of ``s`` at
     ``phi_a(z)`` (:func:`symbol_values`). The composition is split by
-    linearity along :func:`quadrature.symbol_parts`: each part of ``s``,
-    composed with ``phi_a``, is integrated purely as a callable whose
-    singular center is the preimage of the part's center under ``phi_a``
-    (the plain rule for a part without one). No covariance identity is
-    used, so the check stays independent of the closed forms.
+    linearity along :func:`quadrature.symbol_parts`: each atom group of
+    ``s``, composed with ``phi_a``, is integrated purely as a callable whose
+    singular center is the preimage of the group's center under ``phi_a``,
+    and the harmonic part composed with ``phi_a`` as a callable with no
+    center, on the plain rule. Neither the covariance identity nor the
+    fixed-point property is used, so the check stays independent of the
+    closed forms.
     """
     a = require_finite(a, "automorphism parameter")
     z = require_finite(z, "evaluation point")
@@ -165,8 +167,10 @@ def covariance_residual(s: Symbol, a: complex, z: complex) -> float:
         raise DomainError("covariance check needs |a| <= 0.8 and |z| <= 0.8")
     phi = DiskAutomorphism(a)
     inverse = mobius_inverse(phi)
-    numeric = sum(berezin_numeric(lambda w, part=part: part(mobius_eval(phi, w)), z,
-                                  None if center is None else inverse(center))
-                  for center, part in symbol_parts(s))
+    parts = [(inverse(center), part) for center, part in symbol_parts(s)]
+    if not (s.holo.is_zero() and s.anti.is_zero()):
+        parts.append((None, s.harmonic))
+    numeric = sum(berezin_numeric(lambda w, part=part: part(mobius_eval(phi, w)), z, center)
+                  for center, part in parts)
     exact = symbol_values(s, mobius_eval(phi, z))
     return abs(numeric - exact)

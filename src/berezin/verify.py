@@ -85,8 +85,9 @@ def _check_harmonic_fixed_point(rng):
         Symbol(holo=PowerSeries(0.6 ** np.arange(24) * np.exp(0.4j * np.arange(24)))),
     ]
     for s in cases:
-        num = np.asarray(berezin_numeric(s, zs))
-        direct = s.holo.eval(zs) + np.conj(s.anti.eval(zs))
+        # a callable with no center, so the plain rule integrates it
+        num = np.asarray(berezin_numeric(s.harmonic, zs))
+        direct = s.harmonic(zs)
         worst = max(worst, float(np.max(np.abs(num - direct))))
     return worst
 

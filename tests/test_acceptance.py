@@ -84,9 +84,11 @@ def test_c02_harmonic_fixed_point():
         cases.append(Symbol(holo=PowerSeries(geometric), anti=PowerSeries(anti_g)))
     worst = 0.0
     for u in cases:
-        direct = u.holo.eval(zs) + np.conj(u.anti.eval(zs))
-        numeric = np.asarray(berezin_numeric(u, zs))
-        worst = max(worst, float(np.max(np.abs(numeric - direct))))
+        direct = u.harmonic(zs)
+        # as a callable with no center the plain rule integrates it, under
+        # its check; as a symbol it is added exactly
+        for numeric in (berezin_numeric(u.harmonic, zs), berezin_numeric(u, zs)):
+            worst = max(worst, float(np.max(np.abs(np.asarray(numeric) - direct))))
     report(2, "harmonic fixed point", worst <= 1e-8,
            f"max |B(u)-u| {worst:.2e} <= 1e-8", started, 30.0)
 

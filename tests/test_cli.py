@@ -59,6 +59,16 @@ def test_transform_single_point(log_symbol_file, capsys):
     assert abs(vr + 0.375) <= 1e-6
 
 
+def test_transform_negative_point(log_symbol_file, capsys):
+    # argparse reads "-0.7,-0.7" after a space as a flag; the "=" form parses
+    code = main(["transform", "--symbol", log_symbol_file, "--mode", "both", "--z=-0.7,-0.7"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    zr, zi, vr, vi = map(float, captured.out.strip().splitlines()[1].split(","))
+    assert abs(complex(zr, zi)) == pytest.approx(0.98995, abs=1e-5)
+    assert abs(complex(vr, vi) - (zr * zr + zi * zi - 1) / 2) <= 1e-6
+
+
 def test_transform_both_reports_deviation(log_symbol_file, tmp_path, capsys):
     out = tmp_path / "both.csv"
     code = main(["transform", "--symbol", log_symbol_file, "--mode", "both",

@@ -16,7 +16,7 @@ from berezin.quadrature import (
     singular_nodes,
     symbol_parts,
 )
-from berezin.rank import moment_matrix, moment_matrix_from_grid
+from berezin.rank import moment_matrix, moment_matrix_from_grid, weighted_monomial_moments
 from berezin.symbols import Atom, NodeForm, Symbol, symbol_eval
 from berezin.transform import symbol_transform, symbol_values
 
@@ -106,7 +106,7 @@ class TestSingular:
             disk_integrate_singular(lambda z: np.log(np.abs(z - 0.99)), 0.99)
 
     def test_center_is_required(self):
-        # without a center the value would come from the plain rule, unchecked
+        # without a center the value would come from the plain rule
         with pytest.raises(DomainError, match="needs a center"):
             disk_integrate_singular(lambda z: np.log(np.abs(z)), None)
 
@@ -147,7 +147,7 @@ class TestBerezinNumeric:
         assert left == pytest.approx(right, abs=1e-12)
 
     def test_out_of_range(self):
-        # 0.95 takes the rule of twice the base sizes; beyond 0.99 no rule is built
+        # 0.95 evaluates; beyond 0.99 nothing does
         assert berezin_numeric(Symbol.constant(1.0), 0.95) == pytest.approx(1.0, abs=1e-10)
         for z in (0.991, 0.9989j, np.array([0.5, -0.995])):
             with pytest.raises(OutOfRange):
@@ -203,6 +203,27 @@ class TestBerezinNumeric:
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
             berezin_numeric(Symbol(atoms=atoms), SWEEP_POINTS)
 
+    def test_refinement_check_guards_the_plain_rule(self, monkeypatch, fresh_node_sets):
+        # a callable with no center: z^20 on the plain 64 x 256 rule is within
+        # 2.9e-11 of its transform and passes the check; starved to 32 angles
+        # (24 coarse), its fine and coarse sums disagree by 0.60
+        u = lambda z: z ** 20
+        assert np.max(np.abs(berezin_numeric(u, SWEEP_POINTS) - SWEEP_POINTS ** 20)) <= 1e-10
+
+        def starved(rule, *, coarse=False):
+            return quadrature._singular_nodes_cached(rule.radial_count, 32, coarse)
+
+        monkeypatch.setattr(quadrature, "singular_nodes", starved)
+        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
+            berezin_numeric(u, SWEEP_POINTS)
+
+    def test_plain_rule_rejects_a_part_it_does_not_resolve(self):
+        # sum of z^n for n < 200 as a callable: the plain rule is off by
+        # 1.4e-2 on the CLI points, and the check sees it
+        u = lambda z: PowerSeries(np.ones(200)).eval(z)
+        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
+            berezin_numeric(u, _sample_points())
+
     def test_symbol_with_center_is_rejected(self):
         # a symbol declares its own centers; a center next to it would be ignored
         u = Symbol(atoms=(Atom("log", 0.5, 1.0),))
@@ -211,78 +232,76 @@ class TestBerezinNumeric:
 
 
 class TestHarmonicPart:
-    """A symbol with atoms integrates a harmonic part of size at most
-    ``_HOSTED_SIZE`` on the polar set of the center nearest the origin,
-    under that set's check; a larger one stays on the plain rule."""
+    """The transform fixes harmonic functions, so a symbol's harmonic part is
+    added at the points (``berezin_numeric``) and its moments in closed form
+    (``weighted_monomial_moments``); only the atoms are integrated, those of
+    each center on that center's polar set, under that set's check."""
 
-    # -0.2 + 0.1j and 0.1 - 0.2j tie for the nearest center; the first listed hosts
-    HOST = -0.2 + 0.1j
     SYMBOL = Symbol(holo=PowerSeries([0.3, -0.5j, 0.2]), anti=PowerSeries([0.0, 0.4]),
-                    atoms=(Atom("pole", 0.6j, 0.5), Atom("log", HOST, 1.0),
+                    atoms=(Atom("pole", 0.6j, 0.5), Atom("log", -0.2 + 0.1j, 1.0),
                            Atom("conjpole", 0.6j, 0.3), Atom("log", 0.1 - 0.2j, 0.7)))
 
     def test_parts_are_polar_and_checked(self):
-        # every part has a center, so it runs on that center's polar set, checked
+        # one part per atom center, in order, so each runs on that center's
+        # polar set, checked; the harmonic part is no part
         u = self.SYMBOL
         parts = symbol_parts(u)
-        assert [center for center, _ in parts] == [0.6j, self.HOST, 0.1 - 0.2j]
-        harmonic = u.holo.eval(SWEEP_POINTS) + np.conj(u.anti.eval(SWEEP_POINTS))
+        assert [center for center, _ in parts] == [0.6j, -0.2 + 0.1j, 0.1 - 0.2j]
         for center, integrand in parts:
             expected = sum(atom.eval(SWEEP_POINTS) for atom in u.atoms if atom.center == center)
-            if center == self.HOST:
-                expected = expected + harmonic
             np.testing.assert_allclose(integrand(SWEEP_POINTS), expected, rtol=0, atol=1e-14)
 
-    def test_only_symbols_without_atoms_build_a_plain_set(self, fresh_node_sets):
+    def test_symbols_build_no_plain_set(self, fresh_node_sets):
+        # 200 terms alone, which the plain rule misses by 1.4e-2: exact, and
+        # no node set is built
+        u = Symbol(holo=PowerSeries(np.ones(200)))
+        zs = _sample_points()
+        assert np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs))) <= 1e-12
+        moment_matrix(u, 12, 12)
+        assert quadrature._polar_nodes_cached.cache_info().currsize == 0
         berezin_numeric(self.SYMBOL, SWEEP_POINTS)
         moment_matrix(self.SYMBOL, 6, 6)
         assert quadrature._singular_nodes_cached.cache_info().currsize == 0
-        berezin_numeric(Symbol(holo=self.SYMBOL.holo, anti=self.SYMBOL.anti), SWEEP_POINTS)
-        assert quadrature._singular_nodes_cached.cache_info().currsize == 1
 
-    def test_check_guards_the_harmonic_part(self, monkeypatch, fresh_node_sets):
-        # 32 angles on every panel group of the host set: the tiny atom alone
-        # stays within 3.6e-8 of its closed form and passes the check, while
-        # the harmonic part it hosts deviates between fine and coarse sets
-        atom = Atom("log", 0.3, 1e-6)
-        u = Symbol(holo=self.SYMBOL.holo, anti=self.SYMBOL.anti, atoms=(atom,))
-        berezin_numeric(u, SWEEP_POINTS)
-        quadrature._polar_nodes_cached.cache_clear()
-        layout = quadrature._polar_layout
-
-        def starved(center, radial, angular):
-            return tuple((edges, order, 32) for edges, order, _ in layout(center, radial, angular))
-
-        monkeypatch.setattr(quadrature, "_polar_layout", starved)
-        berezin_numeric(Symbol(atoms=(atom,)), SWEEP_POINTS)
-        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
-            berezin_numeric(u, SWEEP_POINTS)
+    def test_moments_match_the_exact_grid_and_the_plain_rule(self, rng):
+        # the three-term assembly cancels the closed-form moments to roundoff
+        # (the exact grid's moment matrix of a harmonic part is 0), and the
+        # plain rule is exact on these polynomials
+        z, w = singular_nodes(QuadratureRule.build())
+        for degree in range(21):
+            holo, anti = (0.5 * (rng.standard_normal(degree + 1)
+                                 + 1j * rng.standard_normal(degree + 1)) for _ in range(2))
+            anti[0] = 0.0
+            h = Symbol(holo=PowerSeries(holo), anti=PowerSeries(anti))
+            scale = max(np.max(np.abs(holo)), np.max(np.abs(anti)))
+            exact = moment_matrix_from_grid(symbol_transform(h), 12, 12).entries
+            assert np.max(np.abs(moment_matrix(h, 12, 12).entries - exact)) <= 1e-14 * scale
+            plain = _kernels.monomial_moments(z, symbol_eval(h, z) * w, 13, 13)
+            assert np.max(np.abs(weighted_monomial_moments(h, 13, 13) - plain)) <= 1e-14
 
     @pytest.mark.parametrize("holo, anti", [
-        # size 9.5e3; hosted, it would raise at every modulus (deviations to 5e-5)
+        # size 9.5e3 beside the pole; the polar check would raise on it at
+        # every modulus (deviations to 5e-5)
         (np.r_[np.zeros(80), 1.0], np.r_[np.zeros(81), 1.0]),
-        # size 100 in degree 0; hosted at 0.94, it would raise (deviation 1.3e-6)
+        # size 100 in degree 0; on the polar set of 0.94 the check would
+        # raise (deviation 1.3e-6)
         ([100.0], [0.0]),
     ])
     @pytest.mark.parametrize("modulus", [0.0, 0.3, 0.94])
     def test_large_harmonic_part_stays_on_the_plain_rule(self, holo, anti, modulus):
+        # such a part is added exactly and takes no rule
         u = Symbol(holo=PowerSeries(holo), anti=PowerSeries(anti),
                    atoms=(Atom("pole", modulus * np.exp(0.7j), 1.0),))
-        assert [center for center, _ in symbol_parts(u)] == [None, u.atoms[0].center]
         zs = _sample_points()
         assert np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs))) <= 1e-7
 
-
     @pytest.mark.parametrize("reach", [0.98, 0.99])
-    @pytest.mark.parametrize("holo, hosted", [([0.0, 0.0, 3.0], True), ([1.0, 0.0, 3.0], True),
-                                              ([1.0, 0.0, 3.0], False)])
-    def test_matches_closed_form_near_the_edge(self, reach, holo, hosted, fresh_node_sets):
-        # hosted beside a log atom: errors 2.2e-10 to 3.9e-10; alone, on the
-        # plain rule: 5.9e-11 and 8.8e-12
-        atoms = (Atom("log", 0.3 * np.exp(0.7j), 1.0),) if hosted else ()
+    @pytest.mark.parametrize("holo, with_atom", [([0.0, 0.0, 3.0], True), ([1.0, 0.0, 3.0], True),
+                                                 ([1.0, 0.0, 3.0], False)])
+    def test_matches_closed_form_near_the_edge(self, reach, holo, with_atom, fresh_node_sets):
+        # beside a log atom: errors 1.9e-11 and 3.3e-11, the atom's own; alone: 0
+        atoms = (Atom("log", 0.3 * np.exp(0.7j), 1.0),) if with_atom else ()
         u = Symbol(holo=PowerSeries(holo), atoms=atoms)
-        expected = [atom.center for atom in atoms] or [None]
-        assert [center for center, _ in symbol_parts(u)] == expected
         zs = _ring(reach)
         assert np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs))) <= 1e-9
 
