@@ -9,20 +9,19 @@ for ``z = x + iy`` and ``zeta = xi + i eta``, so one small GEMM forms it
 on a tile of points and nodes. Tiles are visited in a fixed order, which
 keeps results deterministic, and hold at most
 ``_POINT_BLOCK * _NODE_BLOCK`` doubles (512 KiB, inside a 2 MiB per-core
-L2 cache) whatever the input sizes.
-The monomial moments walk the nodes in the same ``_NODE_BLOCK`` blocks,
-so their working memory is a few ``_NODE_BLOCK x (degree + 1)`` complex
-power tables, also whatever the node count.
+L2 cache) whatever the input sizes; one buffer per call holds every tile.
+The monomial moments walk the nodes in ``_MOMENT_BLOCK`` blocks, so their
+working memory is two ``(degree + 1) x _MOMENT_BLOCK`` complex power
+tables, also whatever the node count.
 """
 import numpy as np
 
-#: Nodes per tile; the monomial moments walk the nodes in the same blocks.
-#: A tile of 4096 nodes by ``_POINT_BLOCK`` (16) points takes 512 KiB. The
-#: node count was chosen when tiles had 32 point rows: a 2-CPU Xeon (2 MiB
-#: L2 per core) ran ``kernel_sum`` of a 97k-node set at 320 points (median
-#: of 9) in 0.065 s with 4096 x 32 tiles (1 MiB), 0.072 s with 1024 x 32,
-#: 0.091 s with 16384 x 32 and 0.092 s with 4096 x 256 (8 MiB): the
-#: in-place passes over a tile stay in cache.
+#: Nodes per tile. A tile of 4096 nodes by ``_POINT_BLOCK`` (16) points
+#: takes 512 KiB. The node count was chosen when tiles had 32 point rows: a
+#: 2-CPU Xeon (2 MiB L2 per core) ran ``kernel_sum`` of a 97k-node set at
+#: 320 points (median of 9) in 0.065 s with 4096 x 32 tiles (1 MiB), 0.072
+#: s with 1024 x 32, 0.091 s with 16384 x 32 and 0.092 s with 4096 x 256
+#: (8 MiB): the in-place passes over a tile stay in cache.
 _NODE_BLOCK = 1 << 12
 
 #: Evaluation points per tile. A tile's GEMM then has m n k = 16 x 4096 x 4
@@ -33,6 +32,15 @@ _NODE_BLOCK = 1 << 12
 #: 16 rows against 141 ms with 32 (median of six alternating runs, each the
 #: best of 9; 16 rows faster in 5 of 6); the results are equal.
 _POINT_BLOCK = 16
+
+#: Nodes per block of the monomial moments. At kmax 12 (14 table rows) the
+#: two power tables of 2048 nodes take 448 KiB each, which the allocator
+#: serves again from its heap on the next call; at 4096 nodes (896 KiB
+#: each) it maps them afresh and faults in 416 pages per call. On the same
+#: Xeon a 9,216-node set took 0.64 ms against 1.22 ms (median of 300), and
+#: 1024 nodes took 0.76 ms. At kmax 18 (20 rows, 640 KiB) the tables still
+#: fault, 290 pages per call, and take 1.67 ms against 2.18 ms.
+_MOMENT_BLOCK = 1 << 11
 
 
 def kernel_sum(nodes, values, zs):
@@ -49,13 +57,18 @@ def kernel_sum(nodes, values, zs):
     r2 = x * x + y * y
     point_rows = np.stack([np.ones_like(x), -2.0 * x, -2.0 * y, r2], axis=1)
     out = np.zeros((len(zs), 2))
+    # every tile is written into this one buffer: a fresh 512 KiB tile per
+    # product would be mapped and faulted in anew each time
+    buffer = np.empty(min(len(zs), _POINT_BLOCK) * min(len(nodes), _NODE_BLOCK))
     for start in range(0, len(nodes), _NODE_BLOCK):
         block = nodes[start:start + _NODE_BLOCK]
         xi, eta = block.real, block.imag
         node_cols = np.stack([np.ones_like(xi), xi, eta, xi * xi + eta * eta])
         block_values = v[start:start + _NODE_BLOCK]
         for p in range(0, len(zs), _POINT_BLOCK):
-            tile = point_rows[p:p + _POINT_BLOCK] @ node_cols  # |1 - zeta conj(z)|^2
+            rows = point_rows[p:p + _POINT_BLOCK]
+            tile = buffer[:len(rows) * len(block)].reshape(len(rows), len(block))
+            np.matmul(rows, node_cols, out=tile)  # |1 - zeta conj(z)|^2
             np.multiply(tile, tile, out=tile)
             np.reciprocal(tile, out=tile)
             out[p:p + _POINT_BLOCK] += tile @ block_values
@@ -75,11 +88,11 @@ def monomial_moments(nodes, values, pmax, qmax):
     # row j of ``weighted`` holds values * block**j and row j of ``conj_powers``
     # conj(block)**j, built row by row (np.vander's column-wise accumulate
     # takes twice as long) in two buffers allocated once per call
-    size = min(len(nodes), _NODE_BLOCK)
+    size = min(len(nodes), _MOMENT_BLOCK)
     weighted = np.empty((pmax + 1, size), dtype=np.complex128)
     conj_powers = np.empty((qmax + 1, size), dtype=np.complex128)
-    for start in range(0, len(nodes), _NODE_BLOCK):
-        block = nodes[start:start + _NODE_BLOCK]
+    for start in range(0, len(nodes), _MOMENT_BLOCK):
+        block = nodes[start:start + _MOMENT_BLOCK]
         n = len(block)
         w, c = weighted[:, :n], conj_powers[:, :n]
         w[0] = values[start:start + n]

@@ -117,8 +117,10 @@ def weighted_monomial_moments(u: Symbol, pmax: int, qmax: int) -> np.ndarray:
     each distinct center together on that center's polar node set, so every
     integral sees one singular center, and each node set is contracted
     once, on its fine set only (no refinement check). Monomials have no
-    pole, so the base rule serves (:func:`quadrature._reach_rule` at
-    reach 0).
+    pole, so every set is the one for reach 0, whose outer panels take the
+    inner count plus the degree ``pmax + qmax`` of the monomials
+    (:func:`quadrature._polar_layout`): 9,216 fine nodes at ``|a| = 0.75``
+    and kmax 12, against the transform's 20,480 at ``|z| = 0.9``.
     """
     u = canonicalize(u)
     n = max(pmax, qmax) + 1
@@ -128,7 +130,7 @@ def weighted_monomial_moments(u: Symbol, pmax: int, qmax: int) -> np.ndarray:
                 + np.where(p >= q, np.conj(L[p - q]) / (p + 1), 0.0))
     return harmonic + quadrature.integrate_parts(
         u, lambda z, values: _kernels.monomial_moments(z, values, pmax, qmax),
-        quadrature._reach_rule(0.0), check=False, what="monomial moments")
+        0.0, degree=pmax + qmax, check=False, what="monomial moments")
 
 
 def calibrated_orientation() -> str:

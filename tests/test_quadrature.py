@@ -184,8 +184,8 @@ class TestBerezinNumeric:
         quadrature._polar_nodes_cached.cache_clear()
         layout = quadrature._polar_layout
 
-        def starved(center, radial, angular):
-            return tuple((edges, order, 8) for edges, order, _ in layout(center, radial, angular))
+        def starved(*args):
+            return tuple((edges, order, 8) for edges, order, _ in layout(*args))
 
         monkeypatch.setattr(quadrature, "_polar_layout", starved)
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
@@ -288,7 +288,7 @@ class TestHarmonicPart:
         ([100.0], [0.0]),
     ])
     @pytest.mark.parametrize("modulus", [0.0, 0.3, 0.94])
-    def test_large_harmonic_part_stays_on_the_plain_rule(self, holo, anti, modulus):
+    def test_large_harmonic_part_is_exact(self, holo, anti, modulus):
         # such a part is added exactly and takes no rule
         u = Symbol(holo=PowerSeries(holo), anti=PowerSeries(anti),
                    atoms=(Atom("pole", modulus * np.exp(0.7j), 1.0),))
@@ -407,6 +407,83 @@ class TestDenserRule:
                 berezin_numeric(u, zs)
 
 
+class TestReachSizedSets:
+    """Each polar set is sized for the pole it resolves
+    (:func:`quadrature._polar_layout`): the transform's for its points'
+    reach, the moments' for none (reach 0) and for their own degree."""
+
+    MODULI = np.linspace(0.02, 0.94, 11)
+
+    def test_base_layout_from_the_base_reach_up(self):
+        # the CLI grid's outer ring and a reach within 1e-12 below 0.9 count
+        # as the base reach
+        for modulus in (0.0, 0.3, 0.75, 0.94):
+            center = modulus * np.exp(0.7j)
+            base = quadrature._polar_layout(center, 64, 256, 0.9)
+            for reach in (0.9000000000000001, np.max(np.abs(_sample_points())), 0.9 - 1e-13):
+                assert quadrature._polar_layout(center, 64, 256, reach) == base
+
+    def test_counts_follow_the_pole(self):
+        # fine and coarse node counts of a 0.75 center: the transform's sets
+        # shrink with the reach, and the moment set (reach 0, degree 26, as
+        # at kmax 12) takes the inner count plus the degree on every outer
+        # panel
+        center, rule = 0.75 * np.exp(0.7j), QuadratureRule.build()
+        for reach, degree, counts in ((0.9, 0, (20_480, 11_520)), (0.7, 0, (9_984, 5_616)),
+                                      (0.5, 0, (7_936, 4_464)), (0.0, 26, (9_216, 5_184))):
+            assert tuple(len(polar_nodes(center, rule, reach=reach, degree=degree, coarse=c)[0])
+                         for c in (False, True)) == counts
+        (_, _, inner), *outer = quadrature._polar_layout(center, 64, 256, 0.0, 26)
+        assert inner == 64 and all(angles == 96 for _, _, angles in outer)
+
+    def test_sets_are_shared_by_layout(self, fresh_node_sets):
+        # two reaches whose counts round to the same values share one set
+        center, rule = 0.75 * np.exp(0.7j), QuadratureRule.build()
+        assert (quadrature._polar_layout(center, 64, 256, 0.7)
+                == quadrature._polar_layout(center, 64, 256, 0.7001))
+        assert polar_nodes(center, rule, reach=0.7)[0] is polar_nodes(center, rule, reach=0.7001)[0]
+        assert quadrature._polar_nodes_cached.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("reach", [0.05, 0.3, 0.5, 0.7, 0.8, 0.85, 0.89])
+    def test_matches_closed_form_inside_the_base_reach(self, reach):
+        # 32 points on |z| = reach; worst error 9.7e-12 (at 0.7), below the
+        # 2.3e-11 of the 0.9 ring
+        zs = reach * np.exp(1j * (2.0 * np.pi * np.arange(32) / 32 + 0.1))
+        for modulus in self.MODULI:
+            for kind in ("log", "pole", "conjpole"):
+                u = Symbol(atoms=(Atom(kind, modulus * np.exp(0.7j), 1.0),))
+                error = np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs)))
+                assert error <= 1e-10, (kind, modulus, error)
+
+    @staticmethod
+    def _base_reach_moments(u, pmax, qmax):
+        return quadrature.integrate_parts(
+            u, lambda z, values: _kernels.monomial_moments(z, values, pmax, qmax),
+            quadrature._BASE_REACH, check=False, what="monomial moments")
+
+    @staticmethod
+    def _three_atoms(center):
+        return Symbol(atoms=(Atom("log", center, 1.0), Atom("pole", center, 0.5 + 0.25j),
+                             Atom("conjpole", center, -0.25j)))
+
+    def test_moments_match_the_base_reach_set(self):
+        # kmax 18 takes G up to (19, 19); the worst gap is 3.9e-16 of max |G|
+        for modulus in self.MODULI:
+            u = self._three_atoms(modulus * np.exp(0.7j))
+            base = self._base_reach_moments(u, 19, 19)
+            gap = np.max(np.abs(weighted_monomial_moments(u, 19, 19) - base))
+            assert gap <= 1e-15 * np.max(np.abs(base)), (modulus, gap)
+
+    @pytest.mark.parametrize("modulus", [0.3, 0.5, 0.72, 0.85])
+    def test_moment_set_covers_the_degree(self, modulus):
+        # (40, 40): degree 80 on top of the inner count; without it the
+        # outer panels are off by 8.9e-8 (0.3) to 4.5e-3 (0.72)
+        u = self._three_atoms(modulus * np.exp(0.7j))
+        gap = np.max(np.abs(weighted_monomial_moments(u, 40, 40)
+                            - self._base_reach_moments(u, 40, 40)))
+        assert gap <= 1e-13
+
+
 class TestInsidePatch:
     @pytest.mark.parametrize("modulus", [0.3, 0.72, 0.85, 0.9])
     def test_matches_closed_form(self, modulus):
@@ -476,8 +553,8 @@ class TestPolarRule:
         quadrature._polar_nodes_cached.cache_clear()
         layout = quadrature._polar_layout
 
-        def starved(center, radial, angular):
-            (edges, order, _), *outer = layout(center, radial, angular)
+        def starved(*args):
+            (edges, order, _), *outer = layout(*args)
             return ((edges, order, 32), *outer)
 
         monkeypatch.setattr(quadrature, "_polar_layout", starved)

@@ -180,14 +180,15 @@ class TestMomentMatrix:
         assert np.all(np.abs(together - apart) <= 1e-13 * scale)
 
     def test_moment_memory_is_bounded(self, monkeypatch):
-        # three atoms on one 0.75 center contract its polar set of 953,856
-        # nodes under this rule; the two unblocked 14 x 953,856 complex power
-        # tables alone would take 408 MiB, 3.2 times the bound
+        # three atoms on one 0.75 center contract its moment set (reach 0,
+        # degree 26) of 953,856 nodes under this rule; the two unblocked
+        # 14 x 953,856 complex power tables alone would take 408 MiB, 3.2
+        # times the bound
         a = 0.75 * np.exp(0.3j)
         u = Symbol(atoms=(Atom("log", a, 1.0), Atom("pole", a, 0.5), Atom("conjpole", a, -0.25j)))
-        rule = QuadratureRule.build(64, 12288)
+        rule = QuadratureRule.build(64, 31744)
         monkeypatch.setattr(quadrature, "_reach_rule", lambda reach: rule)
-        assert len(polar_nodes(a, rule)[0]) == 953_856
+        assert len(polar_nodes(a, rule, reach=0.0, degree=26)[0]) == 953_856
         tracemalloc.start()
         try:
             moment_matrix(u, 12, 12)
