@@ -27,10 +27,17 @@ _NODE_BLOCK = 1 << 12
 #: Evaluation points per tile. A tile's GEMM then has m n k = 16 x 4096 x 4
 #: = 262,144, the largest product OpenBLAS runs on one thread; at 32 rows
 #: it splits each GEMM over two threads, whose hand-off costs more than the
-#: small GEMM saves. On the same Xeon, ``kernel_sum`` over ten polar sets
-#: and the plain set (208,256 nodes) at the 320 CLI points took 130 ms with
-#: 16 rows against 141 ms with 32 (median of six alternating runs, each the
-#: best of 9; 16 rows faster in 5 of 6); the results are equal.
+#: small GEMM saves. Measured when symbols still built a plain set (no
+#: symbol has since the harmonic part is added exactly): on the same Xeon,
+#: ``kernel_sum`` over ten polar sets and the plain set (208,256 nodes) at
+#: the 320 CLI points took 130 ms with 16 rows against 141 ms with 32
+#: (median of six alternating runs, each the best of 9; 16 rows faster in 5
+#: of 6); the results are equal. It is also the smallest group of points
+#: that the numeric transform contracts against one stride subset of a
+#: polar set (``quadrature._point_groups``): on node forms with 1, 2 and 3
+#: centers at 1, 5 and 8 points, one group per stride pattern took 11.4 ms
+#: for the three calls against 8.3 ms with every group of fewer than 16
+#: points joined to the next (median of 8 alternating runs).
 _POINT_BLOCK = 16
 
 #: Nodes per block of the monomial moments. At kmax 12 (14 table rows) the

@@ -44,9 +44,12 @@ def _sample_points() -> np.ndarray:
 def _parse_point(text: str) -> complex:
     try:
         re_part, im_part = text.split(",")
-        return complex(float(re_part), float(im_part))
+        point = complex(float(re_part), float(im_part))
     except ValueError as exc:
         raise SchemaError(f"--z expects 're,im', got {text!r}") from exc
+    if not np.isfinite(point):
+        raise SchemaError(f"--z expects finite 're,im', got {text!r}")
+    return point
 
 
 def _write_output(text: str, path: str | None):

@@ -43,13 +43,20 @@ The numeric transform sizes its rule from the reach ``r = max |z|`` of its
 points: the kernel's pole ``1 / conj(z)`` lies ``1/r - 1`` beyond the
 circle, so beyond ``r = 0.9`` every count grows like ``1 / (1 - r)``
 (:func:`_reach_rule`), and below it the outer panels of each polar set
-shrink with the pole's imaginary angle (:func:`_polar_layout`).
+shrink with the pole's imaginary angle (:func:`_polar_layout`). Each
+center's fine and coarse sets are built once, for that reach, and the
+integrand is evaluated once on each; each point is then contracted
+against every ``t``-th angle of each panel group, the trapezoid rule with
+``1/t`` of the angles and ``t`` times the weights, as few as its own
+``|z|`` asks for (:func:`_point_groups`). Points that share a stride
+pattern form one contraction, of at least ``_kernels._POINT_BLOCK`` points,
+so a call on fewer than 32 points is one whole-set contraction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import asinh, ceil, sqrt
+from math import asinh, ceil, gcd, sqrt
 
 import numpy as np
 
@@ -238,11 +245,16 @@ def _polar_layout(center: complex, radial: int, angular: int, reach: float, degr
     panels = ceil(radial / DEFAULT_RADIAL * (1.0 + m) / _POLAR_PANEL_SPAN)
     geometric = (0.0,) + tuple(_POLAR_INNER * _POLAR_RATIO ** j
                                for j in reversed(range(_POLAR_DEPTH)))
-    outer = np.linspace(_POLAR_INNER, 1.0, panels + 1)
     return ((geometric, _POLAR_INNER_GAUSS, inner),) + tuple(
-        ((float(lo), float(hi)), _POLAR_OUTER_GAUSS,
-         16 * ceil(max(inner + degree, full * hi) / 16))
-        for lo, hi in zip(outer[:-1], outer[1:]))
+        (edges, _POLAR_OUTER_GAUSS, 16 * ceil(max(inner + degree, full * edges[1]) / 16))
+        for edges in _outer_panels(panels))
+
+
+@lru_cache(maxsize=None)
+def _outer_panels(panels: int):
+    """Edges ``(lo, hi)`` of ``panels`` equal panels from ``_POLAR_INNER`` to 1."""
+    edges = np.linspace(_POLAR_INNER, 1.0, panels + 1).tolist()
+    return tuple(zip(edges[:-1], edges[1:]))
 
 
 @lru_cache(maxsize=8)
@@ -304,19 +316,94 @@ def disk_integrate(f, rule: QuadratureRule | None = None) -> complex:
 _REFINEMENT_TOL = 1e-6
 
 
-def _refined(node_set, integrand, functional, *, check: bool, what: str):
-    """``functional(nodes, integrand(nodes) * weights)`` on the node set
-    ``node_set(coarse=False)``.
+def _angle_strides(layout, need):
+    """Angle stride ``t`` of each panel group of the polar set of ``layout``
+    for a point whose own reach asks for the layout ``need``: the largest
+    common divisor of the group's fine and coarse angle counts that keeps
+    both counts over ``t`` at or above those of ``need``. Every ``t``-th of
+    ``n`` uniform angles is the trapezoid rule with ``n / t`` angles."""
+    strides = []
+    for (_, _, angles), (_, _, wanted) in zip(layout, need):
+        coarse = int(_COARSE_SHARE * angles)
+        common = gcd(angles, coarse)
+        t = min(angles // wanted, coarse // int(_COARSE_SHARE * wanted), common)
+        while common % t:
+            t -= 1
+        strides.append(t)
+    return tuple(strides)
 
-    With ``check`` the functional is recomputed on ``node_set(coarse=True)``;
-    a deviation above 1e-6 raises NonConvergence naming ``what``.
+
+def _point_groups(reaches, layout_at):
+    """The points of moduli ``reaches`` as groups ``(rows, strides)`` for the
+    node set of ``layout_at(max(reaches))``: sorted by reach, the points of
+    one stride pattern (:func:`_angle_strides` against ``layout_at`` of
+    each point's own reach) form a group, and a group of fewer than
+    ``_kernels._POINT_BLOCK`` points joins the next one outward (the
+    outermost joins the one inward of it). A group takes the smallest
+    stride of its points in each panel group, and keeps its rows in their
+    given order, so a call on fewer than ``2 _POINT_BLOCK`` points is one
+    group, with every stride 1 (the points at the largest reach need every
+    angle)."""
+    layout = layout_at(float(np.max(reaches)))
+    order = np.argsort(reaches, kind="stable")
+    moduli, first = np.unique(reaches[order], return_index=True)
+    groups = []
+    for end, modulus in zip([*first[1:], len(reaches)], moduli):
+        strides = _angle_strides(layout, layout_at(float(modulus)))
+        start = groups[-1][1] if groups else 0
+        if groups and (groups[-1][2] == strides or start - groups[-1][0] < _kernels._POINT_BLOCK):
+            start, _, joined = groups.pop()
+            strides = tuple(map(min, joined, strides))
+        groups.append((start, end, strides))
+    if len(groups) > 1 and len(reaches) - groups[-1][0] < _kernels._POINT_BLOCK:
+        _, end, outer = groups.pop()
+        start, _, strides = groups.pop()
+        groups.append((start, end, tuple(map(min, strides, outer))))
+    return [(np.sort(order[start:end]), strides) for start, end, strides in groups]
+
+
+def _stride_subset(z, values, layout, strides, coarse):
+    """Nodes and values of every ``t``-th angle of each panel group of the
+    polar set of ``layout``, one stride ``t`` per group, with the values
+    (which carry the weights) times ``t``. All strides 1, or a set with no
+    panel groups (the plain rule), is the whole set."""
+    if all(t == 1 for t in strides):
+        return z, values
+    blocks_z, blocks_v, offset = [], [], 0
+    for (edges, order, angles), t in zip(layout, strides):
+        if coarse:
+            angles = int(_COARSE_SHARE * angles)
+        end = offset + order[coarse] * (len(edges) - 1) * angles
+        blocks_z.append(z[offset:end].reshape(-1, angles)[:, ::t].ravel())
+        blocks_v.append((values[offset:end].reshape(-1, angles)[:, ::t] * t).ravel())
+        offset = end
+    return np.concatenate(blocks_z), np.concatenate(blocks_v)
+
+
+def _refined(node_set, layout, groups, integrand, functional, *, check: bool, what: str):
+    """``functional(nodes, values, rows)`` of each point group ``(rows,
+    strides)`` on the stride subset (:func:`_stride_subset`) of the node set
+    ``node_set(coarse=False)`` of ``layout``, with ``values = integrand(nodes)
+    * weights`` evaluated once on the whole set; the groups' outputs are
+    assembled in point order.
+
+    With ``check`` the same is recomputed on ``node_set(coarse=True)``; a
+    deviation above 1e-6 at any point raises NonConvergence naming ``what``.
     """
-    z, w = node_set(coarse=False)
-    fine = functional(z, np.asarray(integrand(z), dtype=np.complex128) * w)
+    def contract(coarse):
+        z, w = node_set(coarse=coarse)
+        values = np.asarray(integrand(z), dtype=np.complex128) * w
+        out = None
+        for rows, strides in groups:
+            part = functional(*_stride_subset(z, values, layout, strides, coarse), rows)
+            if out is None:
+                out = np.empty((sum(len(r) for r, _ in groups),) + part.shape[1:], part.dtype)
+            out[rows] = part
+        return out
+
+    fine = contract(False)
     if check:
-        cz, cw = node_set(coarse=True)
-        coarse = functional(cz, np.asarray(integrand(cz), dtype=np.complex128) * cw)
-        delta = float(np.max(np.abs(fine - coarse)))
+        delta = float(np.max(np.abs(fine - contract(True))))
         if delta > _REFINEMENT_TOL:
             raise NonConvergence(f"{what} refinement mismatch {delta:.3e}")
     return fine
@@ -333,8 +420,9 @@ def disk_integrate_singular(f, center, *, check: bool = True) -> complex:
     """
     if center is None:
         raise DomainError("a singular integral needs a center; disk_integrate takes none")
-    return complex(integrate_parts(f, lambda z, values: np.sum(values), _BASE_REACH,
-                                   center, check=check, what="singular quadrature"))
+    return complex(integrate_parts(f, lambda z, values, rows: np.sum(values, keepdims=True),
+                                   [_BASE_REACH], center, check=check,
+                                   what="singular quadrature")[0])
 
 
 def symbol_parts(u: Symbol):
@@ -351,11 +439,15 @@ def symbol_parts(u: Symbol):
             for center, terms in by_center.items()]
 
 
-def integrate_parts(u, functional, reach: float, center=None, *, degree: int = 0,
+def integrate_parts(u, functional, reaches, center=None, *, degree: int = 0,
                     check: bool, what: str):
-    """Sum of ``functional(nodes, u(nodes) * weights)`` over the node sets of ``u``
-    for a functional whose pole lies beyond ``|z| = reach`` (reach 0: none)
-    and whose own angular degree is ``degree``.
+    """Sum of ``functional(nodes, u(nodes) * weights, rows)`` over the node
+    sets of ``u`` for a functional with one output per entry of ``reaches``,
+    whose pole for output ``i`` lies beyond ``|z| = reaches[i]`` (0: none),
+    and whose own angular degree is ``degree``; ``rows`` are the outputs it
+    computes, and it returns them along its first axis. For the transform
+    the outputs are its points and the reaches their moduli; a functional
+    of no points (moments, a plain integral) is one output.
 
     A :class:`Symbol` splits into its atom groups as :func:`symbol_parts`
     does (its harmonic part is left to the caller) and declares its own
@@ -363,9 +455,12 @@ def integrate_parts(u, functional, reach: float, center=None, *, degree: int = 0
     callable is one part with the declared ``center``, which must lie in
     ``|c| < 0.97`` (DomainError otherwise). A part with a center runs on
     that center's polar set (:func:`polar_nodes`), a part with none on the
-    plain rule (:func:`singular_nodes`), both of the rule for ``reach``
-    (:func:`_reach_rule`); with ``check`` each is recomputed on its coarse
-    set (:func:`_refined`). Returns ``0.0`` when ``u`` has no parts.
+    plain rule (:func:`singular_nodes`), both of the rule for the largest
+    reach (:func:`_reach_rule`). On a polar set each output is contracted
+    against every ``t``-th angle of each panel group, as many as its own
+    reach asks for (:func:`_point_groups`); with ``check`` each part is
+    recomputed on its coarse set (:func:`_refined`). Returns zeros, one per
+    output, when ``u`` has no parts.
     """
     if isinstance(u, Symbol):
         if center is not None:
@@ -378,12 +473,19 @@ def integrate_parts(u, functional, reach: float, center=None, *, degree: int = 0
                 raise DomainError(
                     f"singular center too close to the boundary: |{center}|={abs(center):.4f}")
         parts = [(center, u)]
+    reaches = np.asarray(reaches, dtype=float)
+    reach = float(np.max(reaches))
     rule = _reach_rule(reach)
-    total = 0.0
+    total = np.zeros(len(reaches))
     for part_center, integrand in parts:
-        node_set = (partial(singular_nodes, rule) if part_center is None
-                    else partial(polar_nodes, part_center, rule, reach=reach, degree=degree))
-        total = total + _refined(node_set, integrand, functional, check=check, what=what)
+        if part_center is None:
+            node_set, layout_at = partial(singular_nodes, rule), lambda r: ()
+        else:
+            node_set = partial(polar_nodes, part_center, rule, reach=reach, degree=degree)
+            layout_at = lambda r: _polar_layout(part_center, rule.radial_count,
+                                                rule.angular_count, r, degree)
+        total = total + _refined(node_set, layout_at(reach), _point_groups(reaches, layout_at),
+                                 integrand, functional, check=check, what=what)
     return total
 
 
@@ -403,21 +505,27 @@ def berezin_numeric(u, z, center=None, *, check: bool = True):
     added as ``h(z)``, since ``B(h) = h`` by the mean-value property. A
     callable runs on the polar set of its ``center``, or on the plain rule
     without one. With ``check`` each part is recomputed on its coarse node
-    set, so the 1e-6 refinement check guards each summed contribution. The rule
-    and the polar sets follow the points' reach (:func:`_reach_rule`,
-    :func:`_polar_layout`); a point beyond
-    ``|z| = 0.99`` raises OutOfRange. ``z`` may be a scalar or an array;
-    the result matches its shape.
+    set, so the 1e-6 refinement check guards each summed contribution at
+    every point. The rule and the polar sets follow the points' reach
+    ``max |z|`` (:func:`_reach_rule`, :func:`_polar_layout`), and each point
+    is contracted against as many of each panel group's angles as its own
+    ``|z|`` needs (:func:`_point_groups`); the points at the reach take
+    every angle. A non-finite point raises DomainError and a point beyond
+    ``|z| = 0.99`` OutOfRange. ``z`` may be a scalar or an array, also an
+    empty one; the result matches its shape.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
+    if not np.all(np.isfinite(zs)):
+        raise DomainError("numeric transform needs finite points")
     mags = np.abs(zs)
     if not np.all(mags <= _MAX_REACH + 1e-12):
         raise OutOfRange(f"numeric transform needs |z| <= {_MAX_REACH}")
+    if not len(zs):
+        return np.zeros(np.shape(z), dtype=np.complex128)
 
     out = np.zeros(len(zs), dtype=np.complex128) + integrate_parts(
-        u, lambda nodes, values: _kernels.kernel_sum(nodes, values, zs),
-        float(np.max(mags)), center,
-        check=check, what="numeric transform")
+        u, lambda nodes, values, rows: _kernels.kernel_sum(nodes, values, zs[rows]),
+        mags, center, check=check, what="numeric transform")
     if isinstance(u, Symbol):
         out += u.harmonic(zs)
 

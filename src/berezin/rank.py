@@ -129,8 +129,8 @@ def weighted_monomial_moments(u: Symbol, pmax: int, qmax: int) -> np.ndarray:
     harmonic = (np.where(q >= p, K[q - p] / (q + 1), 0.0)
                 + np.where(p >= q, np.conj(L[p - q]) / (p + 1), 0.0))
     return harmonic + quadrature.integrate_parts(
-        u, lambda z, values: _kernels.monomial_moments(z, values, pmax, qmax),
-        0.0, degree=pmax + qmax, check=False, what="monomial moments")
+        u, lambda z, values, rows: _kernels.monomial_moments(z, values, pmax, qmax)[None],
+        [0.0], degree=pmax + qmax, check=False, what="monomial moments")[0]
 
 
 def calibrated_orientation() -> str:

@@ -201,6 +201,14 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert "schema error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point", ["nan,0", "inf,0", "0,-inf"])
+def test_non_finite_point_is_a_schema_error(log_symbol_file, point, capsys):
+    # like any other malformed --z, not a numeric failure (exit 3)
+    code = main(["transform", "--symbol", log_symbol_file, "--mode", "both", f"--z={point}"])
+    assert code == 2
+    assert "schema error: --z" in capsys.readouterr().err
+
+
 def test_numeric_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "sym.json"
     path.write_text(serialize_symbol(Symbol.constant(1.0)))

@@ -1,3 +1,5 @@
+from math import ceil
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -152,6 +154,20 @@ class TestBerezinNumeric:
         for z in (0.991, 0.9989j, np.array([0.5, -0.995])):
             with pytest.raises(OutOfRange):
                 berezin_numeric(Symbol.constant(1.0), z)
+
+    def test_empty_points(self):
+        # an empty array of any shape gives an empty array of that shape
+        u = Symbol(holo=PowerSeries([0.3, 1.0]), atoms=(Atom("log", 0.2, 1.0),))
+        for shape in ((0,), (2, 0)):
+            out = berezin_numeric(u, np.zeros(shape, dtype=complex))
+            assert out.shape == shape and out.dtype == np.complex128
+
+    def test_non_finite_points(self):
+        # not an out-of-range point: no reach would take it
+        u = Symbol(atoms=(Atom("log", 0.2, 1.0),))
+        for z in (np.nan, complex(0.0, np.inf), np.array([0.5, -np.inf])):
+            with pytest.raises(DomainError, match="finite"):
+                berezin_numeric(u, z)
 
     def test_array_evaluation_matches_scalar(self):
         u = Symbol(atoms=(Atom("log", 0.2, 1.0),))
@@ -458,8 +474,8 @@ class TestReachSizedSets:
     @staticmethod
     def _base_reach_moments(u, pmax, qmax):
         return quadrature.integrate_parts(
-            u, lambda z, values: _kernels.monomial_moments(z, values, pmax, qmax),
-            quadrature._BASE_REACH, check=False, what="monomial moments")
+            u, lambda z, values, rows: _kernels.monomial_moments(z, values, pmax, qmax)[None],
+            [quadrature._BASE_REACH], check=False, what="monomial moments")[0]
 
     @staticmethod
     def _three_atoms(center):
@@ -482,6 +498,97 @@ class TestReachSizedSets:
         gap = np.max(np.abs(weighted_monomial_moments(u, 40, 40)
                             - self._base_reach_moments(u, 40, 40)))
         assert gap <= 1e-13
+
+
+class TestAngleStrides:
+    """Each point is contracted against every ``t``-th angle of each panel
+    group, as many as its own reach asks for (:func:`quadrature._point_groups`)."""
+
+    MODULI = np.linspace(0.02, 0.94, 11)
+
+    @staticmethod
+    def _clouds(rng):
+        # the CLI points, and random clouds inside 0.9 and out to 0.97
+        disk = lambda n, r: r * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        return [_sample_points(), disk(40, 0.9), disk(200, 0.9), disk(100, 0.97)]
+
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_strided_counts_cover_each_point(self, modulus, rng):
+        # every group's fine and coarse counts over t are at least those the
+        # layout of each of its points' own reach asks for, and t divides both
+        center, strided = modulus * np.exp(0.7j), False
+        for zs in self._clouds(rng):
+            reaches = np.abs(zs)
+            rule = quadrature._reach_rule(float(np.max(reaches)))
+            layout_at = lambda r: quadrature._polar_layout(center, rule.radial_count,
+                                                           rule.angular_count, r)
+            layout = layout_at(float(np.max(reaches)))
+            groups = quadrature._point_groups(reaches, layout_at)
+            rows = np.concatenate([rows for rows, _ in groups])
+            assert np.array_equal(np.sort(rows), np.arange(len(zs)))
+            for rows, strides in groups:
+                strided |= max(strides) > 1
+                for r in reaches[rows]:
+                    for (_, _, angles), (_, _, need), t in zip(layout, layout_at(r), strides):
+                        coarse, coarse_need = int(0.75 * angles), int(0.75 * need)
+                        assert angles % t == 0 and coarse % t == 0
+                        assert angles // t >= need and coarse // t >= coarse_need
+        assert strided
+
+    @pytest.mark.parametrize("angles, need, stride", [(40, 10, 2), (272, 32, 4), (432, 112, 3)])
+    def test_stride_divides_the_coarse_count(self, angles, need, stride):
+        # the fine count alone would allow 4 of 40 and 8 of 272, but every
+        # 4th of 30 coarse angles, or every 8th of 204, is no trapezoid rule
+        # (counts of the real layouts, multiples of 16 against needs of at
+        # least 64, never come apart so)
+        group = ((0.25, 1.0), (16, 12))
+        assert quadrature._angle_strides(((*group, angles),), ((*group, need),)) == (stride,)
+
+    @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.94])
+    def test_points_at_the_reach_match_a_whole_set_contraction(self, modulus):
+        # the CLI grid's 0.9 ring takes every angle: byte-identical
+        center, zs = modulus * np.exp(0.7j), _sample_points()
+        u = Symbol(atoms=(Atom("log", center, 1.0 - 0.5j),))
+        reach = float(np.max(np.abs(zs)))
+        z, w = polar_nodes(center, QuadratureRule.build(), reach=reach)
+        whole = _kernels.kernel_sum(z, u.atoms[0].eval(z) * w, zs)
+        values = berezin_numeric(u, zs)
+        at = np.abs(zs) >= 0.9 - 1e-12
+        assert np.array_equal(values[at], whole[at])
+        assert not np.array_equal(values[~at], whole[~at])
+
+    @pytest.mark.parametrize("count", [1, 5, 8, 16, 31])
+    def test_fewer_than_32_points_take_one_contraction(self, count, rng):
+        # one group with every angle, so the whole-set contraction, byte for
+        # byte, at the shapes of --z, verify and the moment workloads
+        zs = 0.9 * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
+        for modulus in (0.02, 0.5, 0.94):
+            u, center = _as_callable(TestReachSizedSets._three_atoms(modulus * np.exp(2.5j)))
+            z, w = polar_nodes(center, QuadratureRule.build(), reach=float(np.max(np.abs(zs))))
+            whole = _kernels.kernel_sum(z, u(z) * w, zs)
+            assert np.array_equal(berezin_numeric(u, zs, center=center), whole)
+
+    def test_starved_layout_still_raises_on_320_points(self, monkeypatch, fresh_node_sets):
+        # a quarter of every outer panel's angles at every reach: the points
+        # still take strides, and each group's fine and coarse sums disagree
+        u, center = _as_callable(TestReachSizedSets._three_atoms(0.5))
+        zs = _sample_points()
+        berezin_numeric(u, zs, center=center)
+        quadrature._polar_nodes_cached.cache_clear()
+        layout = quadrature._polar_layout
+
+        def starved(*args):
+            inner, *outer = layout(*args)
+            return (inner, *((edges, order, 16 * ceil(angles / 64))
+                             for edges, order, angles in outer))
+
+        monkeypatch.setattr(quadrature, "_polar_layout", starved)
+        reaches = np.abs(zs)
+        groups = quadrature._point_groups(
+            reaches, lambda r: quadrature._polar_layout(center, 64, 256, r))
+        assert max(max(strides) for _, strides in groups) > 1
+        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
+            berezin_numeric(u, zs, center=center)
 
 
 class TestInsidePatch:
@@ -521,6 +628,17 @@ class TestPolarRule:
                 u = Symbol(atoms=(Atom(kind, modulus * np.exp(1j * angle), 1.0),))
                 error = np.max(np.abs(berezin_numeric(u, SWEEP_POINTS)
                                       - symbol_values(u, SWEEP_POINTS)))
+                assert error <= 1e-10, (kind, angle, error)
+
+    @pytest.mark.parametrize("modulus", np.linspace(0.02, 0.94, 11))
+    def test_matches_closed_form_on_every_cli_point(self, modulus):
+        # all 320 points, so every ring inside 0.9 takes its own strides; the
+        # worst is 2.5e-11, at 0.756
+        zs = _sample_points()
+        for angle in (0.7, 2.5):
+            for kind in ("log", "pole", "conjpole"):
+                u = Symbol(atoms=(Atom(kind, modulus * np.exp(1j * angle), 1.0),))
+                error = np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs)))
                 assert error <= 1e-10, (kind, angle, error)
 
     @pytest.mark.parametrize("modulus, most", [(0.72, 82_000), (0.94, 103_000)])
