@@ -31,10 +31,6 @@ SAMPLE_RADII = 10
 SAMPLE_ANGLES = 32
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _sample_points() -> np.ndarray:
     radii = 0.9 * (np.arange(SAMPLE_RADII) + 1) / SAMPLE_RADII
     angles = 2.0 * np.pi * np.arange(SAMPLE_ANGLES) / SAMPLE_ANGLES
@@ -81,10 +77,9 @@ def _grid_to_json(grid) -> str:
 
 
 def _samples_to_csv(zs: np.ndarray, values: np.ndarray) -> str:
-    lines = ["z_re,z_im,value_re,value_im"]
-    for z, v in zip(zs, values):
-        lines.append(",".join([_fmt(z.real), _fmt(z.imag), _fmt(v.real), _fmt(v.imag)]))
-    return "\n".join(lines) + "\n"
+    rows = "".join("%.17g,%.17g,%.17g,%.17g\n" % (z.real, z.imag, v.real, v.imag)
+                   for z, v in zip(zs.tolist(), values.tolist()))
+    return "z_re,z_im,value_re,value_im\n" + rows
 
 
 def cmd_transform(args) -> int:

@@ -51,12 +51,27 @@ against every ``t``-th angle of each panel group, the trapezoid rule with
 ``|z|`` asks for (:func:`_point_groups`). Points that share a stride
 pattern form one contraction, of at least ``_kernels._POINT_BLOCK`` points,
 so a call on fewer than 32 points is one whole-set contraction.
+
+The geometric panels' Gauss rows are there only for the atoms'
+singularities; the functional's kernel is analytic along each ray of their
+segment. So the integrand is evaluated on those rows, and its weighted
+values ``v`` are moved onto Chebyshev proxy rows ``s_c`` of the same rays
+as ``E^T v``, with ``E`` the barycentric Lagrange basis of the proxies at
+the Gauss rows; the functional contracts the proxy rows (every angle) and
+the outer groups (:class:`_NodeSet`), as the black-box fast multipole
+method moves its sources onto Chebyshev nodes (Fong and Darve, J. Comput.
+Phys. 228, 2009). The proxy count follows from the Bernstein ellipse that
+the kernel's pole leaves the segment (Trefethen, *Approximation Theory
+and Approximation Practice*, SIAM 2013, Thm 8.2), or from the degree of a
+pole-free functional (:func:`_proxy_count`): 13 to 29 of the 72 rows at
+``|z| = 0.9``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import asinh, ceil, gcd, sqrt
+from math import asinh, ceil, gcd, log, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,6 +150,25 @@ _POLAR_OUTER_GAUSS = (16, 12)
 #: floor of 64 keeps the coarse set's 48 at twice that.
 #: On the 320 CLI points, atoms at the moduli ``linspace(0.02, 0.94, 11)``
 #: agree with their closed forms to 2.5e-11.
+#:
+#: The functional does not see the geometric panels' Gauss rows: it
+#: contracts ``n`` Chebyshev proxy rows on ``[0, _POLAR_INNER]`` of the same
+#: rays, which carry the rows' weighted values (:func:`_proxy_count`). The
+#: kernel's pole lies at least ``1/r - |a|`` from ``a`` and a ray's segment
+#: is at most ``_POLAR_INNER (1 + |a|)`` long, so the kernel is analytic
+#: inside the Bernstein ellipse of parameter ``rho = x + sqrt(x^2 - 1)``,
+#: ``x = 1 + 2 (1/r - |a|) / (_POLAR_INNER (1 + |a|))``, and its interpolant
+#: errs by about ``rho^-n``: ``n = ceil(_RING_DECAY / ln rho) + 2`` (13 at
+#: ``|a| = 0.02``, 20 at 0.72 and 29 at 0.94 for ``r = 0.9``; up to 43 at
+#: 0.99). Without a pole the kernel is a polynomial of degree ``degree`` in
+#: ``s``, and ``n = degree + 1`` is exact (with one, ``n`` is at least
+#: that). The coarse set takes
+#: ``_COARSE_SHARE`` of ``n`` (at least 1), always fewer, so that a
+#: starved count shows in the check (4 against 3 rows raise on the CLI
+#: points at ``|a| = 0.3`` to 0.94); from the Gauss row count on, the
+#: Gauss rows serve as their own proxies. On the 320 CLI points this cuts
+#: the contracted pairs by 29% at ``|a| = 0.72`` and 46% at 0.02, and the
+#: worst closed-form errors above, at 0.95 and at 0.99 do not move.
 _POLAR_ANGLE_GROWTH = 0.875
 _POLAR_PANEL_SPAN = 0.6
 _POLAR_INNER_FLOOR = 64
@@ -257,10 +291,91 @@ def _outer_panels(panels: int):
     return tuple(zip(edges[:-1], edges[1:]))
 
 
+def _proxy_count(modulus: float, reach: float, degree: int) -> int:
+    """Chebyshev proxy rows of the geometric panels around a center of
+    ``modulus`` for a functional whose pole lies beyond ``|z| = reach`` (0:
+    none) and whose own degree is ``degree``: ``ceil(_RING_DECAY / ln rho)
+    + 2`` for the Bernstein ellipse ``rho`` that the pole leaves the
+    segment, at least ``degree + 1``, and without a pole ``degree + 1``,
+    which is exact (the ``_POLAR_ANGLE_GROWTH`` comment)."""
+    if not reach:
+        return degree + 1
+    x = 1.0 + 2.0 * (1.0 / reach - modulus) / (_POLAR_INNER * (1.0 + modulus))
+    return max(degree + 1, ceil(_RING_DECAY / log(x + sqrt(x * x - 1.0))) + 2)
+
+
+@lru_cache(maxsize=None)
+def _proxy_basis(order: int, edges, count: int):
+    """Proxy rows ``s_c`` of the panels ``edges`` with ``order`` Gauss points
+    each, and the barycentric Lagrange basis ``E[i, c]`` of the rows at the
+    Gauss points ``s_i``: ``count`` Chebyshev points of the first kind on
+    ``[edges[0], edges[-1]]``, or, when ``count`` reaches the Gauss row
+    count, the Gauss points themselves with ``E`` of None (the identity).
+    The arrays are read-only. Cached without a bound: there are two Gauss
+    orders and fewer than 72 counts below the row count."""
+    s = np.concatenate([_gauss(order, lo, hi)[0] for lo, hi in zip(edges[:-1], edges[1:])])
+    if count >= len(s):
+        basis = None
+    else:
+        angle = (2 * np.arange(count) + 1) * np.pi / (2 * count)
+        lo, hi = edges[0], edges[-1]
+        proxies = 0.5 * (hi + lo) - 0.5 * (hi - lo) * np.cos(angle)
+        # barycentric weights of the Chebyshev points of the first kind
+        # (Berrut and Trefethen, SIAM Review 46, 2004), with the signs of
+        # the ascending order
+        weights = (-1.0) ** np.arange(count) * np.sin(angle)
+        gap = s[:, None] - proxies[None, :]
+        hit = gap == 0.0
+        terms = weights / np.where(hit, 1.0, gap)
+        basis = np.where(hit.any(axis=1, keepdims=True), hit,
+                         terms / terms.sum(axis=1, keepdims=True))
+        s = proxies
+        basis.setflags(write=False)
+    s.setflags(write=False)
+    return s, basis
+
+
+class _NodeSet(NamedTuple):
+    """A node set as the contraction sees it: the integrand is evaluated on
+    ``nodes`` with ``weights``, and the functional contracts ``contracted``,
+    whose panel groups have the ``(rows, angles)`` of ``blocks`` in layout
+    order. On a polar set the Gauss rows of the geometric panels come last
+    in ``nodes``, and ``contracted`` drops them and starts with the proxy
+    rows of ``basis`` (:func:`_proxy_basis`) in their place; both are views
+    of one array. The plain rule (no panel groups) is contracted as it is
+    evaluated."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    contracted: np.ndarray
+    basis: np.ndarray | None = None
+    blocks: tuple = ()
+
+    def values(self, integrand) -> np.ndarray:
+        """Weighted values on the contracted set: ``integrand * weights`` on
+        the outer rows, and ``E^T v`` of the geometric Gauss rows' weighted
+        values ``v`` on the proxy rows."""
+        if not self.blocks:
+            return np.asarray(integrand(self.nodes), dtype=np.complex128) * self.weights
+        rows, angles = self.blocks[0]
+        proxies = rows * angles
+        # the buffer only after the integrand, whose temporaries peak higher
+        evaluated = integrand(self.nodes)
+        values = np.empty(proxies + len(self.nodes), dtype=np.complex128)
+        np.multiply(evaluated, self.weights, out=values[proxies:])
+        gauss = values[len(self.contracted):].view(np.float64).reshape(-1, 2 * angles)
+        proxy = values[:proxies].view(np.float64).reshape(rows, 2 * angles)
+        if self.basis is None:
+            proxy[...] = gauss
+        else:
+            np.matmul(self.basis.T, gauss, out=proxy)
+        return values[:len(self.contracted)]
+
+
 @lru_cache(maxsize=8)
-def _polar_nodes_cached(center, layout, coarse):
+def _polar_nodes_cached(center, layout, coarse, proxies):
     gap = 1.0 - abs(center) ** 2
-    blocks_z, blocks_w = [], []
+    blocks_z, blocks_w, blocks = [], [], []
     for edges, order, angles in layout:
         if coarse:
             angles = int(_COARSE_SHARE * angles)
@@ -274,10 +389,35 @@ def _polar_nodes_cached(center, layout, coarse):
         blocks_z.append((center + s[:, None] * (rho_max * ray)[None, :]).ravel())
         blocks_w.append(((ws * s)[:, None]
                          * (rho_max * rho_max * (2.0 / angles))[None, :]).ravel())
-    z, w = np.concatenate(blocks_z), np.concatenate(blocks_w)
+        blocks.append((len(s), angles))
+        if len(blocks) == 1:
+            # the geometric panels' proxy rows, on the same rays
+            count = max(1, int(_COARSE_SHARE * proxies)) if coarse else proxies
+            proxy_s, basis = _proxy_basis(order[coarse], edges, count)
+            head = (center + proxy_s[:, None] * (rho_max * ray)[None, :]).ravel()
+            blocks[0] = (len(proxy_s), angles)
+    # the proxy rows first and the geometric Gauss rows last: the nodes the
+    # integrand is evaluated on and those the functional contracts are then
+    # each one slice of one array, with nothing copied per call
+    gauss, *outer = blocks_z
+    z = np.concatenate([head, *outer, gauss])
+    w = np.concatenate([*blocks_w[1:], blocks_w[0]])
     z.setflags(write=False)
     w.setflags(write=False)
-    return z, w
+    return _NodeSet(z[len(head):], w, z[:len(z) - len(gauss)], basis, tuple(blocks))
+
+
+def _plain_set(rule: QuadratureRule, coarse: bool) -> _NodeSet:
+    z, w = singular_nodes(rule, coarse=coarse)
+    return _NodeSet(z, w, z)
+
+
+def _polar_set(center: complex, rule: QuadratureRule, reach: float, degree: int,
+               coarse: bool) -> _NodeSet:
+    center = complex(center)
+    layout = _polar_layout(center, rule.radial_count, rule.angular_count, reach, degree)
+    return _polar_nodes_cached(center, layout, bool(coarse),
+                               _proxy_count(abs(center), reach, degree))
 
 
 def polar_nodes(center: complex, rule: QuadratureRule, *, reach: float = _BASE_REACH,
@@ -290,15 +430,16 @@ def polar_nodes(center: complex, rule: QuadratureRule, *, reach: float = _BASE_R
     ``s rho_max^2 ds dtheta / pi``: Gauss in ``s`` on the geometric and
     outer panels of ``_POLAR_INNER``, and a trapezoid rule in ``theta``
     with each panel group's own angle count, as :func:`_polar_layout`
-    decides them; each group is one tensor block. The coarse set takes
-    ``_COARSE_SHARE`` of every group's angles and the coarse Gauss orders
-    on the same panels, so an under-resolution of any group shows in the
-    check. Cached per (center, layout), so reaches whose counts round to
-    the same values share one set; the arrays are read-only.
+    decides them; each group is one tensor block, the outer groups first
+    and the geometric panels last. The coarse set takes ``_COARSE_SHARE``
+    of every group's angles and the coarse Gauss orders on the same panels,
+    so an under-resolution of any group shows in the check. Cached per
+    (center, layout, proxy count), so reaches whose counts round to the
+    same values share one set, with the proxy rows of its geometric panels
+    (:func:`_proxy_count`); the arrays are read-only.
     """
-    center = complex(center)
-    layout = _polar_layout(center, rule.radial_count, rule.angular_count, reach, degree)
-    return _polar_nodes_cached(center, layout, bool(coarse))
+    node_set = _polar_set(center, rule, reach, degree, coarse)
+    return node_set.nodes, node_set.weights
 
 
 def disk_integrate(f, rule: QuadratureRule | None = None) -> complex:
@@ -337,19 +478,24 @@ def _point_groups(reaches, layout_at):
     """The points of moduli ``reaches`` as groups ``(rows, strides)`` for the
     node set of ``layout_at(max(reaches))``: sorted by reach, the points of
     one stride pattern (:func:`_angle_strides` against ``layout_at`` of
-    each point's own reach) form a group, and a group of fewer than
-    ``_kernels._POINT_BLOCK`` points joins the next one outward (the
-    outermost joins the one inward of it). A group takes the smallest
-    stride of its points in each panel group, and keeps its rows in their
-    given order, so a call on fewer than ``2 _POINT_BLOCK`` points is one
-    group, with every stride 1 (the points at the largest reach need every
-    angle)."""
+    each point's own reach, once per distinct layout) form a group, and a
+    group of fewer than ``_kernels._POINT_BLOCK`` points joins the next one
+    outward (the outermost joins the one inward of it). A group takes the
+    smallest stride of its points in each panel group, and keeps its rows
+    in their given order. A call on fewer than ``2 _POINT_BLOCK`` points is
+    one group, with every stride 1 (the points at the largest reach need
+    every angle)."""
     layout = layout_at(float(np.max(reaches)))
+    if len(reaches) < 2 * _kernels._POINT_BLOCK:
+        return [(np.arange(len(reaches)), (1,) * len(layout))]
     order = np.argsort(reaches, kind="stable")
     moduli, first = np.unique(reaches[order], return_index=True)
-    groups = []
+    patterns, groups = {}, []
     for end, modulus in zip([*first[1:], len(reaches)], moduli):
-        strides = _angle_strides(layout, layout_at(float(modulus)))
+        need = layout_at(float(modulus))
+        if need not in patterns:
+            patterns[need] = _angle_strides(layout, need)
+        strides = patterns[need]
         start = groups[-1][1] if groups else 0
         if groups and (groups[-1][2] == strides or start - groups[-1][0] < _kernels._POINT_BLOCK):
             start, _, joined = groups.pop()
@@ -362,40 +508,38 @@ def _point_groups(reaches, layout_at):
     return [(np.sort(order[start:end]), strides) for start, end, strides in groups]
 
 
-def _stride_subset(z, values, layout, strides, coarse):
-    """Nodes and values of every ``t``-th angle of each panel group of the
-    polar set of ``layout``, one stride ``t`` per group, with the values
-    (which carry the weights) times ``t``. All strides 1, or a set with no
-    panel groups (the plain rule), is the whole set."""
+def _stride_subset(nodes, values, blocks, strides):
+    """Nodes and values of every ``t``-th angle of each panel group
+    ``(rows, angles)`` of ``blocks``, one stride ``t`` per group, with the
+    values (which carry the weights) times ``t``. All strides 1, or a set
+    with no panel groups (the plain rule), is the whole set."""
     if all(t == 1 for t in strides):
-        return z, values
+        return nodes, values
     blocks_z, blocks_v, offset = [], [], 0
-    for (edges, order, angles), t in zip(layout, strides):
-        if coarse:
-            angles = int(_COARSE_SHARE * angles)
-        end = offset + order[coarse] * (len(edges) - 1) * angles
-        blocks_z.append(z[offset:end].reshape(-1, angles)[:, ::t].ravel())
+    for (rows, angles), t in zip(blocks, strides):
+        end = offset + rows * angles
+        blocks_z.append(nodes[offset:end].reshape(-1, angles)[:, ::t].ravel())
         blocks_v.append((values[offset:end].reshape(-1, angles)[:, ::t] * t).ravel())
         offset = end
     return np.concatenate(blocks_z), np.concatenate(blocks_v)
 
 
-def _refined(node_set, layout, groups, integrand, functional, *, check: bool, what: str):
+def _refined(node_set, groups, integrand, functional, *, check: bool, what: str):
     """``functional(nodes, values, rows)`` of each point group ``(rows,
-    strides)`` on the stride subset (:func:`_stride_subset`) of the node set
-    ``node_set(coarse=False)`` of ``layout``, with ``values = integrand(nodes)
-    * weights`` evaluated once on the whole set; the groups' outputs are
-    assembled in point order.
+    strides)`` on the stride subset (:func:`_stride_subset`) of the
+    contracted set of ``node_set(coarse=False)``, a :class:`_NodeSet`, with
+    its values (:meth:`_NodeSet.values`) evaluated once on the whole set;
+    the groups' outputs are assembled in point order.
 
     With ``check`` the same is recomputed on ``node_set(coarse=True)``; a
     deviation above 1e-6 at any point raises NonConvergence naming ``what``.
     """
     def contract(coarse):
-        z, w = node_set(coarse=coarse)
-        values = np.asarray(integrand(z), dtype=np.complex128) * w
+        nodes = node_set(coarse=coarse)
+        z, values = nodes.contracted, nodes.values(integrand)
         out = None
         for rows, strides in groups:
-            part = functional(*_stride_subset(z, values, layout, strides, coarse), rows)
+            part = functional(*_stride_subset(z, values, nodes.blocks, strides), rows)
             if out is None:
                 out = np.empty((sum(len(r) for r, _ in groups),) + part.shape[1:], part.dtype)
             out[rows] = part
@@ -457,8 +601,10 @@ def integrate_parts(u, functional, reaches, center=None, *, degree: int = 0,
     that center's polar set (:func:`polar_nodes`), a part with none on the
     plain rule (:func:`singular_nodes`), both of the rule for the largest
     reach (:func:`_reach_rule`). On a polar set each output is contracted
-    against every ``t``-th angle of each panel group, as many as its own
-    reach asks for (:func:`_point_groups`); with ``check`` each part is
+    against every ``t``-th angle of each outer panel group, as many as its
+    own reach asks for (:func:`_point_groups`), and against the proxy rows
+    of the geometric panels that the largest reach, or without a pole the
+    ``degree``, asks for (:func:`_proxy_count`); with ``check`` each part is
     recomputed on its coarse set (:func:`_refined`). Returns zeros, one per
     output, when ``u`` has no parts.
     """
@@ -479,12 +625,13 @@ def integrate_parts(u, functional, reaches, center=None, *, degree: int = 0,
     total = np.zeros(len(reaches))
     for part_center, integrand in parts:
         if part_center is None:
-            node_set, layout_at = partial(singular_nodes, rule), lambda r: ()
+            node_set = partial(_plain_set, rule)
+            layout_at = lambda r: ()
         else:
-            node_set = partial(polar_nodes, part_center, rule, reach=reach, degree=degree)
+            node_set = partial(_polar_set, part_center, rule, reach, degree)
             layout_at = lambda r: _polar_layout(part_center, rule.radial_count,
                                                 rule.angular_count, r, degree)
-        total = total + _refined(node_set, layout_at(reach), _point_groups(reaches, layout_at),
+        total = total + _refined(node_set, _point_groups(reaches, layout_at),
                                  integrand, functional, check=check, what=what)
     return total
 
@@ -510,7 +657,8 @@ def berezin_numeric(u, z, center=None, *, check: bool = True):
     ``max |z|`` (:func:`_reach_rule`, :func:`_polar_layout`), and each point
     is contracted against as many of each panel group's angles as its own
     ``|z|`` needs (:func:`_point_groups`); the points at the reach take
-    every angle. A non-finite point raises DomainError and a point beyond
+    every angle. The geometric panels are contracted on their proxy rows
+    (:func:`_proxy_count`). A non-finite point raises DomainError and a point beyond
     ``|z| = 0.99`` OutOfRange. ``z`` may be a scalar or an array, also an
     empty one; the result matches its shape.
     """

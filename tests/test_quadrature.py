@@ -544,14 +544,20 @@ class TestAngleStrides:
         group = ((0.25, 1.0), (16, 12))
         assert quadrature._angle_strides(((*group, angles),), ((*group, need),)) == (stride,)
 
+    @staticmethod
+    def _whole_set_contraction(integrand, center, zs):
+        # the kernel sum over the whole proxied set of the points' reach:
+        # every angle of every group, the geometric panels on their proxy rows
+        node_set = quadrature._polar_set(center, QuadratureRule.build(),
+                                         float(np.max(np.abs(zs))), 0, False)
+        return _kernels.kernel_sum(node_set.contracted, node_set.values(integrand), zs)
+
     @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.94])
     def test_points_at_the_reach_match_a_whole_set_contraction(self, modulus):
         # the CLI grid's 0.9 ring takes every angle: byte-identical
         center, zs = modulus * np.exp(0.7j), _sample_points()
         u = Symbol(atoms=(Atom("log", center, 1.0 - 0.5j),))
-        reach = float(np.max(np.abs(zs)))
-        z, w = polar_nodes(center, QuadratureRule.build(), reach=reach)
-        whole = _kernels.kernel_sum(z, u.atoms[0].eval(z) * w, zs)
+        whole = self._whole_set_contraction(u.atoms[0].eval, center, zs)
         values = berezin_numeric(u, zs)
         at = np.abs(zs) >= 0.9 - 1e-12
         assert np.array_equal(values[at], whole[at])
@@ -564,8 +570,7 @@ class TestAngleStrides:
         zs = 0.9 * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
         for modulus in (0.02, 0.5, 0.94):
             u, center = _as_callable(TestReachSizedSets._three_atoms(modulus * np.exp(2.5j)))
-            z, w = polar_nodes(center, QuadratureRule.build(), reach=float(np.max(np.abs(zs))))
-            whole = _kernels.kernel_sum(z, u(z) * w, zs)
+            whole = self._whole_set_contraction(u, center, zs)
             assert np.array_equal(berezin_numeric(u, zs, center=center), whole)
 
     def test_starved_layout_still_raises_on_320_points(self, monkeypatch, fresh_node_sets):
@@ -589,6 +594,51 @@ class TestAngleStrides:
         assert max(max(strides) for _, strides in groups) > 1
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
             berezin_numeric(u, zs, center=center)
+
+
+class TestProxyRows:
+    """The geometric panels are contracted on Chebyshev proxy rows, as many
+    as the functional's pole leaves their segment of each ray
+    (:func:`quadrature._proxy_count`)."""
+
+    @staticmethod
+    def _rows(center, reach, degree, coarse):
+        node_set = quadrature._polar_set(center, QuadratureRule.build(), reach, degree, coarse)
+        return node_set.blocks[0][0]
+
+    def test_counts_follow_the_pole_and_the_degree(self):
+        # at reach 0.9: 13 rows at |a| = 0.02, 15 at 0.3, 20 at 0.72 and 29
+        # at 0.94, against 72 Gauss rows; at 0.99 up to 43. The coarse set
+        # takes 3/4 of them, always fewer, and neither set takes more rows
+        # than its Gauss rows, which serve as the proxies from there on
+        for reach, counts in ((0.9, (13, 15, 20, 29)), (0.99, (13, 15, 22, 43))):
+            for modulus, count in zip((0.02, 0.3, 0.72, 0.94), counts):
+                assert self._rows(modulus * np.exp(0.7j), reach, 0, False) == count
+        for modulus in np.linspace(0.0, 0.94, 12):
+            center = modulus * np.exp(2.5j)
+            for reach, degree in [(r, 0) for r in (0.05, 0.5, 0.9, 0.95, 0.99)] + [
+                    (r, d) for r in (0.0, 0.9) for d in (1, 2, 26, 38, 53, 71, 72, 80)]:
+                fine, coarse = (self._rows(center, reach, degree, c) for c in (False, True))
+                assert 1 <= coarse < fine <= 72 and coarse <= 54, (modulus, reach, degree)
+                # a polynomial of degree d in s takes d + 1 rows exactly, and
+                # without a pole no more
+                assert fine >= min(degree + 1, 72)
+                if not reach:
+                    assert fine == min(degree + 1, 72)
+                    assert coarse == min(int(0.75 * (degree + 1)), 54)
+
+    @pytest.mark.parametrize("modulus", [0.3, 0.72, 0.94])
+    def test_starved_proxy_rows_raise_on_320_points(self, modulus, monkeypatch,
+                                                    fresh_node_sets):
+        # 4 proxy rows (3 coarse) on the geometric panels: fine and coarse
+        # sums disagree on the CLI points
+        u = TestReachSizedSets._three_atoms(modulus * np.exp(0.7j))
+        zs = _sample_points()
+        berezin_numeric(u, zs)
+        quadrature._polar_nodes_cached.cache_clear()
+        monkeypatch.setattr(quadrature, "_proxy_count", lambda modulus, reach, degree: 4)
+        with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
+            berezin_numeric(u, zs)
 
 
 class TestInsidePatch:
