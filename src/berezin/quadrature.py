@@ -1,9 +1,9 @@
 """Quadrature over the unit disk with the normalized area measure.
 
 The measure convention throughout is ``dA = dx dy / pi`` so the disk has
-measure one. The base rule is a polar tensor product: Gauss-Legendre in
-``t = r^2`` (which makes the radial weight trivial) and uniform angles
-(trapezoid, spectrally accurate for periodic integrands).
+measure one. Every node set is a polar rule around one center:
+Gauss-Legendre points along each ray and uniform angles (trapezoid,
+spectrally accurate for periodic integrands).
 
 The transform fixes every summable harmonic function (mean-value
 property), so :func:`berezin_numeric` adds the harmonic part ``K +
@@ -13,7 +13,7 @@ atoms, part by part (:func:`integrate_parts`): the atoms of each center
 (:func:`polar_nodes`), ``zeta = a + s rho_max(theta) e^{i theta}`` with
 ``rho_max`` the distance to the unit circle along the ray. Any other
 callable declares at most one singular center and runs on that center's
-polar set, or on the plain rule when it declares none.
+polar set; one that declares none runs on the center-0 set.
 The polar Jacobian cancels the ``1/rho`` of a pole atom (Duffy, SIAM J.
 Numer. Anal. 19, 1982) and geometric panels toward ``s = 0`` resolve the
 ``rho log rho`` of a log atom (Schwab, *p- and hp-Finite Element
@@ -31,15 +31,14 @@ outer panels take the inner count plus the moments' own degree.
 
 Every polar set has a coarse check variant that takes a fixed smaller
 share of each angular count and the coarse member of every fixed
-``(fine, coarse)`` size pair, and the plain rule one with 3/4 of its
-sizes, so an angular or radial under-resolution shows as a
-fine-vs-coarse deviation (:func:`_refined`). An integrand the
+``(fine, coarse)`` size pair, so an angular or radial under-resolution
+shows as a fine-vs-coarse deviation (:func:`_refined`). An integrand the
 polar rule does not resolve, such as ``|u|`` with kinks on the zero set
 of ``u``, raises NonConvergence there rather than returning a wrong
 value. The node/weight sets are cached, so one set serves a whole family
 of integrands.
 
-The numeric transform sizes its rule from the reach ``r = max |z|`` of its
+The numeric transform sizes its sets from the reach ``r = max |z|`` of its
 points: the kernel's pole ``1 / conj(z)`` lies ``1/r - 1`` beyond the
 circle, so beyond ``r = 0.9`` every count grows like ``1 / (1 - r)``
 (:func:`_reach_rule`), and below it the outer panels of each polar set
@@ -68,7 +67,6 @@ pole-free functional (:func:`_proxy_count`): 13 to 29 of the 72 rows at
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import asinh, ceil, gcd, log, sqrt
 from typing import NamedTuple
@@ -79,12 +77,11 @@ from berezin import _kernels
 from berezin.errors import DomainError, NonConvergence, OutOfRange
 from berezin.symbols import Symbol
 
-#: Base rule sizes: 64 radial Gauss points, 256 uniform angles. The base
-#: rule serves points up to ``|z| = _BASE_REACH``, and the numeric transform
-#: scales it up to ``_MAX_REACH`` (:func:`_reach_rule`); a rule for 0.995
-#: would take about 4 times the memory of the 0.99 one (ROADMAP item 8).
-DEFAULT_RADIAL = 64
-DEFAULT_ANGULAR = 256
+#: Base angle count of the polar sets. At scale ``k = 1`` they serve points
+#: up to ``|z| = _BASE_REACH``, and the numeric transform scales every count
+#: by ``k`` up to ``_MAX_REACH`` (:func:`_reach_rule`); sets for 0.995 would
+#: take about 4 times the memory of the 0.99 ones (ROADMAP item 8).
+_BASE_ANGLES = 256
 _BASE_REACH = 0.9
 _MAX_REACH = 0.99
 
@@ -114,14 +111,14 @@ _POLAR_OUTER_GAUSS = (16, 12)
 #: an imaginary angle of about ``(1/|z| - 1) / (1/|z| + |a|)``, and the
 #: trapezoid error decays like ``exp(-n)`` of that times the count ``n``
 #: (measured rates per angle at ``|z| = 0.9``: 0.103 at ``|a| = 0.02``,
-#: 0.054 at 0.94). At the base 256 angles the full count is
+#: 0.054 at 0.94). At scale ``k = 1`` the full count is
 #: ``256 (1 + _POLAR_ANGLE_GROWTH |a|)``, rounded up to 16; it is the count
 #: of the outermost panel. A panel ending at ``s_hi`` takes ``s_hi`` times
 #: it: its rings stay a factor ``s_hi`` inside the circle, which adds about
 #: ``ln(1 / s_hi)`` to the pole's imaginary angle, so with the small angles
-#: above it needs fewer still. A ray is up to ``1 + |a|`` long, and at the
-#: base 64 radial points a center takes one outer panel per
-#: ``_POLAR_PANEL_SPAN`` of that length.
+#: above it needs fewer still. A ray is up to ``1 + |a|`` long, and at
+#: ``k = 1`` a center takes one outer panel per ``_POLAR_PANEL_SPAN`` of
+#: that length.
 #:
 #: For points up to a reach ``r`` below 0.9 the pole's imaginary angle
 #: ``gamma(r, |a|) = (1/r - 1) / (1/r + |a|)`` is larger, so the full count
@@ -187,62 +184,14 @@ def _gauss(n: int, lo: float, hi: float):
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Polar tensor rule: Gauss-Legendre on t = r^2 in (0,1) x uniform angles."""
-
-    radial_nodes: np.ndarray
-    radial_weights: np.ndarray
-    angular_count: int
-
-    @classmethod
-    def build(cls, radial: int = DEFAULT_RADIAL, angular: int = DEFAULT_ANGULAR) -> "QuadratureRule":
-        if radial < 8 or angular < 8:
-            raise DomainError("rule sizes must be >= 8")
-        t, w = _gauss(int(radial), 0.0, 1.0)
-        t.setflags(write=False)
-        w.setflags(write=False)
-        return cls(radial_nodes=t, radial_weights=w, angular_count=int(angular))
-
-    @property
-    def radial_count(self) -> int:
-        return len(self.radial_nodes)
-
-    def nodes(self):
-        """Node array (complex) and weight array for the plain disk rule."""
-        theta = 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
-        r = np.sqrt(self.radial_nodes)
-        z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-        w = np.repeat(self.radial_weights / self.angular_count, self.angular_count)
-        return z, w
-
-
-def _reach_rule(reach: float) -> QuadratureRule:
-    """Rule for points up to ``|z| = reach``: the base rule with every size
-    scaled by ``k = ceil((1 - _BASE_REACH) / (1 - reach))``, where a reach
-    within 1e-12 above a ring counts as on it (the CLI grid's outer ring is
-    at 0.9000000000000001, and takes k = 1). At 16 points on |z| = 0.95 to
-    0.99 (k = 2 to 10), atoms at moduli 0.02 to 0.94 are within 1.2e-10 of
-    their closed forms."""
-    k = ceil((1.0 - _BASE_REACH) / (1.0 + 1e-12 - reach))
-    return QuadratureRule.build(DEFAULT_RADIAL * k, DEFAULT_ANGULAR * k)
-
-
-@lru_cache(maxsize=8)
-def _singular_nodes_cached(radial, angular, coarse):
-    if coarse:
-        radial, angular = max(8, (3 * radial) // 4), max(8, (3 * angular) // 4)
-    z, w = QuadratureRule.build(radial, angular).nodes()
-    z.setflags(write=False)
-    w.setflags(write=False)
-    return z, w
-
-
-def singular_nodes(rule: QuadratureRule, *, coarse: bool = False):
-    """Node/weight set of the plain rule; ``coarse`` builds the variant with
-    3/4 of its radial and angular sizes. Cached per rule size; the arrays
-    are read-only."""
-    return _singular_nodes_cached(rule.radial_count, rule.angular_count, bool(coarse))
+def _reach_rule(reach: float) -> int:
+    """Scale ``k`` of the polar sets for points up to ``|z| = reach``: every
+    angle and outer-panel count of the base sets times ``k = ceil((1 -
+    _BASE_REACH) / (1 - reach))``, where a reach within 1e-12 above a ring
+    counts as on it (the CLI grid's outer ring is at 0.9000000000000001, and
+    takes k = 1). At 16 points on |z| = 0.95 to 0.99 (k = 2 to 10), atoms at
+    moduli 0.02 to 0.94 are within 1.2e-10 of their closed forms."""
+    return ceil((1.0 - _BASE_REACH) / (1.0 + 1e-12 - reach))
 
 
 def _pole_angle(reach: float, modulus: float) -> float:
@@ -251,32 +200,32 @@ def _pole_angle(reach: float, modulus: float) -> float:
     return (1.0 / reach - 1.0) / (1.0 / reach + modulus)
 
 
-def _polar_layout(center: complex, radial: int, angular: int, reach: float, degree: int = 0):
-    """Panel groups ``(edges, order, angles)`` of the fine polar set around
-    ``center`` for points up to ``|z| = reach``: the panel edges in ``s``,
-    the ``(fine, coarse)`` Gauss pair and the angle count of each group. The
-    geometric panels below ``_POLAR_INNER`` form one group; each outer panel
-    is a group of its own.
+def _polar_layout(center: complex, k: int, reach: float, degree: int = 0):
+    """Panel groups ``(edges, order, angles)`` of the fine polar set of scale
+    ``k`` (:func:`_reach_rule`) around ``center`` for points up to ``|z| =
+    reach``: the panel edges in ``s``, the ``(fine, coarse)`` Gauss pair and
+    the angle count of each group. The geometric panels below
+    ``_POLAR_INNER`` form one group; each outer panel is a group of its own.
 
-    The full count is ``angular (1 + _POLAR_ANGLE_GROWTH |a|)``. The inner
+    The full count is ``256 k (1 + _POLAR_ANGLE_GROWTH |a|)``. The inner
     group takes ``_RING_DECAY / (_COARSE_SHARE beta)`` angles, so that the
     coarse set still reaches 1e-13 there, at least ``_POLAR_INNER_FLOOR``;
     an outer panel ending at ``s_hi`` takes ``s_hi`` times the full count,
     at least the inner count plus ``degree``, the integrand's own angular
-    degree. Counts are scaled by ``angular / 256``, rounded up to 16 and
-    capped at the full count; the outer panel count is scaled by
-    ``radial / 64``. Below the base reach the full count shrinks with the
-    pole's imaginary angle (the ``_POLAR_ANGLE_GROWTH`` comment), to 0 at
-    reach 0, where there is no pole.
+    degree. Counts are scaled by ``k``, rounded up to 16 and capped at the
+    full count; the number of outer panels is scaled by ``k`` too. Below
+    the base reach the full count shrinks with the pole's imaginary angle
+    (the ``_POLAR_ANGLE_GROWTH`` comment), to 0 at reach 0, where there is
+    no pole.
     """
     m = abs(center)
-    full = 16 * ceil(angular * (1.0 + _POLAR_ANGLE_GROWTH * m) / 16)
+    full = 16 * ceil(_BASE_ANGLES * k * (1.0 + _POLAR_ANGLE_GROWTH * m) / 16)
     # the branch points of rho_max lie at imaginary angle beta; none at m = 0
     need = _RING_DECAY / (_COARSE_SHARE * asinh(sqrt(1.0 - m * m) / m)) if m else 0.0
-    inner = 16 * ceil(min(full, angular / DEFAULT_ANGULAR * max(_POLAR_INNER_FLOOR, need)) / 16)
+    inner = 16 * ceil(min(full, k * max(_POLAR_INNER_FLOOR, need)) / 16)
     if reach < _BASE_REACH - 1e-12:
         full *= _pole_angle(_BASE_REACH, m) / _pole_angle(reach, m) if reach else 0.0
-    panels = ceil(radial / DEFAULT_RADIAL * (1.0 + m) / _POLAR_PANEL_SPAN)
+    panels = ceil(k * (1.0 + m) / _POLAR_PANEL_SPAN)
     geometric = (0.0,) + tuple(_POLAR_INNER * _POLAR_RATIO ** j
                                for j in reversed(range(_POLAR_DEPTH)))
     return ((geometric, _POLAR_INNER_GAUSS, inner),) + tuple(
@@ -336,27 +285,24 @@ def _proxy_basis(order: int, edges, count: int):
 
 
 class _NodeSet(NamedTuple):
-    """A node set as the contraction sees it: the integrand is evaluated on
+    """A polar set as the contraction sees it: the integrand is evaluated on
     ``nodes`` with ``weights``, and the functional contracts ``contracted``,
     whose panel groups have the ``(rows, angles)`` of ``blocks`` in layout
-    order. On a polar set the Gauss rows of the geometric panels come last
-    in ``nodes``, and ``contracted`` drops them and starts with the proxy
-    rows of ``basis`` (:func:`_proxy_basis`) in their place; both are views
-    of one array. The plain rule (no panel groups) is contracted as it is
-    evaluated."""
+    order. The Gauss rows of the geometric panels come last in ``nodes``,
+    and ``contracted`` drops them and starts with the proxy rows of
+    ``basis`` (:func:`_proxy_basis`) in their place; both are views of one
+    array."""
 
     nodes: np.ndarray
     weights: np.ndarray
     contracted: np.ndarray
-    basis: np.ndarray | None = None
-    blocks: tuple = ()
+    basis: np.ndarray | None
+    blocks: tuple
 
     def values(self, integrand) -> np.ndarray:
         """Weighted values on the contracted set: ``integrand * weights`` on
         the outer rows, and ``E^T v`` of the geometric Gauss rows' weighted
         values ``v`` on the proxy rows."""
-        if not self.blocks:
-            return np.asarray(integrand(self.nodes), dtype=np.complex128) * self.weights
         rows, angles = self.blocks[0]
         proxies = rows * angles
         # the buffer only after the integrand, whose temporaries peak higher
@@ -407,24 +353,18 @@ def _polar_nodes_cached(center, layout, coarse, proxies):
     return _NodeSet(z[len(head):], w, z[:len(z) - len(gauss)], basis, tuple(blocks))
 
 
-def _plain_set(rule: QuadratureRule, coarse: bool) -> _NodeSet:
-    z, w = singular_nodes(rule, coarse=coarse)
-    return _NodeSet(z, w, z)
-
-
-def _polar_set(center: complex, rule: QuadratureRule, reach: float, degree: int,
-               coarse: bool) -> _NodeSet:
+def _polar_set(center: complex, k: int, reach: float, degree: int, coarse: bool) -> _NodeSet:
     center = complex(center)
-    layout = _polar_layout(center, rule.radial_count, rule.angular_count, reach, degree)
+    layout = _polar_layout(center, k, reach, degree)
     return _polar_nodes_cached(center, layout, bool(coarse),
                                _proxy_count(abs(center), reach, degree))
 
 
-def polar_nodes(center: complex, rule: QuadratureRule, *, reach: float = _BASE_REACH,
+def polar_nodes(center: complex, k: int = 1, *, reach: float = _BASE_REACH,
                 degree: int = 0, coarse: bool = False):
-    """Polar node/weight set around one atom center for points up to
-    ``|z| = reach`` and an integrand of angular ``degree``; ``coarse``
-    builds the check variant.
+    """Polar node/weight set of scale ``k`` (:func:`_reach_rule`) around one
+    center for points up to ``|z| = reach`` and an integrand of angular
+    ``degree``; ``coarse`` builds the check variant.
 
     Nodes ``zeta = a + s rho_max(theta) e^{i theta}`` with weights
     ``s rho_max^2 ds dtheta / pi``: Gauss in ``s`` on the geometric and
@@ -438,19 +378,8 @@ def polar_nodes(center: complex, rule: QuadratureRule, *, reach: float = _BASE_R
     same values share one set, with the proxy rows of its geometric panels
     (:func:`_proxy_count`); the arrays are read-only.
     """
-    node_set = _polar_set(center, rule, reach, degree, coarse)
+    node_set = _polar_set(center, k, reach, degree, coarse)
     return node_set.nodes, node_set.weights
-
-
-def disk_integrate(f, rule: QuadratureRule | None = None) -> complex:
-    """Integral of a smooth integrand over the disk with dA = dx dy / pi.
-
-    Exact (to roundoff) for bidegree polynomials of radial degree at most
-    ``2 * radial - 1`` and angular degree at most ``angular - 2``.
-    """
-    rule = rule or QuadratureRule.build()
-    z, w = rule.nodes()
-    return complex(np.sum(w * np.asarray(f(z), dtype=np.complex128)))
 
 
 #: Fine-vs-coarse deviation above which a singular integral is rejected.
@@ -511,8 +440,8 @@ def _point_groups(reaches, layout_at):
 def _stride_subset(nodes, values, blocks, strides):
     """Nodes and values of every ``t``-th angle of each panel group
     ``(rows, angles)`` of ``blocks``, one stride ``t`` per group, with the
-    values (which carry the weights) times ``t``. All strides 1, or a set
-    with no panel groups (the plain rule), is the whole set."""
+    values (which carry the weights) times ``t``. All strides 1 is the whole
+    set."""
     if all(t == 1 for t in strides):
         return nodes, values
     blocks_z, blocks_v, offset = [], [], 0
@@ -555,15 +484,16 @@ def _refined(node_set, groups, integrand, functional, *, check: bool, what: str)
 
 def disk_integrate_singular(f, center, *, check: bool = True) -> complex:
     """Integral of a callable with a log or simple-pole singularity at
-    ``center``, on that center's polar set of the base rule
+    ``center``, on that center's polar set at scale 1
     (:func:`integrate_parts`); a ``center`` of ``None`` raises DomainError
-    (:func:`disk_integrate` takes smooth integrands).
+    (a smooth integrand declares center 0).
 
     With ``check=True`` the value is recomputed on the coarse polar set; a
     discrepancy above 1e-6 raises NonConvergence.
     """
     if center is None:
-        raise DomainError("a singular integral needs a center; disk_integrate takes none")
+        raise DomainError(
+            "a singular integral needs a center; a smooth integrand declares center 0")
     return complex(integrate_parts(f, lambda z, values, rows: np.sum(values, keepdims=True),
                                    [_BASE_REACH], center, check=check,
                                    what="singular quadrature")[0])
@@ -591,16 +521,19 @@ def integrate_parts(u, functional, reaches, center=None, *, degree: int = 0,
     and whose own angular degree is ``degree``; ``rows`` are the outputs it
     computes, and it returns them along its first axis. For the transform
     the outputs are its points and the reaches their moduli; a functional
-    of no points (moments, a plain integral) is one output.
+    of no points (moments, an integral) is one output.
 
     A :class:`Symbol` splits into its atom groups as :func:`symbol_parts`
     does (its harmonic part is left to the caller) and declares its own
     centers, so passing a ``center`` with one raises DomainError. Any other
     callable is one part with the declared ``center``, which must lie in
-    ``|c| < 0.97`` (DomainError otherwise). A part with a center runs on
-    that center's polar set (:func:`polar_nodes`), a part with none on the
-    plain rule (:func:`singular_nodes`), both of the rule for the largest
-    reach (:func:`_reach_rule`). On a polar set each output is contracted
+    ``|c| < 0.97`` (DomainError otherwise); one with no center is a part
+    with center 0. Each part runs on its center's polar set
+    (:func:`polar_nodes`) of the scale for the largest reach
+    (:func:`_reach_rule`). A callable with no center may have a pole of its
+    own that the reach law does not see (the composed harmonic part of
+    ``transform.covariance_residual`` has one at ``1 / conj(a)``), so its
+    set is laid out for at least the base reach. Each output is contracted
     against every ``t``-th angle of each outer panel group, as many as its
     own reach asks for (:func:`_point_groups`), and against the proxy rows
     of the geometric panels that the largest reach, or without a pole the
@@ -608,29 +541,26 @@ def integrate_parts(u, functional, reaches, center=None, *, degree: int = 0,
     recomputed on its coarse set (:func:`_refined`). Returns zeros, one per
     output, when ``u`` has no parts.
     """
+    floor = 0.0
     if isinstance(u, Symbol):
         if center is not None:
             raise DomainError("a symbol declares its own singular centers; pass no center")
         parts = symbol_parts(u)
     else:
-        if center is not None:
-            center = complex(center)
-            if not abs(center) < 0.97:
-                raise DomainError(
-                    f"singular center too close to the boundary: |{center}|={abs(center):.4f}")
+        if center is None:
+            center, floor = 0j, _BASE_REACH
+        center = complex(center)
+        if not abs(center) < 0.97:
+            raise DomainError(
+                f"singular center too close to the boundary: |{center}|={abs(center):.4f}")
         parts = [(center, u)]
     reaches = np.asarray(reaches, dtype=float)
-    reach = float(np.max(reaches))
-    rule = _reach_rule(reach)
+    reach = max(float(np.max(reaches)), floor)
+    k = _reach_rule(reach)
     total = np.zeros(len(reaches))
     for part_center, integrand in parts:
-        if part_center is None:
-            node_set = partial(_plain_set, rule)
-            layout_at = lambda r: ()
-        else:
-            node_set = partial(_polar_set, part_center, rule, reach, degree)
-            layout_at = lambda r: _polar_layout(part_center, rule.radial_count,
-                                                rule.angular_count, r, degree)
+        node_set = partial(_polar_set, part_center, k, reach, degree)
+        layout_at = lambda r: _polar_layout(part_center, k, max(r, floor), degree)
         total = total + _refined(node_set, _point_groups(reaches, layout_at),
                                  integrand, functional, check=check, what=what)
     return total
@@ -650,11 +580,11 @@ def berezin_numeric(u, z, center=None, *, check: bool = True):
     each distinct center together on that center's polar node set
     (:func:`integrate_parts`); its harmonic part ``h = K + conj(L)`` is
     added as ``h(z)``, since ``B(h) = h`` by the mean-value property. A
-    callable runs on the polar set of its ``center``, or on the plain rule
+    callable runs on the polar set of its ``center``, or on the center-0 set
     without one. With ``check`` each part is recomputed on its coarse node
     set, so the 1e-6 refinement check guards each summed contribution at
-    every point. The rule and the polar sets follow the points' reach
-    ``max |z|`` (:func:`_reach_rule`, :func:`_polar_layout`), and each point
+    every point. The polar sets follow the points' reach ``max |z|``
+    (:func:`_reach_rule`, :func:`_polar_layout`), and each point
     is contracted against as many of each panel group's angles as its own
     ``|z|`` needs (:func:`_point_groups`); the points at the reach take
     every angle. The geometric panels are contracted on their proxy rows

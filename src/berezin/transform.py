@@ -157,9 +157,9 @@ def covariance_residual(s: Symbol, a: complex, z: complex) -> float:
     ``s``, composed with ``phi_a``, is integrated purely as a callable whose
     singular center is the preimage of the group's center under ``phi_a``,
     and the harmonic part composed with ``phi_a`` as a callable with no
-    center, on the plain rule. Neither the covariance identity nor the
-    fixed-point property is used, so the check stays independent of the
-    closed forms.
+    center, on the center-0 polar set. Neither the covariance identity nor
+    the fixed-point property is used, so the check stays independent of
+    the closed forms.
     """
     a = require_finite(a, "automorphism parameter")
     z = require_finite(z, "evaluation point")

@@ -85,7 +85,7 @@ def test_c02_harmonic_fixed_point():
     worst = 0.0
     for u in cases:
         direct = u.harmonic(zs)
-        # as a callable with no center the plain rule integrates it, under
+        # as a callable with no center the center-0 polar set integrates it, under
         # its check; as a symbol it is added exactly
         for numeric in (berezin_numeric(u.harmonic, zs), berezin_numeric(u, zs)):
             worst = max(worst, float(np.max(np.abs(np.asarray(numeric) - direct))))

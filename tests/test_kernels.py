@@ -7,7 +7,7 @@ import pytest
 
 from berezin import _kernels
 from berezin.core import PowerSeries
-from berezin.quadrature import QuadratureRule, _polar_nodes_cached, berezin_numeric, polar_nodes
+from berezin.quadrature import _polar_nodes_cached, berezin_numeric, polar_nodes
 from berezin.symbols import Atom, Symbol
 
 
@@ -70,7 +70,7 @@ def test_numeric_transform_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(polar_nodes(center, QuadratureRule.build())[0]) == 20_480
+    assert len(polar_nodes(center)[0]) == 20_480
     assert peak < 256 * 2**20
 
 

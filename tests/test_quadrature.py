@@ -10,12 +10,9 @@ from berezin.cli import _sample_points
 from berezin.core import PowerSeries
 from berezin.errors import DomainError, NonConvergence, OutOfRange
 from berezin.quadrature import (
-    QuadratureRule,
     berezin_numeric,
-    disk_integrate,
     disk_integrate_singular,
     polar_nodes,
-    singular_nodes,
     symbol_parts,
 )
 from berezin.rank import moment_matrix, moment_matrix_from_grid, weighted_monomial_moments
@@ -27,42 +24,34 @@ SWEEP_POINTS = _sample_points()[::10]
 
 
 class TestPlainRule:
+    """The rule for plain integrands, those that declare no center: the
+    center-0 polar set."""
+
+    @staticmethod
+    def _integrate(f):
+        z, w = polar_nodes(0j)
+        return complex(np.sum(w * f(z)))
+
     def test_measure_normalization(self):
-        rule = QuadratureRule.build()
-        assert np.sum(rule.radial_weights) == pytest.approx(1.0, abs=1e-14)
-        assert np.all(rule.radial_weights > 0)
-        assert disk_integrate(lambda z: np.ones_like(z), rule) == pytest.approx(1.0, abs=1e-14)
+        _, w = polar_nodes(0j)
+        assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+        assert np.all(w > 0)
+        assert self._integrate(np.ones_like) == pytest.approx(1.0, abs=1e-14)
 
     def test_second_moment(self):
-        # radial substitution turns |z|^2 into t, whose mean on (0,1) is 1/2
-        assert disk_integrate(lambda z: np.abs(z) ** 2) == pytest.approx(0.5, abs=1e-14)
+        # the mean of |z|^2 over the disk is 1/2
+        assert self._integrate(lambda z: np.abs(z) ** 2) == pytest.approx(0.5, abs=1e-14)
 
     def test_rotational_symmetry(self):
-        assert abs(disk_integrate(lambda z: z)) <= 1e-15
+        assert abs(self._integrate(lambda z: z)) <= 1e-15
 
-    def test_polynomial_exactness(self, rng):
-        rule = QuadratureRule.build(16, 32)
-        for _ in range(20):
-            m = int(rng.integers(0, 12))
-            n = int(rng.integers(0, 12))
-            if abs(m - n) > rule.angular_count - 2 or (m + n) // 2 > 2 * 16 - 1:
-                continue
-            value = disk_integrate(lambda z: z ** m * np.conj(z) ** n, rule)
-            want = 1.0 / (m + 1) if m == n else 0.0
-            assert value == pytest.approx(want, abs=1e-13)
-
-    def test_refinement_reduces_error_outside_exactness(self):
-        # |z|^80 has radial degree beyond the small rule's exactness class
-        f = lambda z: np.abs(z) ** 80
-        exact = 1.0 / 41.0
-        coarse = abs(disk_integrate(f, QuadratureRule.build(8, 16)) - exact)
-        fine = abs(disk_integrate(f, QuadratureRule.build(64, 16)) - exact)
-        assert fine < coarse
-        assert fine <= 1e-14
-
-    def test_size_guard(self):
-        with pytest.raises(DomainError):
-            QuadratureRule.build(4, 256)
+    def test_polynomial_exactness(self):
+        # every z^m conj(z)^n with m, n < 12; the worst error is 1.5e-16
+        for m in range(12):
+            for n in range(12):
+                value = self._integrate(lambda z: z ** m * np.conj(z) ** n)
+                want = 1.0 / (m + 1) if m == n else 0.0
+                assert value == pytest.approx(want, abs=1e-13), (m, n)
 
 
 class TestSingular:
@@ -108,7 +97,7 @@ class TestSingular:
             disk_integrate_singular(lambda z: np.log(np.abs(z - 0.99)), 0.99)
 
     def test_center_is_required(self):
-        # without a center the value would come from the plain rule
+        # a smooth integrand declares center 0
         with pytest.raises(DomainError, match="needs a center"):
             disk_integrate_singular(lambda z: np.log(np.abs(z)), None)
 
@@ -183,7 +172,7 @@ class TestBerezinNumeric:
         together = berezin_numeric(Symbol(atoms=atoms), zs)
         apart = sum(berezin_numeric(Symbol(atoms=(atom,)), zs) for atom in atoms)
         # relative to the sum of absolute terms: the kernel is positive
-        z, w = polar_nodes(0.3 - 0.2j, QuadratureRule.build())
+        z, w = polar_nodes(0.3 - 0.2j)
         weights = sum(np.abs(atom.eval(z)) for atom in atoms) * w
         scale = _kernels.kernel_sum(z, weights, zs).real
         assert np.all(np.abs(together - apart) <= 1e-13 * scale)
@@ -220,22 +209,33 @@ class TestBerezinNumeric:
             berezin_numeric(Symbol(atoms=atoms), SWEEP_POINTS)
 
     def test_refinement_check_guards_the_plain_rule(self, monkeypatch, fresh_node_sets):
-        # a callable with no center: z^20 on the plain 64 x 256 rule is within
-        # 2.9e-11 of its transform and passes the check; starved to 32 angles
-        # (24 coarse), its fine and coarse sums disagree by 0.60
+        # a callable with no center runs on the center-0 set: z^20 is within
+        # 1e-10 of its transform and passes the check; with a quarter of each
+        # group's angles (at least 16), its fine and coarse sums disagree by
+        # 4.8e-2
         u = lambda z: z ** 20
         assert np.max(np.abs(berezin_numeric(u, SWEEP_POINTS) - SWEEP_POINTS ** 20)) <= 1e-10
+        quadrature._polar_nodes_cached.cache_clear()
+        layout = quadrature._polar_layout
 
-        def starved(rule, *, coarse=False):
-            return quadrature._singular_nodes_cached(rule.radial_count, 32, coarse)
+        def starved(*args):
+            return tuple((edges, order, max(16, angles // 4))
+                         for edges, order, angles in layout(*args))
 
-        monkeypatch.setattr(quadrature, "singular_nodes", starved)
+        monkeypatch.setattr(quadrature, "_polar_layout", starved)
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
             berezin_numeric(u, SWEEP_POINTS)
 
+    def test_plain_rule_resolves_a_part_of_degree_39(self):
+        # sum of z^n for n < 40 as a callable, on the center-0 set: within
+        # 1.2e-9 on the CLI points
+        u = PowerSeries(np.ones(40)).eval
+        zs = _sample_points()
+        assert np.max(np.abs(berezin_numeric(u, zs) - u(zs))) <= 1e-8
+
     def test_plain_rule_rejects_a_part_it_does_not_resolve(self):
-        # sum of z^n for n < 200 as a callable: the plain rule is off by
-        # 1.4e-2 on the CLI points, and the check sees it
+        # sum of z^n for n < 200 as a callable: the center-0 set does not
+        # resolve it on the CLI points, and the check sees it
         u = lambda z: PowerSeries(np.ones(200)).eval(z)
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
             berezin_numeric(u, _sample_points())
@@ -268,22 +268,20 @@ class TestHarmonicPart:
             np.testing.assert_allclose(integrand(SWEEP_POINTS), expected, rtol=0, atol=1e-14)
 
     def test_symbols_build_no_plain_set(self, fresh_node_sets):
-        # 200 terms alone, which the plain rule misses by 1.4e-2: exact, and
-        # no node set is built
+        # 200 terms alone, which the center-0 set does not resolve as a
+        # callable: exact, and no node set is built
         u = Symbol(holo=PowerSeries(np.ones(200)))
         zs = _sample_points()
         assert np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs))) <= 1e-12
         moment_matrix(u, 12, 12)
         assert quadrature._polar_nodes_cached.cache_info().currsize == 0
-        berezin_numeric(self.SYMBOL, SWEEP_POINTS)
-        moment_matrix(self.SYMBOL, 6, 6)
-        assert quadrature._singular_nodes_cached.cache_info().currsize == 0
 
     def test_moments_match_the_exact_grid_and_the_plain_rule(self, rng):
         # the three-term assembly cancels the closed-form moments to roundoff
         # (the exact grid's moment matrix of a harmonic part is 0), and the
-        # plain rule is exact on these polynomials
-        z, w = singular_nodes(QuadratureRule.build())
+        # center-0 moment set (reach 0, degree 26) integrates these
+        # polynomials to 4.9e-16
+        z, w = polar_nodes(0j, reach=0.0, degree=26)
         for degree in range(21):
             holo, anti = (0.5 * (rng.standard_normal(degree + 1)
                                  + 1j * rng.standard_normal(degree + 1)) for _ in range(2))
@@ -292,8 +290,8 @@ class TestHarmonicPart:
             scale = max(np.max(np.abs(holo)), np.max(np.abs(anti)))
             exact = moment_matrix_from_grid(symbol_transform(h), 12, 12).entries
             assert np.max(np.abs(moment_matrix(h, 12, 12).entries - exact)) <= 1e-14 * scale
-            plain = _kernels.monomial_moments(z, symbol_eval(h, z) * w, 13, 13)
-            assert np.max(np.abs(weighted_monomial_moments(h, 13, 13) - plain)) <= 1e-14
+            quad = _kernels.monomial_moments(z, symbol_eval(h, z) * w, 13, 13)
+            assert np.max(np.abs(weighted_monomial_moments(h, 13, 13) - quad)) <= 1e-14
 
     @pytest.mark.parametrize("holo, anti", [
         # size 9.5e3 beside the pole; the polar check would raise on it at
@@ -323,24 +321,20 @@ class TestHarmonicPart:
 
 
 class TestNodeSets:
-    @pytest.mark.parametrize("centers", [(), (0.3,)])
+    @pytest.mark.parametrize("centers", [(0.0,), (0.3,)])
     @pytest.mark.parametrize("coarse", [False, True])
     def test_cached_sets_are_read_only(self, centers, coarse):
-        # the plain set, and the polar set of each center
-        rule = QuadratureRule.build()
-        sets = [singular_nodes(rule, coarse=coarse)]
-        sets += [polar_nodes(c, rule, coarse=coarse) for c in centers]
-        for z, w in sets:
+        # the center-0 set, which callables with no center run on, and the
+        # polar set of another center
+        for z, w in (polar_nodes(c, coarse=coarse) for c in centers):
             assert not z.flags.writeable and not w.flags.writeable
 
 
 @pytest.fixture
 def fresh_node_sets():
     # node sets built under a patched count must not serve later tests
-    quadrature._singular_nodes_cached.cache_clear()
     quadrature._polar_nodes_cached.cache_clear()
     yield
-    quadrature._singular_nodes_cached.cache_clear()
     quadrature._polar_nodes_cached.cache_clear()
 
 
@@ -378,20 +372,19 @@ def _ring(reach):
 
 
 class TestDenserRule:
-    """Points beyond |z| = 0.9 get a denser rule, sized from their reach
-    (:func:`quadrature._reach_rule`)."""
+    """Points beyond |z| = 0.9 get denser polar sets, of a scale ``k`` sized
+    from their reach (:func:`quadrature._reach_rule`)."""
 
     def test_sizes_follow_the_reach(self):
-        # the CLI grid's outer ring, 0.9000000000000001, keeps the base rule;
-        # a ring at 0.99 that rounds above it takes 10 times its sizes, not 11
+        # the CLI grid's outer ring, 0.9000000000000001, keeps scale 1; a
+        # ring at 0.99 that rounds above it takes scale 10, not 11
         for reach, k in ((np.max(np.abs(_sample_points())), 1), (0.95, 2), (0.98, 5),
                          (np.max(np.abs(_ring(0.99))), 10)):
-            rule = quadrature._reach_rule(reach)
-            assert (rule.radial_count, rule.angular_count) == (64 * k, 256 * k)
+            assert quadrature._reach_rule(reach) == k
 
     @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.9])
     def test_matches_closed_form_at_095(self, modulus, fresh_node_sets):
-        # rule 128 x 512; worst error 2.0e-11
+        # scale 2; worst error 2.0e-11
         zs = _ring(0.95)
         for kind in ("log", "pole", "conjpole"):
             u = Symbol(atoms=(Atom(kind, modulus * np.exp(0.7j), 1.0),))
@@ -401,7 +394,7 @@ class TestDenserRule:
     @pytest.mark.parametrize("reach", [0.97, 0.98, 0.99])
     @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.9, 0.94])
     def test_matches_closed_form_near_the_edge(self, reach, modulus, fresh_node_sets):
-        # rules 256 x 1024 to 640 x 2560; worst error 1.2e-10. At 0.99 the
+        # scales 4 to 10; worst error 1.2e-10. At 0.99 the
         # three kinds share one center, so one call builds its sets once
         center, zs = modulus * np.exp(0.7j), _ring(reach)
         atoms = [Atom(kind, center, 1.0) for kind in ("log", "pole", "conjpole")]
@@ -412,10 +405,9 @@ class TestDenserRule:
 
     @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.9])
     def test_check_raises_at_098(self, modulus, monkeypatch, fresh_node_sets):
-        # 0.98 takes 320 x 1280; on 128 x 512 the deviations run from 2.5e-5
+        # 0.98 takes scale 5; at scale 2 the deviations run from 2.5e-5
         # (log at 0.02) to 1.4e-3 (log at 0.9)
-        monkeypatch.setattr(quadrature, "_reach_rule",
-                            lambda reach: QuadratureRule.build(128, 512))
+        monkeypatch.setattr(quadrature, "_reach_rule", lambda reach: 2)
         zs = _ring(0.98)
         for kind in ("log", "pole", "conjpole"):
             u = Symbol(atoms=(Atom(kind, modulus * np.exp(0.7j), 1.0),))
@@ -435,29 +427,28 @@ class TestReachSizedSets:
         # as the base reach
         for modulus in (0.0, 0.3, 0.75, 0.94):
             center = modulus * np.exp(0.7j)
-            base = quadrature._polar_layout(center, 64, 256, 0.9)
+            base = quadrature._polar_layout(center, 1, 0.9)
             for reach in (0.9000000000000001, np.max(np.abs(_sample_points())), 0.9 - 1e-13):
-                assert quadrature._polar_layout(center, 64, 256, reach) == base
+                assert quadrature._polar_layout(center, 1, reach) == base
 
     def test_counts_follow_the_pole(self):
         # fine and coarse node counts of a 0.75 center: the transform's sets
         # shrink with the reach, and the moment set (reach 0, degree 26, as
         # at kmax 12) takes the inner count plus the degree on every outer
         # panel
-        center, rule = 0.75 * np.exp(0.7j), QuadratureRule.build()
+        center = 0.75 * np.exp(0.7j)
         for reach, degree, counts in ((0.9, 0, (20_480, 11_520)), (0.7, 0, (9_984, 5_616)),
                                       (0.5, 0, (7_936, 4_464)), (0.0, 26, (9_216, 5_184))):
-            assert tuple(len(polar_nodes(center, rule, reach=reach, degree=degree, coarse=c)[0])
+            assert tuple(len(polar_nodes(center, reach=reach, degree=degree, coarse=c)[0])
                          for c in (False, True)) == counts
-        (_, _, inner), *outer = quadrature._polar_layout(center, 64, 256, 0.0, 26)
+        (_, _, inner), *outer = quadrature._polar_layout(center, 1, 0.0, 26)
         assert inner == 64 and all(angles == 96 for _, _, angles in outer)
 
     def test_sets_are_shared_by_layout(self, fresh_node_sets):
         # two reaches whose counts round to the same values share one set
-        center, rule = 0.75 * np.exp(0.7j), QuadratureRule.build()
-        assert (quadrature._polar_layout(center, 64, 256, 0.7)
-                == quadrature._polar_layout(center, 64, 256, 0.7001))
-        assert polar_nodes(center, rule, reach=0.7)[0] is polar_nodes(center, rule, reach=0.7001)[0]
+        center = 0.75 * np.exp(0.7j)
+        assert quadrature._polar_layout(center, 1, 0.7) == quadrature._polar_layout(center, 1, 0.7001)
+        assert polar_nodes(center, reach=0.7)[0] is polar_nodes(center, reach=0.7001)[0]
         assert quadrature._polar_nodes_cached.cache_info().currsize == 1
 
     @pytest.mark.parametrize("reach", [0.05, 0.3, 0.5, 0.7, 0.8, 0.85, 0.89])
@@ -519,9 +510,8 @@ class TestAngleStrides:
         center, strided = modulus * np.exp(0.7j), False
         for zs in self._clouds(rng):
             reaches = np.abs(zs)
-            rule = quadrature._reach_rule(float(np.max(reaches)))
-            layout_at = lambda r: quadrature._polar_layout(center, rule.radial_count,
-                                                           rule.angular_count, r)
+            k = quadrature._reach_rule(float(np.max(reaches)))
+            layout_at = lambda r: quadrature._polar_layout(center, k, r)
             layout = layout_at(float(np.max(reaches)))
             groups = quadrature._point_groups(reaches, layout_at)
             rows = np.concatenate([rows for rows, _ in groups])
@@ -548,8 +538,7 @@ class TestAngleStrides:
     def _whole_set_contraction(integrand, center, zs):
         # the kernel sum over the whole proxied set of the points' reach:
         # every angle of every group, the geometric panels on their proxy rows
-        node_set = quadrature._polar_set(center, QuadratureRule.build(),
-                                         float(np.max(np.abs(zs))), 0, False)
+        node_set = quadrature._polar_set(center, 1, float(np.max(np.abs(zs))), 0, False)
         return _kernels.kernel_sum(node_set.contracted, node_set.values(integrand), zs)
 
     @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.94])
@@ -590,7 +579,7 @@ class TestAngleStrides:
         monkeypatch.setattr(quadrature, "_polar_layout", starved)
         reaches = np.abs(zs)
         groups = quadrature._point_groups(
-            reaches, lambda r: quadrature._polar_layout(center, 64, 256, r))
+            reaches, lambda r: quadrature._polar_layout(center, 1, r))
         assert max(max(strides) for _, strides in groups) > 1
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
             berezin_numeric(u, zs, center=center)
@@ -603,7 +592,7 @@ class TestProxyRows:
 
     @staticmethod
     def _rows(center, reach, degree, coarse):
-        node_set = quadrature._polar_set(center, QuadratureRule.build(), reach, degree, coarse)
+        node_set = quadrature._polar_set(center, 1, reach, degree, coarse)
         return node_set.blocks[0][0]
 
     def test_counts_follow_the_pole_and_the_degree(self):
@@ -664,7 +653,7 @@ class TestPolarRule:
     @pytest.mark.parametrize("coarse", [False, True])
     def test_weights_integrate_one_inside_the_disk(self, modulus, coarse):
         center = modulus * np.exp(2.5j)
-        z, w = polar_nodes(center, QuadratureRule.build(), coarse=coarse)
+        z, w = polar_nodes(center, coarse=coarse)
         assert np.sum(w) == pytest.approx(1.0, abs=1e-13)
         assert np.all(w > 0.0) and np.all(np.abs(z) < 1.0)
         assert np.min(np.abs(z - center)) > 1e-8
@@ -694,18 +683,16 @@ class TestPolarRule:
     @pytest.mark.parametrize("modulus, most", [(0.72, 82_000), (0.94, 103_000)])
     def test_node_count(self, modulus, most):
         # fine and coarse sets together; the composite rule takes 134,095 at 0.72
-        rule = QuadratureRule.build()
         center = modulus * np.exp(0.7j)
-        fine, coarse = (len(polar_nodes(center, rule, coarse=c)[0]) for c in (False, True))
+        fine, coarse = (len(polar_nodes(center, coarse=c)[0]) for c in (False, True))
         assert coarse < fine and fine + coarse <= most
 
     @pytest.mark.parametrize("modulus, most", [(0.72, 33_000), (0.94, 51_000)])
     def test_per_panel_node_count(self, modulus, most):
         # fine and coarse sets together: 32,000 at 0.72 and 49,600 at 0.94;
         # the full angle count on every panel takes 81,000 and 102,000
-        rule = QuadratureRule.build()
         center = modulus * np.exp(0.7j)
-        fine, coarse = (len(polar_nodes(center, rule, coarse=c)[0]) for c in (False, True))
+        fine, coarse = (len(polar_nodes(center, coarse=c)[0]) for c in (False, True))
         assert coarse < fine and fine + coarse <= most
 
     @pytest.mark.parametrize("kind", ["log", "pole", "conjpole"])

@@ -6,7 +6,7 @@ import pytest
 from berezin import _kernels, quadrature
 from berezin.core import BidegreeSeries, PowerSeries
 from berezin.errors import DomainError, ZeroInput
-from berezin.quadrature import QuadratureRule, _polar_nodes_cached, polar_nodes
+from berezin.quadrature import _polar_nodes_cached, polar_nodes
 from berezin.rank import (
     _assemble,
     calibrated_orientation,
@@ -174,21 +174,20 @@ class TestMomentMatrix:
         # relative to the sum of absolute terms, sum |u| w |z|^(p+q): the high
         # moments of this center cancel to under 1e-5 of that, so entrywise relative
         # differences there show rounding, not a change of node set
-        z, w = polar_nodes(0.3 - 0.2j, QuadratureRule.build())
+        z, w = polar_nodes(0.3 - 0.2j)
         weights = sum(np.abs(atom.eval(z)) for atom in atoms) * w
         scale = _kernels.monomial_moments(np.abs(z), weights, 13, 13).real
         assert np.all(np.abs(together - apart) <= 1e-13 * scale)
 
     def test_moment_memory_is_bounded(self, monkeypatch):
         # three atoms on one 0.75 center contract its moment set (reach 0,
-        # degree 26) of 953,856 nodes under this rule; the two unblocked
-        # 14 x 953,856 complex power tables alone would take 408 MiB, 3.2
-        # times the bound
+        # degree 26) of 974,336 nodes at scale 17; the two unblocked
+        # 14 x 974,336 complex power tables alone would take 416 MiB, 3.25
+        # times the bound (the peak was 82.9 MiB)
         a = 0.75 * np.exp(0.3j)
         u = Symbol(atoms=(Atom("log", a, 1.0), Atom("pole", a, 0.5), Atom("conjpole", a, -0.25j)))
-        rule = QuadratureRule.build(64, 31744)
-        monkeypatch.setattr(quadrature, "_reach_rule", lambda reach: rule)
-        assert len(polar_nodes(a, rule, reach=0.0, degree=26)[0]) == 953_856
+        monkeypatch.setattr(quadrature, "_reach_rule", lambda reach: 17)
+        assert len(polar_nodes(a, 17, reach=0.0, degree=26)[0]) == 974_336
         tracemalloc.start()
         try:
             moment_matrix(u, 12, 12)
