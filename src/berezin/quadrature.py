@@ -35,21 +35,20 @@ share of each angular count and the coarse member of every fixed
 shows as a fine-vs-coarse deviation (:func:`_refined`). An integrand the
 polar rule does not resolve, such as ``|u|`` with kinks on the zero set
 of ``u``, raises NonConvergence there rather than returning a wrong
-value. The node/weight sets are cached, so one set serves a whole family
-of integrands.
+value. The sets are built anew on every call; nothing keeps them.
 
 The numeric transform sizes its sets from the reach ``r = max |z|`` of its
 points: the kernel's pole ``1 / conj(z)`` lies ``1/r - 1`` beyond the
-circle, so beyond ``r = 0.9`` every count grows like ``1 / (1 - r)``
-(:func:`_reach_rule`), and below it the outer panels of each polar set
-shrink with the pole's imaginary angle (:func:`_polar_layout`). Each
-center's fine and coarse sets are built once, for that reach, and the
-integrand is evaluated once on each; each point is then contracted
-against every ``t``-th angle of each panel group, the trapezoid rule with
-``1/t`` of the angles and ``t`` times the weights, as few as its own
-``|z|`` asks for (:func:`_point_groups`). Points that share a stride
-pattern form one contraction, of at least ``_kernels._POINT_BLOCK`` points,
-so a call on fewer than 32 points is one whole-set contraction.
+circle, so below ``r = 0.9`` the outer panels shrink with the pole's
+imaginary angle, and beyond it every count grows like ``1 / (1 - r)``
+(:func:`_polar_layout`). Each center's fine and coarse sets are built for
+that reach, and the integrand is evaluated once on each; each point is
+then contracted against every ``t``-th angle of each panel group, the
+trapezoid rule with ``1/t`` of the angles and ``t`` times the weights, as
+few as the same law gives the group at the point's own ``|z|``
+(:func:`_point_groups`). Points that share a stride pattern form one
+contraction, of at least ``_kernels._POINT_BLOCK`` points, so a call on
+fewer than 32 points is one whole-set contraction.
 
 The geometric panels' Gauss rows are there only for the atoms'
 singularities; the functional's kernel is analytic along each ray of their
@@ -77,10 +76,10 @@ from berezin import _kernels
 from berezin.errors import DomainError, NonConvergence, OutOfRange
 from berezin.symbols import Symbol
 
-#: Base angle count of the polar sets. At scale ``k = 1`` they serve points
-#: up to ``|z| = _BASE_REACH``, and the numeric transform scales every count
-#: by ``k`` up to ``_MAX_REACH`` (:func:`_reach_rule`); sets for 0.995 would
-#: take about 4 times the memory of the 0.99 ones (ROADMAP item 8).
+#: Base angle count of the polar sets, which serve points up to ``|z| =
+#: _BASE_REACH``; up to ``_MAX_REACH`` every count grows with the pole's
+#: imaginary angle (:func:`_polar_layout`), and sets for 0.995 would take
+#: about 4 times the memory of the 0.99 ones (ROADMAP item 8).
 _BASE_ANGLES = 256
 _BASE_REACH = 0.9
 _MAX_REACH = 0.99
@@ -111,21 +110,23 @@ _POLAR_OUTER_GAUSS = (16, 12)
 #: an imaginary angle of about ``(1/|z| - 1) / (1/|z| + |a|)``, and the
 #: trapezoid error decays like ``exp(-n)`` of that times the count ``n``
 #: (measured rates per angle at ``|z| = 0.9``: 0.103 at ``|a| = 0.02``,
-#: 0.054 at 0.94). At scale ``k = 1`` the full count is
+#: 0.054 at 0.94). At the base reach 0.9 the full count is
 #: ``256 (1 + _POLAR_ANGLE_GROWTH |a|)``, rounded up to 16; it is the count
 #: of the outermost panel. A panel ending at ``s_hi`` takes ``s_hi`` times
 #: it: its rings stay a factor ``s_hi`` inside the circle, which adds about
 #: ``ln(1 / s_hi)`` to the pole's imaginary angle, so with the small angles
-#: above it needs fewer still. A ray is up to ``1 + |a|`` long, and at
-#: ``k = 1`` a center takes one outer panel per ``_POLAR_PANEL_SPAN`` of
+#: above it needs fewer still. A ray is up to ``1 + |a|`` long, and at the
+#: base reach a center takes one outer panel per ``_POLAR_PANEL_SPAN`` of
 #: that length.
 #:
-#: For points up to a reach ``r`` below 0.9 the pole's imaginary angle
-#: ``gamma(r, |a|) = (1/r - 1) / (1/r + |a|)`` is larger, so the full count
-#: shrinks by ``gamma(0.9, |a|) / gamma(r, |a|)``, which keeps ``n gamma``,
-#: and the error, at the base-reach level (at ``|a| = 0.75`` the fine set
+#: For points up to a reach ``r`` the counts follow ``sigma = gamma(0.9,
+#: |a|) / gamma(r, |a|)``, ``gamma(r, |a|) = (1/r - 1) / (1/r + |a|)``,
+#: which keeps ``n gamma``, and the error, at the base-reach level: below
+#: 0.9 the full count shrinks by ``sigma`` (at ``|a| = 0.75`` the fine set
 #: has 20,480 nodes at 0.9, 9,984 at 0.7 and 7,936 at 0.5; on 32 points per
-#: ring inside 0.9 the worst error is 9.7e-12, at 0.7). The monomial
+#: ring inside 0.9 the worst error is 9.7e-12, at 0.7), and above it every
+#: count and the number of outer panels grow by ``sigma`` (on 16 points per
+#: ring from 0.905 to 0.99 the worst error is 6.4e-11). The monomial
 #: moments have no pole (reach 0): their outer panels take the inner count
 #: plus the moments' degree ``pmax + qmax``, since a monomial of that
 #: degree grows like ``e^(degree t)`` at imaginary angle ``t``; without
@@ -184,48 +185,42 @@ def _gauss(n: int, lo: float, hi: float):
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
-def _reach_rule(reach: float) -> int:
-    """Scale ``k`` of the polar sets for points up to ``|z| = reach``: every
-    angle and outer-panel count of the base sets times ``k = ceil((1 -
-    _BASE_REACH) / (1 - reach))``, where a reach within 1e-12 above a ring
-    counts as on it (the CLI grid's outer ring is at 0.9000000000000001, and
-    takes k = 1). At 16 points on |z| = 0.95 to 0.99 (k = 2 to 10), atoms at
-    moduli 0.02 to 0.94 are within 1.2e-10 of their closed forms."""
-    return ceil((1.0 - _BASE_REACH) / (1.0 + 1e-12 - reach))
-
-
 def _pole_angle(reach: float, modulus: float) -> float:
     """Imaginary angle of the kernel's pole seen from a center of ``modulus``
     for points up to ``|z| = reach`` (the ``_POLAR_ANGLE_GROWTH`` comment)."""
     return (1.0 / reach - 1.0) / (1.0 / reach + modulus)
 
 
-def _polar_layout(center: complex, k: int, reach: float, degree: int = 0):
-    """Panel groups ``(edges, order, angles)`` of the fine polar set of scale
-    ``k`` (:func:`_reach_rule`) around ``center`` for points up to ``|z| =
-    reach``: the panel edges in ``s``, the ``(fine, coarse)`` Gauss pair and
-    the angle count of each group. The geometric panels below
-    ``_POLAR_INNER`` form one group; each outer panel is a group of its own.
+def _polar_layout(center: complex, reach: float, degree: int = 0, panels: int = 0):
+    """Panel groups ``(edges, order, angles)`` of the fine polar set around
+    ``center`` for points up to ``|z| = reach``: the panel edges in ``s``,
+    the ``(fine, coarse)`` Gauss pair and the angle count of each group. The
+    geometric panels below ``_POLAR_INNER`` form one group; each outer panel
+    is a group of its own, and a nonzero ``panels`` fixes their number, so
+    that a point's need comes on the panels of a set for a larger reach.
 
-    The full count is ``256 k (1 + _POLAR_ANGLE_GROWTH |a|)``. The inner
+    The full count is ``256 (1 + _POLAR_ANGLE_GROWTH |a|)``. The inner
     group takes ``_RING_DECAY / (_COARSE_SHARE beta)`` angles, so that the
-    coarse set still reaches 1e-13 there, at least ``_POLAR_INNER_FLOOR``;
-    an outer panel ending at ``s_hi`` takes ``s_hi`` times the full count,
-    at least the inner count plus ``degree``, the integrand's own angular
-    degree. Counts are scaled by ``k``, rounded up to 16 and capped at the
-    full count; the number of outer panels is scaled by ``k`` too. Below
-    the base reach the full count shrinks with the pole's imaginary angle
-    (the ``_POLAR_ANGLE_GROWTH`` comment), to 0 at reach 0, where there is
-    no pole.
+    coarse set still reaches 1e-13 there, at least ``_POLAR_INNER_FLOOR``
+    and at most the full count; an outer panel ending at ``s_hi`` takes
+    ``s_hi`` times the full count, at least the inner count plus
+    ``degree``, the integrand's own angular degree, rounded up to 16. Below
+    the base reach the full count shrinks by ``sigma`` (the
+    ``_POLAR_ANGLE_GROWTH`` comment), to 0 at reach 0, where there is no
+    pole; above it every count and the number of outer panels grow by
+    ``sigma``. A reach within 1e-12 of the base reach counts as on it.
     """
     m = abs(center)
-    full = 16 * ceil(_BASE_ANGLES * k * (1.0 + _POLAR_ANGLE_GROWTH * m) / 16)
+    if abs(reach - _BASE_REACH) <= 1e-12:
+        reach = _BASE_REACH
+    sigma = _pole_angle(_BASE_REACH, m) / _pole_angle(reach, m) if reach else 0.0
+    grow = max(1.0, sigma)
+    full = 16 * ceil(_BASE_ANGLES * (1.0 + _POLAR_ANGLE_GROWTH * m) / 16)
     # the branch points of rho_max lie at imaginary angle beta; none at m = 0
     need = _RING_DECAY / (_COARSE_SHARE * asinh(sqrt(1.0 - m * m) / m)) if m else 0.0
-    inner = 16 * ceil(min(full, k * max(_POLAR_INNER_FLOOR, need)) / 16)
-    if reach < _BASE_REACH - 1e-12:
-        full *= _pole_angle(_BASE_REACH, m) / _pole_angle(reach, m) if reach else 0.0
-    panels = ceil(k * (1.0 + m) / _POLAR_PANEL_SPAN)
+    inner = 16 * ceil(grow * min(full, max(_POLAR_INNER_FLOOR, need)) / 16)
+    full *= sigma
+    panels = panels or ceil(grow * (1.0 + m) / _POLAR_PANEL_SPAN)
     geometric = (0.0,) + tuple(_POLAR_INNER * _POLAR_RATIO ** j
                                for j in reversed(range(_POLAR_DEPTH)))
     return ((geometric, _POLAR_INNER_GAUSS, inner),) + tuple(
@@ -318,53 +313,50 @@ class _NodeSet(NamedTuple):
         return values[:len(self.contracted)]
 
 
-@lru_cache(maxsize=8)
-def _polar_nodes_cached(center, layout, coarse, proxies):
-    gap = 1.0 - abs(center) ** 2
-    blocks_z, blocks_w, blocks = [], [], []
+def _polar_set(center: complex, reach: float, degree: int, coarse: bool) -> _NodeSet:
+    """The fine or ``coarse`` :class:`_NodeSet` of :func:`polar_nodes`, with
+    the proxy rows of its geometric panels (:func:`_proxy_count`)."""
+    center = complex(center)
+    layout = _polar_layout(center, reach, degree)
+    rows = []
     for edges, order, angles in layout:
-        if coarse:
-            angles = int(_COARSE_SHARE * angles)
         x, wx = zip(*(_gauss(order[coarse], lo, hi) for lo, hi in zip(edges[:-1], edges[1:])))
-        s, ws = np.concatenate(x), np.concatenate(wx)
+        rows.append((np.concatenate(x), np.concatenate(wx),
+                     int(_COARSE_SHARE * angles) if coarse else angles))
+    (edges, order, _), proxies = layout[0], _proxy_count(abs(center), reach, degree)
+    proxy_s, basis = _proxy_basis(order[coarse], edges,
+                                  max(1, int(_COARSE_SHARE * proxies)) if coarse else proxies)
+    # the proxy rows first and the geometric Gauss rows last, in one array:
+    # the nodes evaluated and those contracted are each one slice of it
+    gauss, *outer = rows
+    rows = [(proxy_s, None, gauss[2]), *outer, gauss]
+    sizes = [len(s) * angles for s, _, angles in rows]
+    head = sizes[0]
+    z = np.empty(sum(sizes), dtype=np.complex128)
+    w = np.empty(len(z) - head)
+    gap, offset = 1.0 - abs(center) ** 2, 0
+    for (s, ws, angles), size in zip(rows, sizes):
         ray = np.exp(2j * np.pi * np.arange(angles) / angles)
         # rho_max = -c + sqrt(c^2 + gap), c = Re(conj(a) e^{i theta}), in the
         # form without cancellation
         c = (np.conj(center) * ray).real
         rho_max = gap / (c + np.sqrt(c * c + gap))
-        blocks_z.append((center + s[:, None] * (rho_max * ray)[None, :]).ravel())
-        blocks_w.append(((ws * s)[:, None]
-                         * (rho_max * rho_max * (2.0 / angles))[None, :]).ravel())
-        blocks.append((len(s), angles))
-        if len(blocks) == 1:
-            # the geometric panels' proxy rows, on the same rays
-            count = max(1, int(_COARSE_SHARE * proxies)) if coarse else proxies
-            proxy_s, basis = _proxy_basis(order[coarse], edges, count)
-            head = (center + proxy_s[:, None] * (rho_max * ray)[None, :]).ravel()
-            blocks[0] = (len(proxy_s), angles)
-    # the proxy rows first and the geometric Gauss rows last: the nodes the
-    # integrand is evaluated on and those the functional contracts are then
-    # each one slice of one array, with nothing copied per call
-    gauss, *outer = blocks_z
-    z = np.concatenate([head, *outer, gauss])
-    w = np.concatenate([*blocks_w[1:], blocks_w[0]])
-    z.setflags(write=False)
-    w.setflags(write=False)
-    return _NodeSet(z[len(head):], w, z[:len(z) - len(gauss)], basis, tuple(blocks))
+        block = z[offset:offset + size].reshape(-1, angles)
+        np.multiply(s[:, None], (rho_max * ray)[None, :], out=block)
+        block += center
+        if ws is not None:
+            np.multiply((ws * s)[:, None], (rho_max * rho_max * (2.0 / angles))[None, :],
+                        out=w[offset - head:offset - head + size].reshape(-1, angles))
+        offset += size
+    return _NodeSet(z[head:], w, z[:len(z) - sizes[-1]], basis,
+                    tuple((len(s), angles) for s, _, angles in rows[:-1]))
 
 
-def _polar_set(center: complex, k: int, reach: float, degree: int, coarse: bool) -> _NodeSet:
-    center = complex(center)
-    layout = _polar_layout(center, k, reach, degree)
-    return _polar_nodes_cached(center, layout, bool(coarse),
-                               _proxy_count(abs(center), reach, degree))
-
-
-def polar_nodes(center: complex, k: int = 1, *, reach: float = _BASE_REACH,
-                degree: int = 0, coarse: bool = False):
-    """Polar node/weight set of scale ``k`` (:func:`_reach_rule`) around one
-    center for points up to ``|z| = reach`` and an integrand of angular
-    ``degree``; ``coarse`` builds the check variant.
+def polar_nodes(center: complex, *, reach: float = _BASE_REACH, degree: int = 0,
+                coarse: bool = False):
+    """Polar node/weight set around one center for points up to ``|z| =
+    reach`` and an integrand of angular ``degree``; ``coarse`` builds the
+    check variant.
 
     Nodes ``zeta = a + s rho_max(theta) e^{i theta}`` with weights
     ``s rho_max^2 ds dtheta / pi``: Gauss in ``s`` on the geometric and
@@ -373,12 +365,11 @@ def polar_nodes(center: complex, k: int = 1, *, reach: float = _BASE_REACH,
     decides them; each group is one tensor block, the outer groups first
     and the geometric panels last. The coarse set takes ``_COARSE_SHARE``
     of every group's angles and the coarse Gauss orders on the same panels,
-    so an under-resolution of any group shows in the check. Cached per
-    (center, layout, proxy count), so reaches whose counts round to the
-    same values share one set, with the proxy rows of its geometric panels
-    (:func:`_proxy_count`); the arrays are read-only.
+    so an under-resolution of any group shows in the check. Built anew on
+    every call; the functional contracts the geometric panels on proxy rows
+    instead (:func:`_proxy_count`).
     """
-    node_set = _polar_set(center, k, reach, degree, coarse)
+    node_set = _polar_set(center, reach, degree, coarse)
     return node_set.nodes, node_set.weights
 
 
@@ -388,12 +379,12 @@ _REFINEMENT_TOL = 1e-6
 
 def _angle_strides(layout, need):
     """Angle stride ``t`` of each panel group of the polar set of ``layout``
-    for a point whose own reach asks for the layout ``need``: the largest
-    common divisor of the group's fine and coarse angle counts that keeps
-    both counts over ``t`` at or above those of ``need``. Every ``t``-th of
-    ``n`` uniform angles is the trapezoid rule with ``n / t`` angles."""
+    for a point whose own reach asks for ``need`` on the same panels: the
+    largest common divisor of the group's fine and coarse angle counts that
+    keeps both counts over ``t`` at or above those of ``need``. Every
+    ``t``-th of ``n`` uniform angles is the trapezoid rule with ``n / t``."""
     strides = []
-    for (_, _, angles), (_, _, wanted) in zip(layout, need):
+    for (_, _, angles), (_, _, wanted) in zip(layout, need, strict=True):
         coarse = int(_COARSE_SHARE * angles)
         common = gcd(angles, coarse)
         t = min(angles // wanted, coarse // int(_COARSE_SHARE * wanted), common)
@@ -407,13 +398,13 @@ def _point_groups(reaches, layout_at):
     """The points of moduli ``reaches`` as groups ``(rows, strides)`` for the
     node set of ``layout_at(max(reaches))``: sorted by reach, the points of
     one stride pattern (:func:`_angle_strides` against ``layout_at`` of
-    each point's own reach, once per distinct layout) form a group, and a
-    group of fewer than ``_kernels._POINT_BLOCK`` points joins the next one
-    outward (the outermost joins the one inward of it). A group takes the
-    smallest stride of its points in each panel group, and keeps its rows
-    in their given order. A call on fewer than ``2 _POINT_BLOCK`` points is
-    one group, with every stride 1 (the points at the largest reach need
-    every angle)."""
+    each point's own reach, on the set's panels, once per distinct layout)
+    form a group, and a group of fewer than ``_kernels._POINT_BLOCK``
+    points joins the next one outward (the outermost joins the one inward
+    of it). A group takes the smallest stride of its points in each panel
+    group, and keeps its rows in their given order. A call on fewer than
+    ``2 _POINT_BLOCK`` points is one group, with every stride 1 (the points
+    at the largest reach need every angle)."""
     layout = layout_at(float(np.max(reaches)))
     if len(reaches) < 2 * _kernels._POINT_BLOCK:
         return [(np.arange(len(reaches)), (1,) * len(layout))]
@@ -445,7 +436,7 @@ def _stride_subset(nodes, values, blocks, strides):
     if all(t == 1 for t in strides):
         return nodes, values
     blocks_z, blocks_v, offset = [], [], 0
-    for (rows, angles), t in zip(blocks, strides):
+    for (rows, angles), t in zip(blocks, strides, strict=True):
         end = offset + rows * angles
         blocks_z.append(nodes[offset:end].reshape(-1, angles)[:, ::t].ravel())
         blocks_v.append((values[offset:end].reshape(-1, angles)[:, ::t] * t).ravel())
@@ -482,27 +473,27 @@ def _refined(node_set, groups, integrand, functional, *, check: bool, what: str)
     return fine
 
 
-def disk_integrate_singular(f, center, *, check: bool = True) -> complex:
+def disk_integrate_singular(f, center) -> complex:
     """Integral of a callable with a log or simple-pole singularity at
-    ``center``, on that center's polar set at scale 1
+    ``center``, on that center's polar set for the base reach
     (:func:`integrate_parts`); a ``center`` of ``None`` raises DomainError
     (a smooth integrand declares center 0).
 
-    With ``check=True`` the value is recomputed on the coarse polar set; a
-    discrepancy above 1e-6 raises NonConvergence.
+    The value is recomputed on the coarse polar set; a discrepancy above
+    1e-6 raises NonConvergence.
     """
     if center is None:
         raise DomainError(
             "a singular integral needs a center; a smooth integrand declares center 0")
     return complex(integrate_parts(f, lambda z, values, rows: np.sum(values, keepdims=True),
-                                   [_BASE_REACH], center, check=check,
+                                   [_BASE_REACH], center, check=True,
                                    what="singular quadrature")[0])
 
 
 def symbol_parts(u: Symbol):
     """The atoms of ``u`` as ``(center, integrand)`` parts, one per exact
-    center, the node-set cache key, so each group integrates once on that
-    center's polar set (:func:`polar_nodes`). The harmonic part is not a
+    center, so each group integrates once on that center's polar set
+    (:func:`polar_nodes`). The harmonic part is not a
     part: the transform fixes it, so the callers add its exact value
     (:func:`berezin_numeric`) or moments (``rank.weighted_monomial_moments``).
     """
@@ -529,17 +520,17 @@ def integrate_parts(u, functional, reaches, center=None, *, degree: int = 0,
     callable is one part with the declared ``center``, which must lie in
     ``|c| < 0.97`` (DomainError otherwise); one with no center is a part
     with center 0. Each part runs on its center's polar set
-    (:func:`polar_nodes`) of the scale for the largest reach
-    (:func:`_reach_rule`). A callable with no center may have a pole of its
-    own that the reach law does not see (the composed harmonic part of
+    (:func:`polar_nodes`) for the largest reach (:func:`_polar_layout`). A
+    callable with no center may have a pole of its own that the reach law
+    does not see (the composed harmonic part of
     ``transform.covariance_residual`` has one at ``1 / conj(a)``), so its
     set is laid out for at least the base reach. Each output is contracted
-    against every ``t``-th angle of each outer panel group, as many as its
-    own reach asks for (:func:`_point_groups`), and against the proxy rows
-    of the geometric panels that the largest reach, or without a pole the
-    ``degree``, asks for (:func:`_proxy_count`); with ``check`` each part is
-    recomputed on its coarse set (:func:`_refined`). Returns zeros, one per
-    output, when ``u`` has no parts.
+    against every ``t``-th angle of each panel group, as many as its own
+    reach gives the group on the set's panels (:func:`_point_groups`), and
+    against the proxy rows of the geometric panels that the largest reach,
+    or without a pole the ``degree``, asks for (:func:`_proxy_count`); with
+    ``check`` each part is recomputed on its coarse set (:func:`_refined`).
+    Returns zeros, one per output, when ``u`` has no parts.
     """
     floor = 0.0
     if isinstance(u, Symbol):
@@ -556,11 +547,11 @@ def integrate_parts(u, functional, reaches, center=None, *, degree: int = 0,
         parts = [(center, u)]
     reaches = np.asarray(reaches, dtype=float)
     reach = max(float(np.max(reaches)), floor)
-    k = _reach_rule(reach)
     total = np.zeros(len(reaches))
     for part_center, integrand in parts:
-        node_set = partial(_polar_set, part_center, k, reach, degree)
-        layout_at = lambda r: _polar_layout(part_center, k, max(r, floor), degree)
+        node_set = partial(_polar_set, part_center, reach, degree)
+        panels = len(_polar_layout(part_center, reach, degree)) - 1
+        layout_at = lambda r: _polar_layout(part_center, max(r, floor), degree, panels)
         total = total + _refined(node_set, _point_groups(reaches, layout_at),
                                  integrand, functional, check=check, what=what)
     return total
@@ -570,7 +561,7 @@ def integrate_parts(u, functional, reaches, center=None, *, degree: int = 0,
 # Numeric Berezin transform
 # ---------------------------------------------------------------------------
 
-def berezin_numeric(u, z, center=None, *, check: bool = True):
+def berezin_numeric(u, z, center=None):
     """Numeric Berezin transform ``B(u)(z)`` by quadrature.
 
     ``u`` may be a :class:`Symbol` or any callable mapping a node array to
@@ -581,12 +572,12 @@ def berezin_numeric(u, z, center=None, *, check: bool = True):
     (:func:`integrate_parts`); its harmonic part ``h = K + conj(L)`` is
     added as ``h(z)``, since ``B(h) = h`` by the mean-value property. A
     callable runs on the polar set of its ``center``, or on the center-0 set
-    without one. With ``check`` each part is recomputed on its coarse node
-    set, so the 1e-6 refinement check guards each summed contribution at
-    every point. The polar sets follow the points' reach ``max |z|``
-    (:func:`_reach_rule`, :func:`_polar_layout`), and each point
-    is contracted against as many of each panel group's angles as its own
-    ``|z|`` needs (:func:`_point_groups`); the points at the reach take
+    without one. Each part is recomputed on its coarse node set, so the
+    1e-6 refinement check guards each summed contribution at every point.
+    The polar sets follow the points' reach ``max |z|``
+    (:func:`_polar_layout`), and each point is contracted against as many
+    of each panel group's angles as its own ``|z|`` needs
+    (:func:`_point_groups`); the points at the reach take
     every angle. The geometric panels are contracted on their proxy rows
     (:func:`_proxy_count`). A non-finite point raises DomainError and a point beyond
     ``|z| = 0.99`` OutOfRange. ``z`` may be a scalar or an array, also an
@@ -603,7 +594,7 @@ def berezin_numeric(u, z, center=None, *, check: bool = True):
 
     out = np.zeros(len(zs), dtype=np.complex128) + integrate_parts(
         u, lambda nodes, values, rows: _kernels.kernel_sum(nodes, values, zs[rows]),
-        mags, center, check=check, what="numeric transform")
+        mags, center, check=True, what="numeric transform")
     if isinstance(u, Symbol):
         out += u.harmonic(zs)
 

@@ -1,13 +1,15 @@
 """The NumPy kernels against their direct formulas, and the kernel sum's
 memory bound."""
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from berezin import _kernels
 from berezin.core import PowerSeries
-from berezin.quadrature import _polar_nodes_cached, berezin_numeric, polar_nodes
+from berezin.quadrature import berezin_numeric, polar_nodes
 from berezin.symbols import Atom, Symbol
 
 
@@ -29,6 +31,27 @@ def test_kernel_sum_matches_direct_formula(rng):
     # relative to the sum of absolute terms, the scale summation errors have
     error = np.abs(_kernels.kernel_sum(nodes, values, zs) - kernel @ values)
     assert np.all(error <= 1e-13 * (kernel @ np.abs(values)))
+
+
+def test_kernel_sum_threads_keep_their_own_tiles(rng):
+    # every thread writes its tiles into a buffer of its own, kept between
+    # calls: concurrent calls give what the same calls give one at a time
+    def case(n, m):
+        nodes = 0.99 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        zs = 0.9 * np.sqrt(rng.uniform(size=m)) * np.exp(2j * np.pi * rng.uniform(size=m))
+        return nodes, rng.standard_normal(n) + 1j * rng.standard_normal(n), zs
+
+    cases = [case(2 * _kernels._NODE_BLOCK + 11 * k, 20 + 7 * k) for k in range(4)]
+    want = [_kernels.kernel_sum(*c) for c in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(10):
+                got = list(pool.map(lambda c: _kernels.kernel_sum(*c), cases))
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("n, pmax, qmax", [
@@ -63,10 +86,9 @@ def test_numeric_transform_memory_is_bounded():
     symbol = Symbol(atoms=(Atom("log", center, 1.0),))
     # ten radii up to 0.9, 384 angles
     zs = (0.09 * np.arange(1, 11)[:, None] * np.exp(2j * np.pi * np.arange(384) / 384)).ravel()
-    _polar_nodes_cached.cache_clear()
     tracemalloc.start()
     try:
-        berezin_numeric(symbol, zs, check=False)
+        berezin_numeric(symbol, zs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -75,21 +97,22 @@ def test_numeric_transform_memory_is_bounded():
 
 
 def test_numeric_transform_memory_at_the_largest_reach():
-    # 16 points on |z| = 0.99 take rule 640 x 2560, and atoms at three
-    # centers up to 0.9 take their fine and coarse polar sets of it, checked:
-    # the peak was 181 MiB
+    # 16 points on |z| = 0.99, and atoms at three centers up to 0.9 take
+    # their fine and coarse polar sets for that reach, checked: the peak was
+    # 121 MiB. No set is kept after the call: 1.25 MiB are left, the
+    # kernel's tile buffer among them, where a cache of the six whole sets
+    # would hold 131.6 MiB
     atoms = tuple(Atom(kind, modulus * np.exp(0.7j), 1.0)
                   for kind, modulus in (("log", 0.3), ("pole", 0.72), ("conjpole", 0.9)))
     zs = 0.99 * np.exp(1j * (2.0 * np.pi * np.arange(16) / 16 + 0.1))
-    _polar_nodes_cached.cache_clear()
     tracemalloc.start()
     try:
         berezin_numeric(Symbol(atoms=atoms), zs)
-        peak = tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        _polar_nodes_cached.cache_clear()
     assert peak < 256 * 2**20
+    assert current < 4 * 2**20
 
 
 class TestFallbackContracts:

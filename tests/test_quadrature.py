@@ -68,10 +68,9 @@ class TestSingular:
         value = disk_integrate_singular(lambda z: np.log(np.abs(z - 0.3)), 0.3)
         assert value == pytest.approx((0.09 - 1) / 2, abs=1e-8)
 
-    def test_grading_depth_doubling(self, monkeypatch, fresh_node_sets):
+    def test_grading_depth_doubling(self, monkeypatch):
         funcs = (lambda z: np.log(np.abs(z - 0.4)), lambda z: 1 / (z - 0.4))
         depth6 = [disk_integrate_singular(f, 0.4) for f in funcs]
-        quadrature._polar_nodes_cached.cache_clear()
         monkeypatch.setattr(quadrature, "_POLAR_DEPTH", 12)
         for f, a in zip(funcs, depth6):
             b = disk_integrate_singular(f, 0.4)
@@ -177,7 +176,7 @@ class TestBerezinNumeric:
         scale = _kernels.kernel_sum(z, weights, zs).real
         assert np.all(np.abs(together - apart) <= 1e-13 * scale)
 
-    def test_refinement_check_guards_each_center_group(self, monkeypatch, fresh_node_sets):
+    def test_refinement_check_guards_each_center_group(self, monkeypatch):
         # 8 angles on every panel group of the center's polar set: the
         # group's fine and coarse sums disagree by 1.4e-3 (the atoms as a
         # callable; 1.1e-11 unstarved)
@@ -186,7 +185,6 @@ class TestBerezinNumeric:
                                                Atom("conjpole", 0.5, -0.25j))))
         zs = np.array([0.1, 0.5 + 0.1j])
         berezin_numeric(u, zs, center=center)
-        quadrature._polar_nodes_cached.cache_clear()
         layout = quadrature._polar_layout
 
         def starved(*args):
@@ -196,26 +194,24 @@ class TestBerezinNumeric:
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
             berezin_numeric(u, zs, center=center)
 
-    def test_polar_check_guards_each_center_group(self, monkeypatch, fresh_node_sets):
+    def test_polar_check_guards_each_center_group(self, monkeypatch):
         # the default 256 angles at every modulus miss the 0.94 center: its
         # group's fine and coarse sums disagree
         near = 0.94 * np.exp(0.7j)
         atoms = (Atom("log", 0.3, 1.0), Atom("pole", near, 0.5 + 0.25j),
                  Atom("conjpole", near, -0.25j))
         berezin_numeric(Symbol(atoms=atoms), SWEEP_POINTS)
-        quadrature._polar_nodes_cached.cache_clear()
         monkeypatch.setattr(quadrature, "_POLAR_ANGLE_GROWTH", 0.0)
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
             berezin_numeric(Symbol(atoms=atoms), SWEEP_POINTS)
 
-    def test_refinement_check_guards_the_plain_rule(self, monkeypatch, fresh_node_sets):
+    def test_refinement_check_guards_the_plain_rule(self, monkeypatch):
         # a callable with no center runs on the center-0 set: z^20 is within
         # 1e-10 of its transform and passes the check; with a quarter of each
         # group's angles (at least 16), its fine and coarse sums disagree by
         # 4.8e-2
         u = lambda z: z ** 20
         assert np.max(np.abs(berezin_numeric(u, SWEEP_POINTS) - SWEEP_POINTS ** 20)) <= 1e-10
-        quadrature._polar_nodes_cached.cache_clear()
         layout = quadrature._polar_layout
 
         def starved(*args):
@@ -267,14 +263,21 @@ class TestHarmonicPart:
             expected = sum(atom.eval(SWEEP_POINTS) for atom in u.atoms if atom.center == center)
             np.testing.assert_allclose(integrand(SWEEP_POINTS), expected, rtol=0, atol=1e-14)
 
-    def test_symbols_build_no_plain_set(self, fresh_node_sets):
+    def test_symbols_build_no_plain_set(self, monkeypatch):
         # 200 terms alone, which the center-0 set does not resolve as a
         # callable: exact, and no node set is built
+        built = []
+        polar_set = quadrature._polar_set
+        monkeypatch.setattr(quadrature, "_polar_set",
+                            lambda *args, **kwargs: built.append(args) or polar_set(*args, **kwargs))
         u = Symbol(holo=PowerSeries(np.ones(200)))
         zs = _sample_points()
         assert np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs))) <= 1e-12
         moment_matrix(u, 12, 12)
-        assert quadrature._polar_nodes_cached.cache_info().currsize == 0
+        assert not built
+        # a symbol with an atom builds its fine and coarse sets through it
+        berezin_numeric(Symbol(atoms=(Atom("log", 0.3, 1.0),)), 0.5)
+        assert len(built) == 2
 
     def test_moments_match_the_exact_grid_and_the_plain_rule(self, rng):
         # the three-term assembly cancels the closed-form moments to roundoff
@@ -312,30 +315,12 @@ class TestHarmonicPart:
     @pytest.mark.parametrize("reach", [0.98, 0.99])
     @pytest.mark.parametrize("holo, with_atom", [([0.0, 0.0, 3.0], True), ([1.0, 0.0, 3.0], True),
                                                  ([1.0, 0.0, 3.0], False)])
-    def test_matches_closed_form_near_the_edge(self, reach, holo, with_atom, fresh_node_sets):
+    def test_matches_closed_form_near_the_edge(self, reach, holo, with_atom):
         # beside a log atom: errors 1.9e-11 and 3.3e-11, the atom's own; alone: 0
         atoms = (Atom("log", 0.3 * np.exp(0.7j), 1.0),) if with_atom else ()
         u = Symbol(holo=PowerSeries(holo), atoms=atoms)
         zs = _ring(reach)
         assert np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs))) <= 1e-9
-
-
-class TestNodeSets:
-    @pytest.mark.parametrize("centers", [(0.0,), (0.3,)])
-    @pytest.mark.parametrize("coarse", [False, True])
-    def test_cached_sets_are_read_only(self, centers, coarse):
-        # the center-0 set, which callables with no center run on, and the
-        # polar set of another center
-        for z, w in (polar_nodes(c, coarse=coarse) for c in centers):
-            assert not z.flags.writeable and not w.flags.writeable
-
-
-@pytest.fixture
-def fresh_node_sets():
-    # node sets built under a patched count must not serve later tests
-    quadrature._polar_nodes_cached.cache_clear()
-    yield
-    quadrature._polar_nodes_cached.cache_clear()
 
 
 def _as_callable(u: Symbol):
@@ -372,19 +357,28 @@ def _ring(reach):
 
 
 class TestDenserRule:
-    """Points beyond |z| = 0.9 get denser polar sets, of a scale ``k`` sized
-    from their reach (:func:`quadrature._reach_rule`)."""
+    """Points beyond |z| = 0.9 get denser polar sets: every count grows with
+    the ratio of the kernel pole's imaginary angle at 0.9 to that at their
+    reach (:func:`quadrature._polar_layout`)."""
 
     def test_sizes_follow_the_reach(self):
-        # the CLI grid's outer ring, 0.9000000000000001, keeps scale 1; a
-        # ring at 0.99 that rounds above it takes scale 10, not 11
-        for reach, k in ((np.max(np.abs(_sample_points())), 1), (0.95, 2), (0.98, 5),
-                         (np.max(np.abs(_ring(0.99))), 10)):
-            assert quadrature._reach_rule(reach) == k
+        # the CLI grid's outer ring, 0.9000000000000001, and a reach just
+        # below 0.9 keep the base layout; beyond 0.9 the fine set of a 0.72
+        # center grows with the reach, and so do its inner count and its
+        # number of outer panels
+        center = 0.72 * np.exp(0.7j)
+        base = quadrature._polar_layout(center, 0.9)
+        for reach in (np.max(np.abs(_sample_points())), 0.9 - 1e-13):
+            assert quadrature._polar_layout(center, reach) == base
+        reaches = (0.9, 0.95, 0.98, np.max(np.abs(_ring(0.99))))
+        counts = [len(polar_nodes(center, reach=reach)[0]) for reach in reaches]
+        assert counts == [20_480, 69_504, 373_632, 1_426_944]
+        layouts = [quadrature._polar_layout(center, reach) for reach in reaches]
+        assert all(len(a) < len(b) and a[0][2] < b[0][2] for a, b in zip(layouts, layouts[1:]))
 
     @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.9])
-    def test_matches_closed_form_at_095(self, modulus, fresh_node_sets):
-        # scale 2; worst error 2.0e-11
+    def test_matches_closed_form_at_095(self, modulus):
+        # worst error 1.9e-11
         zs = _ring(0.95)
         for kind in ("log", "pole", "conjpole"):
             u = Symbol(atoms=(Atom(kind, modulus * np.exp(0.7j), 1.0),))
@@ -393,9 +387,9 @@ class TestDenserRule:
 
     @pytest.mark.parametrize("reach", [0.97, 0.98, 0.99])
     @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.9, 0.94])
-    def test_matches_closed_form_near_the_edge(self, reach, modulus, fresh_node_sets):
-        # scales 4 to 10; worst error 1.2e-10. At 0.99 the
-        # three kinds share one center, so one call builds its sets once
+    def test_matches_closed_form_near_the_edge(self, reach, modulus):
+        # worst error 9.2e-11. At 0.99 the three kinds share one center, so
+        # one call builds its sets
         center, zs = modulus * np.exp(0.7j), _ring(reach)
         atoms = [Atom(kind, center, 1.0) for kind in ("log", "pole", "conjpole")]
         for group in ([atoms] if reach == 0.99 else [[atom] for atom in atoms]):
@@ -404,10 +398,12 @@ class TestDenserRule:
             assert error <= 1e-9, (group, error)
 
     @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.9])
-    def test_check_raises_at_098(self, modulus, monkeypatch, fresh_node_sets):
-        # 0.98 takes scale 5; at scale 2 the deviations run from 2.5e-5
-        # (log at 0.02) to 1.4e-3 (log at 0.9)
-        monkeypatch.setattr(quadrature, "_reach_rule", lambda reach: 2)
+    def test_check_raises_at_098(self, modulus, monkeypatch):
+        # with every count laid out for 0.95 instead, the deviations run
+        # from 1.4e-5 (log at 0.02) to 9.7e-4 (log at 0.9)
+        layout = quadrature._polar_layout
+        monkeypatch.setattr(quadrature, "_polar_layout",
+                            lambda center, reach, *args: layout(center, min(reach, 0.95), *args))
         zs = _ring(0.98)
         for kind in ("log", "pole", "conjpole"):
             u = Symbol(atoms=(Atom(kind, modulus * np.exp(0.7j), 1.0),))
@@ -427,9 +423,9 @@ class TestReachSizedSets:
         # as the base reach
         for modulus in (0.0, 0.3, 0.75, 0.94):
             center = modulus * np.exp(0.7j)
-            base = quadrature._polar_layout(center, 1, 0.9)
+            base = quadrature._polar_layout(center, 0.9)
             for reach in (0.9000000000000001, np.max(np.abs(_sample_points())), 0.9 - 1e-13):
-                assert quadrature._polar_layout(center, 1, reach) == base
+                assert quadrature._polar_layout(center, reach) == base
 
     def test_counts_follow_the_pole(self):
         # fine and coarse node counts of a 0.75 center: the transform's sets
@@ -441,15 +437,8 @@ class TestReachSizedSets:
                                       (0.5, 0, (7_936, 4_464)), (0.0, 26, (9_216, 5_184))):
             assert tuple(len(polar_nodes(center, reach=reach, degree=degree, coarse=c)[0])
                          for c in (False, True)) == counts
-        (_, _, inner), *outer = quadrature._polar_layout(center, 1, 0.0, 26)
+        (_, _, inner), *outer = quadrature._polar_layout(center, 0.0, 26)
         assert inner == 64 and all(angles == 96 for _, _, angles in outer)
-
-    def test_sets_are_shared_by_layout(self, fresh_node_sets):
-        # two reaches whose counts round to the same values share one set
-        center = 0.75 * np.exp(0.7j)
-        assert quadrature._polar_layout(center, 1, 0.7) == quadrature._polar_layout(center, 1, 0.7001)
-        assert polar_nodes(center, reach=0.7)[0] is polar_nodes(center, reach=0.7001)[0]
-        assert quadrature._polar_nodes_cached.cache_info().currsize == 1
 
     @pytest.mark.parametrize("reach", [0.05, 0.3, 0.5, 0.7, 0.8, 0.85, 0.89])
     def test_matches_closed_form_inside_the_base_reach(self, reach):
@@ -499,31 +488,54 @@ class TestAngleStrides:
 
     @staticmethod
     def _clouds(rng):
-        # the CLI points, and random clouds inside 0.9 and out to 0.97
+        # the CLI points, random clouds inside 0.9 and out to 0.97, and the
+        # CLI points times 1.1 (reach 0.99)
         disk = lambda n, r: r * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
-        return [_sample_points(), disk(40, 0.9), disk(200, 0.9), disk(100, 0.97)]
+        return [_sample_points(), disk(40, 0.9), disk(200, 0.9), disk(100, 0.97),
+                1.1 * _sample_points()]
 
     @pytest.mark.parametrize("modulus", MODULI)
     def test_strided_counts_cover_each_point(self, modulus, rng):
-        # every group's fine and coarse counts over t are at least those the
-        # layout of each of its points' own reach asks for, and t divides both
+        # every group's fine and coarse counts over t are at least those
+        # that each of its points' own reach gives the group on the set's
+        # panels, and t divides both
         center, strided = modulus * np.exp(0.7j), False
         for zs in self._clouds(rng):
             reaches = np.abs(zs)
-            k = quadrature._reach_rule(float(np.max(reaches)))
-            layout_at = lambda r: quadrature._polar_layout(center, k, r)
-            layout = layout_at(float(np.max(reaches)))
-            groups = quadrature._point_groups(reaches, layout_at)
+            layout = quadrature._polar_layout(center, float(np.max(reaches)))
+            need_at = lambda r: quadrature._polar_layout(center, r, 0, len(layout) - 1)
+            groups = quadrature._point_groups(reaches, need_at)
             rows = np.concatenate([rows for rows, _ in groups])
             assert np.array_equal(np.sort(rows), np.arange(len(zs)))
             for rows, strides in groups:
                 strided |= max(strides) > 1
                 for r in reaches[rows]:
-                    for (_, _, angles), (_, _, need), t in zip(layout, layout_at(r), strides):
-                        coarse, coarse_need = int(0.75 * angles), int(0.75 * need)
+                    need = need_at(r)
+                    assert [group[:2] for group in need] == [group[:2] for group in layout]
+                    for (_, _, angles), (_, _, want), t in zip(layout, need, strides, strict=True):
+                        coarse, coarse_want = int(0.75 * angles), int(0.75 * want)
                         assert angles % t == 0 and coarse % t == 0
-                        assert angles // t >= need and coarse // t >= coarse_need
+                        assert angles // t >= want and coarse // t >= coarse_want
         assert strided
+
+    def test_inner_points_take_strides_near_the_edge(self, monkeypatch):
+        # the CLI points times 1.1 (reach 0.99) and a log atom at 0.72: the
+        # set's inner group has 672 angles, of which the points up to |z| =
+        # 0.8 need 64 and take every 8th; worst error 3.6e-11
+        seen, point_groups = [], quadrature._point_groups
+
+        def recorded(reaches, layout_at):
+            groups = point_groups(reaches, layout_at)
+            seen.extend((reaches[rows], strides) for rows, strides in groups)
+            return groups
+
+        monkeypatch.setattr(quadrature, "_point_groups", recorded)
+        center, zs = 0.72 * np.exp(0.7j), 1.1 * _sample_points()
+        u = Symbol(atoms=(Atom("log", center, 1.0),))
+        assert np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs))) <= 1e-9
+        inside = [strides[0] for reaches, strides in seen if np.max(reaches) <= 0.8]
+        assert sum(len(reaches) for reaches, _ in seen if np.max(reaches) <= 0.8) == 256
+        assert min(inside) > 1
 
     @pytest.mark.parametrize("angles, need, stride", [(40, 10, 2), (272, 32, 4), (432, 112, 3)])
     def test_stride_divides_the_coarse_count(self, angles, need, stride):
@@ -534,11 +546,26 @@ class TestAngleStrides:
         group = ((0.25, 1.0), (16, 12))
         assert quadrature._angle_strides(((*group, angles),), ((*group, need),)) == (stride,)
 
+    def test_groups_must_match_one_to_one(self):
+        # a need, or a stride pattern, with fewer groups than the set raises:
+        # above 0.9 a point's own layout has fewer outer panels than the
+        # set's, and pairing them would drop the extra groups' nodes
+        center = 0.72 * np.exp(0.7j)
+        layout, own = (quadrature._polar_layout(center, r) for r in (0.99, 0.95))
+        assert len(own) < len(layout)
+        with pytest.raises(ValueError):
+            quadrature._angle_strides(layout, own)
+        node_set = quadrature._polar_set(center, 0.95, 0, False)
+        values = np.ones(len(node_set.contracted), dtype=complex)
+        with pytest.raises(ValueError):
+            quadrature._stride_subset(node_set.contracted, values, node_set.blocks,
+                                      (2,) * (len(node_set.blocks) - 1))
+
     @staticmethod
     def _whole_set_contraction(integrand, center, zs):
         # the kernel sum over the whole proxied set of the points' reach:
         # every angle of every group, the geometric panels on their proxy rows
-        node_set = quadrature._polar_set(center, 1, float(np.max(np.abs(zs))), 0, False)
+        node_set = quadrature._polar_set(center, float(np.max(np.abs(zs))), 0, False)
         return _kernels.kernel_sum(node_set.contracted, node_set.values(integrand), zs)
 
     @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.94])
@@ -562,13 +589,12 @@ class TestAngleStrides:
             whole = self._whole_set_contraction(u, center, zs)
             assert np.array_equal(berezin_numeric(u, zs, center=center), whole)
 
-    def test_starved_layout_still_raises_on_320_points(self, monkeypatch, fresh_node_sets):
+    def test_starved_layout_still_raises_on_320_points(self, monkeypatch):
         # a quarter of every outer panel's angles at every reach: the points
         # still take strides, and each group's fine and coarse sums disagree
         u, center = _as_callable(TestReachSizedSets._three_atoms(0.5))
         zs = _sample_points()
         berezin_numeric(u, zs, center=center)
-        quadrature._polar_nodes_cached.cache_clear()
         layout = quadrature._polar_layout
 
         def starved(*args):
@@ -579,7 +605,7 @@ class TestAngleStrides:
         monkeypatch.setattr(quadrature, "_polar_layout", starved)
         reaches = np.abs(zs)
         groups = quadrature._point_groups(
-            reaches, lambda r: quadrature._polar_layout(center, 1, r))
+            reaches, lambda r: quadrature._polar_layout(center, r))
         assert max(max(strides) for _, strides in groups) > 1
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
             berezin_numeric(u, zs, center=center)
@@ -592,7 +618,7 @@ class TestProxyRows:
 
     @staticmethod
     def _rows(center, reach, degree, coarse):
-        node_set = quadrature._polar_set(center, 1, reach, degree, coarse)
+        node_set = quadrature._polar_set(center, reach, degree, coarse)
         return node_set.blocks[0][0]
 
     def test_counts_follow_the_pole_and_the_degree(self):
@@ -617,14 +643,12 @@ class TestProxyRows:
                     assert coarse == min(int(0.75 * (degree + 1)), 54)
 
     @pytest.mark.parametrize("modulus", [0.3, 0.72, 0.94])
-    def test_starved_proxy_rows_raise_on_320_points(self, modulus, monkeypatch,
-                                                    fresh_node_sets):
+    def test_starved_proxy_rows_raise_on_320_points(self, modulus, monkeypatch):
         # 4 proxy rows (3 coarse) on the geometric panels: fine and coarse
         # sums disagree on the CLI points
         u = TestReachSizedSets._three_atoms(modulus * np.exp(0.7j))
         zs = _sample_points()
         berezin_numeric(u, zs)
-        quadrature._polar_nodes_cached.cache_clear()
         monkeypatch.setattr(quadrature, "_proxy_count", lambda modulus, reach, degree: 4)
         with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):
             berezin_numeric(u, zs)
@@ -696,8 +720,7 @@ class TestPolarRule:
         assert coarse < fine and fine + coarse <= most
 
     @pytest.mark.parametrize("kind", ["log", "pole", "conjpole"])
-    def test_check_catches_inner_angular_under_resolution(self, kind, monkeypatch,
-                                                          fresh_node_sets):
+    def test_check_catches_inner_angular_under_resolution(self, kind, monkeypatch):
         # 32 angles on the geometric panels of a 0.94 center, against the 128
         # its branch points need: deviations 2.1e-5 (log) and 6.4e-5 (poles),
         # for the symbol and for the same atom as a callable with its center
@@ -705,7 +728,6 @@ class TestPolarRule:
         inputs = ((u, None), _as_callable(u))
         for value, center in inputs:
             berezin_numeric(value, SWEEP_POINTS, center=center)
-        quadrature._polar_nodes_cached.cache_clear()
         layout = quadrature._polar_layout
 
         def starved(*args):
@@ -722,13 +744,12 @@ class TestPolarRule:
         ("_POLAR_INNER_GAUSS", (4, 3), "log", 0.3),   # deviation 7.8e-6
     ])
     def test_check_catches_radial_under_resolution(self, name, orders, kind, modulus,
-                                                   monkeypatch, fresh_node_sets):
+                                                   monkeypatch):
         # the symbol, and the same atom as a callable with its center
         u = Symbol(atoms=(Atom(kind, modulus * np.exp(0.7j), 1.0),))
         inputs = ((u, None), _as_callable(u))
         for value, center in inputs:
             berezin_numeric(value, SWEEP_POINTS, center=center)
-        quadrature._polar_nodes_cached.cache_clear()
         monkeypatch.setattr(quadrature, name, orders)
         for value, center in inputs:
             with pytest.raises(NonConvergence, match="numeric transform refinement mismatch"):

@@ -1,4 +1,5 @@
 import tracemalloc
+from math import ceil
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from berezin import _kernels, quadrature
 from berezin.core import BidegreeSeries, PowerSeries
 from berezin.errors import DomainError, ZeroInput
-from berezin.quadrature import _polar_nodes_cached, polar_nodes
+from berezin.quadrature import polar_nodes
 from berezin.rank import (
     _assemble,
     calibrated_orientation,
@@ -181,20 +182,29 @@ class TestMomentMatrix:
 
     def test_moment_memory_is_bounded(self, monkeypatch):
         # three atoms on one 0.75 center contract its moment set (reach 0,
-        # degree 26) of 974,336 nodes at scale 17; the two unblocked
-        # 14 x 974,336 complex power tables alone would take 416 MiB, 3.25
-        # times the bound (the peak was 82.9 MiB)
+        # degree 26) stretched to 974,336 nodes: 17 times its 64 inner
+        # angles, and 50 outer panels of those plus the degree; the two
+        # unblocked 14 x 974,336 complex power tables alone would take 416
+        # MiB, 3.25 times the bound (the peak was 82.9 MiB)
         a = 0.75 * np.exp(0.3j)
         u = Symbol(atoms=(Atom("log", a, 1.0), Atom("pole", a, 0.5), Atom("conjpole", a, -0.25j)))
-        monkeypatch.setattr(quadrature, "_reach_rule", lambda reach: 17)
-        assert len(polar_nodes(a, 17, reach=0.0, degree=26)[0]) == 974_336
+        layout = quadrature._polar_layout
+
+        def stretched(center, reach, degree=0, *panels):
+            (edges, order, inner), (_, outer, _), *_ = layout(center, reach, degree)
+            inner *= 17
+            return ((edges, order, inner),) + tuple(
+                (panel, outer, 16 * ceil((inner + degree) / 16))
+                for panel in quadrature._outer_panels(50))
+
+        monkeypatch.setattr(quadrature, "_polar_layout", stretched)
+        assert len(polar_nodes(a, reach=0.0, degree=26)[0]) == 974_336
         tracemalloc.start()
         try:
             moment_matrix(u, 12, 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            _polar_nodes_cached.cache_clear()
         assert peak < 128 * 2**20
 
     def test_grid_route_requires_truncation(self):
