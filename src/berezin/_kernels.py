@@ -16,9 +16,10 @@ tables, also whatever the node count, kept per thread too.
 
 Both are running contractions (:class:`KernelSum`,
 :class:`MonomialMoments`): nodes come block by block, as the quadrature
-walks a node set, and are cut into the same full tiles as one call on
-the blocks joined (:class:`_Tiles`), so the result does not depend on
-where the blocks end.
+walks a node set, and each block is contracted in slices of at most a
+tile before ``add`` returns, so nothing of it is kept. A different cut of
+the same nodes changes the result only by rounding; the walk's fixed order
+keeps it deterministic.
 """
 import threading
 
@@ -63,63 +64,18 @@ _MOMENT_BLOCK = 1 << 11
 #: of each thread, kept between calls: a fresh one per call is faulted in
 #: anew once the allocator has returned the top of its heap, as it does when
 #: no node set outlives a call (transforms of one to three atoms on the 320
-#: CLI points faulted in 1,088 pages per call, then 653 with the tile buffer
-#: kept). The power tables take 896 KiB at kmax 12 and 1.25 MiB at kmax 18;
-#: the moments of three atoms on a 6,336-node moment set took 1.47 ms with
-#: fresh tables and 0.88 ms with kept ones (best of 5 on a 2-vCPU Xeon).
+#: CLI points faulted in 1,088 pages per call with fresh buffers; with kept
+#: ones, and each block sliced into tiles in place, 0.5). The power tables
+#: take 896 KiB at kmax 12 and 1.25 MiB at kmax 18; the moments of three
+#: atoms on a 6,336-node moment set took 1.47 ms with fresh tables and 0.88
+#: ms with kept ones (best of 5 on a 2-vCPU Xeon).
 _TILES = threading.local()
 
 
-class _Tiles:
-    """A running contraction over node blocks: the nodes and values given to
-    :meth:`add`, block after block, reach ``_tile`` in tiles of ``size``
-    nodes in the order they came, so every tile but the last is full
-    wherever the blocks end, and the result is that of one call on the
-    blocks joined (whose tiles are slices of it). A block's nodes and values
-    are arrays of one shape, strided views too, read in row-major order.
-    The tail of a block that does not fill a tile is held as a view, and
-    joined with the next blocks' heads into one tile."""
-
-    size = _NODE_BLOCK
-
-    def __init__(self):
-        self._pieces = []
-        self._held = 0
-
-    def add(self, nodes, values):
-        nodes, values = np.ravel(nodes), np.ravel(values)
-        start, size = 0, self.size
-        if self._held:
-            start = min(size - self._held, len(nodes))
-            self._pieces.append((nodes[:start], values[:start]))
-            self._held += start
-            if self._held < size:
-                return
-            self._join()
-        full = start + (len(nodes) - start) // size * size
-        for first in range(start, full, size):
-            self._tile(nodes[first:first + size], values[first:first + size])
-        if full < len(nodes):
-            self._pieces.append((nodes[full:], values[full:]))
-            self._held = len(nodes) - full
-
-    def _join(self):
-        nodes, values = (np.concatenate(part) for part in zip(*self._pieces))
-        self._pieces, self._held = [], 0
-        self._tile(nodes, values)
-
-    def result(self):
-        """The contraction of every node added, after the last, partial tile."""
-        if self._held:
-            self._join()
-        return self._result()
-
-
-class KernelSum(_Tiles):
+class KernelSum:
     """Running :func:`kernel_sum` at the points ``zs`` (complex (M,))."""
 
     def __init__(self, zs):
-        super().__init__()
         zs = np.asarray(zs, dtype=np.complex128).ravel()
         x, y = zs.real, zs.imag
         self._r2 = x * x + y * y
@@ -132,26 +88,33 @@ class KernelSum(_Tiles):
             _TILES.cols = np.empty(5 * _NODE_BLOCK)
         self._cols = _TILES.cols
 
-    def _tile(self, nodes, values):
-        n = len(nodes)
-        node_cols, square = self._cols[:4 * n].reshape(4, n), self._cols[4 * n:5 * n]
-        node_cols[0] = 1.0
-        np.copyto(node_cols[1], nodes.real)
-        np.copyto(node_cols[2], nodes.imag)
-        np.multiply(node_cols[1], node_cols[1], out=node_cols[3])
-        np.multiply(node_cols[2], node_cols[2], out=square)
-        node_cols[3] += square
-        # [Re v, Im v] as the two columns of one real (N, 2) array, no copy
-        v = values.view(np.float64).reshape(-1, 2)
-        for p in range(0, len(self._point_rows), _POINT_BLOCK):
-            rows = self._point_rows[p:p + _POINT_BLOCK]
-            tile = self._buffer[:len(rows) * len(nodes)].reshape(len(rows), len(nodes))
-            np.matmul(rows, node_cols, out=tile)  # |1 - zeta conj(z)|^2
-            np.multiply(tile, tile, out=tile)
-            np.reciprocal(tile, out=tile)
-            self._out[p:p + _POINT_BLOCK] += tile @ v
+    def add(self, nodes, values):
+        """Contract a block: nodes and values, complex arrays of one shape
+        (strided views too), read in row-major order, in tiles of at most
+        ``_NODE_BLOCK`` nodes."""
+        nodes, values = np.ravel(nodes), np.ravel(values)
+        for first in range(0, len(nodes), _NODE_BLOCK):
+            part = nodes[first:first + _NODE_BLOCK]
+            n = len(part)
+            node_cols, square = self._cols[:4 * n].reshape(4, n), self._cols[4 * n:5 * n]
+            node_cols[0] = 1.0
+            np.copyto(node_cols[1], part.real)
+            np.copyto(node_cols[2], part.imag)
+            np.multiply(node_cols[1], node_cols[1], out=node_cols[3])
+            np.multiply(node_cols[2], node_cols[2], out=square)
+            node_cols[3] += square
+            # [Re v, Im v] as the two columns of one real (N, 2) array, no copy
+            v = values[first:first + n].view(np.float64).reshape(-1, 2)
+            for p in range(0, len(self._point_rows), _POINT_BLOCK):
+                rows = self._point_rows[p:p + _POINT_BLOCK]
+                tile = self._buffer[:len(rows) * n].reshape(len(rows), n)
+                np.matmul(rows, node_cols, out=tile)  # |1 - zeta conj(z)|^2
+                np.multiply(tile, tile, out=tile)
+                np.reciprocal(tile, out=tile)
+                self._out[p:p + _POINT_BLOCK] += tile @ v
 
-    def _result(self):
+    def result(self):
+        """The kernel sum of every node added, complex128 (M,)."""
         return self._out.view(np.complex128).ravel() * (1.0 - self._r2) ** 2
 
 
@@ -166,14 +129,11 @@ def kernel_sum(nodes, values, zs):
     return total.result()
 
 
-class MonomialMoments(_Tiles):
+class MonomialMoments:
     """Running :func:`monomial_moments` up to ``(pmax, qmax)``; its result
     has a leading axis of length one."""
 
-    size = _MOMENT_BLOCK
-
     def __init__(self, pmax, qmax):
-        super().__init__()
         self._G = np.zeros((pmax + 1, qmax + 1), dtype=np.complex128)
         rows = max(pmax, qmax) + 1
         tables = getattr(_TILES, "powers", None)
@@ -181,24 +141,29 @@ class MonomialMoments(_Tiles):
             tables = _TILES.powers = np.empty((2, rows, _MOMENT_BLOCK), dtype=np.complex128)
         self._tables = tables
 
-    def _tile(self, nodes, values):
-        # row j of ``w`` holds values * nodes**j and row j of ``c``
-        # conj(nodes)**j, built row by row (np.vander's column-wise
-        # accumulate takes twice as long) in the thread's two power tables
-        n = len(nodes)
-        w = self._tables[0, :len(self._G), :n]
-        c = self._tables[1, :self._G.shape[1], :n]
-        w[0] = values
-        for j in range(1, len(w)):
-            np.multiply(w[j - 1], nodes, out=w[j])
-        c[0] = 1.0
-        if len(c) > 1:
-            np.conj(nodes, out=c[1])
-        for j in range(2, len(c)):
-            np.multiply(c[j - 1], c[1], out=c[j])
-        self._G += w @ c.T
+    def add(self, nodes, values):
+        """Contract a block, as :meth:`KernelSum.add` does, in slices of at
+        most ``_MOMENT_BLOCK`` nodes."""
+        nodes, values = np.ravel(nodes), np.ravel(values)
+        for first in range(0, len(nodes), _MOMENT_BLOCK):
+            part = nodes[first:first + _MOMENT_BLOCK]
+            # row j of ``w`` holds values * nodes**j and row j of ``c``
+            # conj(nodes)**j, built row by row (np.vander's column-wise
+            # accumulate takes twice as long) in the thread's two power tables
+            w = self._tables[0, :len(self._G), :len(part)]
+            c = self._tables[1, :self._G.shape[1], :len(part)]
+            w[0] = values[first:first + _MOMENT_BLOCK]
+            for j in range(1, len(w)):
+                np.multiply(w[j - 1], part, out=w[j])
+            c[0] = 1.0
+            if len(c) > 1:
+                np.conj(part, out=c[1])
+            for j in range(2, len(c)):
+                np.multiply(c[j - 1], c[1], out=c[j])
+            self._G += w @ c.T
 
-    def _result(self):
+    def result(self):
+        """The moments of every node added, complex128 ``(1, pmax+1, qmax+1)``."""
         return self._G[None]
 
 

@@ -96,10 +96,16 @@ def cmd_transform(args) -> int:
     numeric_vals = np.asarray(berezin_numeric(symbol, zs))
     _write_output(_samples_to_csv(zs, numeric_vals), args.output)
     if args.mode == "both":
-        deviation = float(np.max(np.abs(numeric_vals - symbol_values(symbol, zs))))
-        tol = args.tol if args.tol is not None else 1e-6
-        print(f"max numeric-exact deviation {deviation:.3e} (tol {tol:.1e})",
-              file=sys.stderr)
+        exact = symbol_values(symbol, zs)
+        deviation = float(np.max(np.abs(numeric_vals - exact)))
+        # an explicit --tol is absolute; the default is relative to the
+        # symbol's own scale, the largest |exact value| at the points
+        if args.tol is not None:
+            tol, rule = args.tol, f"tol {args.tol:.1e}"
+        else:
+            scale = float(np.max(np.abs(exact)))
+            tol, rule = 1e-6 * scale, f"tol 1e-6 x max |exact| {scale:.3e}"
+        print(f"max numeric-exact deviation {deviation:.3e} ({rule})", file=sys.stderr)
         if deviation > tol:
             return 3
     return 0

@@ -44,9 +44,10 @@ of Gauss rows ``(s, w_s)`` in ``s`` and trapezoid angles, whose rays
 (:class:`_NodeSet`); nothing of the size of a set is built or kept (the
 largest array is a callable's proxy rows, at most 72 rows of the inner
 angle count). The
-functionals walk each set block by block, a run of rows of one group at
-a time, and accumulate over the blocks (:func:`_blocks`,
-:func:`_contract`). On its own center's set an atom is separable:
+functionals walk each set block by block, a run of rows of one group of
+at most one kernel tile, and contract each block as the walk yields it
+(:func:`_blocks`, :func:`_contract`); the walk's order is fixed, so the
+results are deterministic. On its own center's set an atom is separable:
 ``zeta - a = s rho_max e^{i theta}``, and the weight ``w_s s (2
 rho_max^2 / n)`` cancels a pole's ``1 / (s rho_max)``, so the weighted
 values of a center's atoms are three rank-one products of radial and
@@ -350,19 +351,15 @@ def _polar_set(center: complex, reach: float, degree: int, coarse: bool) -> _Nod
         order[coarse], edges, max(1, int(_COARSE_SHARE * proxies)) if coarse else proxies))
 
 
-def _rays(center: complex, counts):
+def _rays(center: complex, angles: int):
     """``e^{i theta}``, ``rho_max(theta)`` and the trapezoid width ``2 /
-    angles`` at ``angles`` uniform angles around ``center`` for each of
-    ``counts`` in turn, each concatenated over the counts."""
-    counts = np.asarray(counts)
-    angles = np.repeat(counts, counts)
-    ray = np.exp(2j * np.pi * (np.arange(len(angles)) - np.repeat(np.cumsum(counts) - counts,
-                                                                   counts)) / angles)
+    angles`` at ``angles`` uniform angles around ``center``."""
+    ray = np.exp(2j * np.pi * np.arange(angles) / angles)
     # rho_max = -c + sqrt(c^2 + gap), c = Re(conj(a) e^{i theta}), in the
     # form without cancellation
     gap = 1.0 - abs(center) ** 2
     c = (np.conj(center) * ray).real
-    return ray, gap / (c + np.sqrt(c * c + gap)), np.repeat(2.0 / counts, counts)
+    return ray, gap / (c + np.sqrt(c * c + gap)), 2.0 / angles
 
 
 def polar_nodes(center: complex, *, reach: float = _BASE_REACH, degree: int = 0,
@@ -375,19 +372,19 @@ def polar_nodes(center: complex, *, reach: float = _BASE_REACH, degree: int = 0,
     ``s rho_max^2 ds dtheta / pi``: Gauss in ``s`` on the geometric and
     outer panels of ``_POLAR_INNER``, and a trapezoid rule in ``theta``
     with each panel group's own angle count, as :func:`_polar_layout`
-    decides them; each group is one tensor block, the outer groups first
-    and the geometric panels last. The coarse set takes ``_COARSE_SHARE``
-    of every group's angles and the coarse Gauss orders on the same panels,
-    so an under-resolution of any group shows in the check. These whole
-    arrays are for callers that want them; the package's functionals walk
-    each set by blocks instead (:func:`_blocks`), and contract the geometric
+    decides them; the nodes come in the walk's order (:func:`_blocks`),
+    the geometric panels first, then each outer group. The coarse set takes
+    ``_COARSE_SHARE`` of every group's angles and the coarse Gauss orders on
+    the same panels, so an under-resolution of any group shows in the check.
+    These whole arrays are for callers that want them; the package's
+    functionals walk each set by blocks instead, and contract the geometric
     panels on proxy rows (:func:`_proxy_count`).
     """
     node_set = _polar_set(center, reach, degree, coarse)
     # the walk of the weights (the values of 1) with the geometric panels'
-    # Gauss rows as their own proxies, which go last
-    blocks = sorted(_blocks(node_set._replace(proxies=node_set.rows[0][0], basis=None),
-                            np.ones_like), key=lambda block: block[0] == 0)
+    # Gauss rows as their own proxies
+    blocks = list(_blocks(node_set._replace(proxies=node_set.rows[0][0], basis=None),
+                          np.ones_like))
     return (np.concatenate([zeta.ravel() for _, zeta, _ in blocks]),
             np.concatenate([values.real.ravel() for *_, values in blocks]))
 
@@ -429,95 +426,69 @@ class _AtomGroup(NamedTuple):
                          (rho * width) * (self.pole * np.conj(ray) + self.conjpole * ray)])
 
 
-#: Nodes per block of the walk over a polar set (:func:`_blocks`): a block's
-#: nodes and values take 64 KiB each, and the kernels gather the blocks into
-#: their own tiles.
-_BLOCK = 1 << 12
-
-
 def _blocks(node_set: _NodeSet, integrand):
     """The contracted set of ``node_set`` as blocks ``(group, zeta,
     values)``: a run of whole rows of one panel group, the geometric panels'
     proxy rows first (``group`` 0), then each outer group, with the nodes
     ``zeta`` and the weighted values of the integrand, both complex ``(rows,
-    angles)`` arrays of at most about ``_BLOCK`` nodes.
+    angles)`` arrays of at most one kernel tile, ``_kernels._NODE_BLOCK``
+    nodes (one row, if a row alone has more).
 
-    An :class:`_AtomGroup` of the set's own center is evaluated from the
+    The angle factors (:func:`_rays`, and the atoms'
+    :meth:`_AtomGroup.angular`) are formed once per group. An
+    :class:`_AtomGroup` of the set's own center is evaluated from the
     factors: each block's values are one ``(rows, 3)`` by ``(3, angles)``
     product of radial and angular factors, and the proxy rows take ``E^T``
     of the Gauss rows' radial factors, so the Gauss rows are never built.
     Any other callable is evaluated on each block's nodes times the
     weights; its Gauss rows are evaluated and moved onto the proxy rows
     (``E^T v``) in blocks of angle columns, into the proxy rows' values,
-    which are at most 72 rows of the inner angle count. The angle factors
-    (:func:`_rays`, and the atoms' :meth:`_AtomGroup.angular`) are formed
-    for a few groups at a time (:func:`_spans`).
+    which are at most 72 rows of the inner angle count.
     """
     center, rows, proxies, basis, proxy_radial = node_set
     factored = isinstance(integrand, _AtomGroup) and integrand.center == center
-    counts = [angles for *_, angles in rows]
-    for first, last in _spans(counts):
-        ray, rho, width = _rays(center, counts[first:last])
+    for group, (s, ws, radial, angles) in enumerate(rows):
+        ray, rho, width = _rays(center, angles)
         arm, area = rho * ray, rho * rho * width
         if factored:
             angular = integrand.angular(ray, rho, width).view(np.float64)
-        offset = 0
-        for group in range(first, last):
-            s, ws, radial, angles = rows[group]
-            cols = slice(offset, offset + angles)
-            offset += angles
-            projected = group == 0 and basis is not None
-            if factored and projected:
-                radial = proxy_radial
+        projected = group == 0 and basis is not None
+        if factored and projected:
+            radial = proxy_radial
+        elif projected:
+            values = np.empty((len(proxies), 2 * angles))
+            step = max(1, _kernels._NODE_BLOCK // len(s))
+            for start in range(0, angles, step):
+                part = slice(start, start + step)
+                v = np.multiply(integrand(center + s[:, None] * arm[None, part]),
+                                (ws * s)[:, None] * area[None, part], dtype=np.complex128)
+                values[:, 2 * start:2 * part.stop] = basis.T @ v.view(np.float64)
+            values = values.view(np.complex128)
+        if projected:
+            s = proxies
+        step = max(1, _kernels._NODE_BLOCK // angles)
+        for start in range(0, len(s), step):
+            band = slice(start, start + step)
+            zeta = center + s[band, None] * arm
+            if factored:
+                block = (radial[band] @ angular).view(np.complex128)
             elif projected:
-                values = np.empty((len(proxies), 2 * angles))
-                step = max(1, _BLOCK // len(s))
-                for start in range(0, angles, step):
-                    part = slice(cols.start + start, min(cols.start + start + step, cols.stop))
-                    v = np.multiply(integrand(center + s[:, None] * arm[None, part]),
-                                    (ws * s)[:, None] * area[None, part], dtype=np.complex128)
-                    values[:, 2 * start:2 * (part.stop - cols.start)] = (
-                        basis.T @ v.view(np.float64))
-                values = values.view(np.complex128)
-            if projected:
-                s = proxies
-            step = max(1, _BLOCK // angles)
-            for start in range(0, len(s), step):
-                band = slice(start, start + step)
-                zeta = center + s[band, None] * arm[None, cols]
-                if factored:
-                    block = (radial[band] @ angular[:, 2 * cols.start:2 * cols.stop]).view(
-                        np.complex128)
-                elif projected:
-                    block = values[band]
-                else:
-                    block = np.multiply(integrand(zeta), (ws * s)[band, None] * area[None, cols],
-                                        dtype=np.complex128)
-                yield group, zeta, block
-
-
-def _spans(counts):
-    """Runs ``(first, last)`` of consecutive panel groups with angle counts
-    ``counts`` whose angle factors :func:`_blocks` forms in one pass: at most
-    ``_BLOCK`` angles together, or one group that alone has more."""
-    first = total = 0
-    for group, angles in enumerate(counts):
-        if group > first and total + angles > _BLOCK:
-            yield first, group
-            first, total = group, 0
-        total += angles
-    yield first, len(counts)
+                block = values[band]
+            else:
+                block = np.multiply(integrand(zeta), (ws * s)[band, None] * area,
+                                    dtype=np.complex128)
+            yield group, zeta, block
 
 
 def _contract(node_set: _NodeSet, integrand, groups, functional):
     """``functional(rows)``, a running contraction (``_kernels.KernelSum``
     and the like), of each point group ``(rows, strides)`` fed every
-    ``t``-th angle of each panel group of the walk (:func:`_blocks`), one
-    stride ``t`` per group, as views of each block, with the values (which
-    carry the weights) times ``t``: every ``t``-th of ``n`` uniform angles
-    is the trapezoid rule with ``n / t``. Returns the groups' results
-    assembled in point order, and the set's ``sum |values|``. Every stride 1
-    is the whole set."""
+    ``t``-th angle of each block of the walk (:func:`_blocks`) as the walk
+    yields it, one stride ``t`` per panel group, as views of the block, with
+    the values (which carry the weights) times ``t``: every ``t``-th of
+    ``n`` uniform angles is the trapezoid rule with ``n / t``. Returns the
+    groups' results assembled in point order, and the set's ``sum
+    |values|``. Every stride 1 is the whole set."""
     totals = [functional(rows) for rows, _ in groups]
     strides = list(zip(node_set.rows, *(t for _, t in groups), strict=True))
     scale = 0.0

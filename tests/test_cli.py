@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from berezin import cli
 from berezin.cli import main
 from berezin.symbols import Atom, Symbol, serialize_symbol
 
@@ -98,6 +99,23 @@ def test_transform_both_of_a_large_atom(tmp_path, capsys):
                  "--output", str(tmp_path / "both.csv")])
     assert code == 0, capsys.readouterr().err
     assert float(capsys.readouterr().err.split()[3]) <= 1e-6
+
+
+@pytest.mark.parametrize("coeff", [1e-9, 1.0, 1e3, 1e6])
+def test_transform_both_is_relative_to_the_symbols_scale(coeff, tmp_path, capsys, monkeypatch):
+    # with no --tol the deviation is compared with 1e-6 of the largest
+    # |exact value| at the points: the pole passes at every scale (its
+    # deviation is 4.8e-12 of that; an absolute 1e-6 failed it at 1e6), and
+    # a numeric error of 1e-8, three times the 1e-9 pole's values, fails
+    path = tmp_path / "pole.json"
+    path.write_text(serialize_symbol(Symbol(atoms=(Atom("pole", 0.72 * np.exp(0.7j), coeff),))))
+    argv = ["transform", "--symbol", str(path), "--mode", "both",
+            "--output", str(tmp_path / "both.csv")]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert "max |exact|" in capsys.readouterr().err
+    numeric = cli.berezin_numeric
+    monkeypatch.setattr(cli, "berezin_numeric", lambda *args: numeric(*args) + 1e-8)
+    assert main(argv) == (3 if coeff == 1e-9 else 0)
 
 
 def test_subcommands_reject_flags_they_ignore(product_symbol_file):

@@ -131,14 +131,25 @@ def test_numeric_transform_memory_is_bounded_by_blocks():
     assert peak < 16 * 2**20
 
 
-@pytest.mark.parametrize("sizes", [(1, 4095, 4097, 3), (5000, 5000), (4096, 1, 4096, 2), (7,) * 30])
-def test_running_contractions_do_not_depend_on_the_blocks(rng, sizes):
-    # nodes added block by block, strided views among them, give the bytes
-    # of one call on the blocks joined: the tiles are the same slices of it
+def _disk_sample(rng, n, radius):
+    return radius * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+
+@pytest.mark.parametrize("sizes", [
+    (1, _kernels._NODE_BLOCK + 1, 2 * _kernels._NODE_BLOCK + 3, 5),  # longer than a tile
+    (_kernels._NODE_BLOCK - 1, 1, 1, _kernels._NODE_BLOCK + 7),      # 1-node blocks
+    (7,) * 30,
+    (5000, 5000),
+])
+def test_running_contractions_agree_with_one_call(rng, sizes):
+    # nodes added block by block, as strided views of every other node,
+    # match one call on the blocks joined within 1e-15 of the sum of
+    # absolute terms; the blocks cut the tiles elsewhere, so only rounding
+    # differs (measured up to 4.6e-16 for the kernel sum and 4.2e-16 for the
+    # moments, over 200 seeds)
     n = sum(sizes)
-    nodes = 0.99 * np.sqrt(rng.uniform(size=2 * n)) * np.exp(2j * np.pi * rng.uniform(size=2 * n))
-    values = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
-    zs = 0.9 * np.sqrt(rng.uniform(size=20)) * np.exp(2j * np.pi * rng.uniform(size=20))
+    nodes, values = _disk_sample(rng, 2 * n, 0.99), rng.standard_normal((2 * n, 2)) @ [1, 1j]
+    zs = _disk_sample(rng, 20, 0.9)
     totals = (_kernels.KernelSum(zs), _kernels.MonomialMoments(13, 9))
     start = 0
     for size in sizes:
@@ -146,9 +157,32 @@ def test_running_contractions_do_not_depend_on_the_blocks(rng, sizes):
         for total in totals:
             total.add(nodes[block].reshape(-1, 2)[:, ::2], values[block].reshape(-1, 2)[:, ::2])
         start += size
-    assert np.array_equal(totals[0].result(), _kernels.kernel_sum(nodes[::2], values[::2], zs))
-    assert np.array_equal(totals[1].result()[0],
-                          _kernels.monomial_moments(nodes[::2], values[::2], 13, 9))
+    nodes, values = nodes[::2], values[::2]
+    scale = _kernels.kernel_sum(nodes, np.abs(values), zs).real
+    error = np.abs(totals[0].result() - _kernels.kernel_sum(nodes, values, zs))
+    assert np.all(error <= 1e-15 * scale)
+    scale = _kernels.monomial_moments(np.abs(nodes), np.abs(values), 13, 9).real
+    error = np.abs(totals[1].result()[0] - _kernels.monomial_moments(nodes, values, 13, 9))
+    assert np.all(error <= 1e-15 * scale)
+
+
+def test_running_contractions_keep_nothing_of_the_callers_blocks(rng):
+    # two 5,000-node blocks through one buffer that the caller refills and
+    # then overwrites: each block is contracted before ``add`` returns, so
+    # the result is that of the same blocks as arrays of their own (a tail
+    # held as a view put the kernel sum off by 1.8 times its norm)
+    nodes, values = _disk_sample(rng, 10_000, 0.99), rng.standard_normal((10_000, 2)) @ [1, 1j]
+    zs = _disk_sample(rng, 20, 0.9)
+    reused, own = ((_kernels.KernelSum(zs), _kernels.MonomialMoments(13, 9)) for _ in range(2))
+    buffer = np.empty((2, 5000), dtype=np.complex128)
+    for block in (slice(0, 5000), slice(5000, 10_000)):
+        buffer[0], buffer[1] = nodes[block], values[block]
+        for total, other in zip(reused, own):
+            total.add(*buffer)
+            other.add(nodes[block], values[block])
+    buffer[:] = 0.5
+    for total, other in zip(reused, own):
+        assert np.array_equal(total.result(), other.result())
 
 
 class TestFallbackContracts:
