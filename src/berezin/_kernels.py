@@ -6,10 +6,15 @@ kernel matrix. The kernel's denominator has rank-3 structure,
     ``|1 - zeta conj(z)|^2 = [1, -2x, -2y, |z|^2] . [1, xi, eta, |zeta|^2]``
 
 for ``z = x + iy`` and ``zeta = xi + i eta``, so one small GEMM forms it
-on a tile of points and nodes. Tiles are visited in a fixed order, which
+on a tile of points and nodes from the points' rows (:func:`point_table`,
+built once per call) and the nodes' columns (formed once per slice of at
+most ``_NODE_BLOCK`` nodes). Tiles are visited in a fixed order, which
 keeps results deterministic, and hold at most
 ``_POINT_BLOCK * _NODE_BLOCK`` doubles (512 KiB, inside a 2 MiB per-core
-L2 cache) whatever the input sizes; one buffer per thread holds every tile.
+L2 cache) whatever the input sizes: an ``n``-node slice takes as many
+point rows as that budget holds, at least ``_POINT_BLOCK``, so a slice
+that a stride has thinned takes more points per GEMM, not more GEMMs. One
+buffer per thread holds every tile.
 The monomial moments walk the nodes in ``_MOMENT_BLOCK`` blocks, so their
 working memory is two ``(degree + 1) x _MOMENT_BLOCK`` complex power
 tables, also whatever the node count, kept per thread too.
@@ -33,17 +38,24 @@ import numpy as np
 #: (8 MiB): the in-place passes over a tile stay in cache.
 _NODE_BLOCK = 1 << 12
 
-#: Evaluation points per tile. A tile's GEMM then has m n k = 16 x 4096 x 4
-#: = 262,144, the largest product OpenBLAS runs on one thread; at 32 rows
-#: it splits each GEMM over two threads, whose hand-off costs more than the
-#: small GEMM saves. Measured when symbols still built a plain set (no
+#: Evaluation points per tile of ``_NODE_BLOCK`` nodes; ``_POINT_BLOCK *
+#: _NODE_BLOCK`` doubles is the tile's element budget, and a slice of ``n``
+#: nodes takes ``budget // n`` point rows (:meth:`KernelSum.add`). A tile's
+#: GEMM then has m n k = 16 x 4096 x 4 = 262,144 at most, the largest
+#: product OpenBLAS runs on one thread; at 32 rows of 4096 nodes it splits
+#: each GEMM over two threads, whose hand-off costs more than the small
+#: GEMM saves. A numeric_grid op (seed 2, 18 ops) made 353 tile GEMMs
+#: with 16-row tiles, each over the 1/t of a block that stride t leaves, and
+#: one contraction per joint stride pattern; with budget tiles and one
+#: contraction per stride (``quadrature._point_runs``) it makes 117 for the
+#: same pairs. Measured when symbols still built a plain set (no
 #: symbol has since the harmonic part is added exactly): on the same Xeon,
 #: ``kernel_sum`` over ten polar sets and the plain set (208,256 nodes) at
 #: the 320 CLI points took 130 ms with 16 rows against 141 ms with 32
 #: (median of six alternating runs, each the best of 9; 16 rows faster in 5
-#: of 6); the results are equal. It is also the smallest group of points
-#: that the numeric transform contracts against one stride subset of a
-#: polar set (``quadrature._point_groups``): on node forms with 1, 2 and 3
+#: of 6); the results are equal. It is also the smallest run of points
+#: that the numeric transform contracts against one stride of a panel
+#: group (``quadrature._point_runs``): on node forms with 1, 2 and 3
 #: centers at 1, 5 and 8 points, one group per stride pattern took 11.4 ms
 #: for the three calls against 8.3 ms with every group of fewer than 16
 #: points joined to the next (median of 8 alternating runs).
@@ -72,15 +84,22 @@ _MOMENT_BLOCK = 1 << 11
 _TILES = threading.local()
 
 
-class KernelSum:
-    """Running :func:`kernel_sum` at the points ``zs`` (complex (M,))."""
+def point_table(zs):
+    """The rows ``[1, -2x, -2y, |z|^2]`` of the points ``zs`` (complex (M,)),
+    a real ``(M, 4)`` array; :class:`KernelSum` takes it, or any slice of
+    it, so a caller with several runs of points builds it once."""
+    zs = np.asarray(zs, dtype=np.complex128).ravel()
+    x, y = zs.real, zs.imag
+    return np.stack([np.ones_like(x), -2.0 * x, -2.0 * y, x * x + y * y], axis=1)
 
-    def __init__(self, zs):
-        zs = np.asarray(zs, dtype=np.complex128).ravel()
-        x, y = zs.real, zs.imag
-        self._r2 = x * x + y * y
-        self._point_rows = np.stack([np.ones_like(x), -2.0 * x, -2.0 * y, self._r2], axis=1)
-        self._out = np.zeros((len(zs), 2))
+
+class KernelSum:
+    """Running :func:`kernel_sum` at the points whose rows of
+    :func:`point_table` are ``points``."""
+
+    def __init__(self, points):
+        self._points = points
+        self._out = np.zeros((len(points), 2))
         self._buffer = getattr(_TILES, "buffer", None)
         if self._buffer is None:
             self._buffer = _TILES.buffer = np.empty(_POINT_BLOCK * _NODE_BLOCK)
@@ -90,8 +109,9 @@ class KernelSum:
 
     def add(self, nodes, values):
         """Contract a block: nodes and values, complex arrays of one shape
-        (strided views too), read in row-major order, in tiles of at most
-        ``_NODE_BLOCK`` nodes."""
+        (strided views too), read in row-major order, in slices of at most
+        ``_NODE_BLOCK`` nodes, each against tiles of as many points as the
+        buffer holds at its length."""
         nodes, values = np.ravel(nodes), np.ravel(values)
         for first in range(0, len(nodes), _NODE_BLOCK):
             part = nodes[first:first + _NODE_BLOCK]
@@ -105,17 +125,19 @@ class KernelSum:
             node_cols[3] += square
             # [Re v, Im v] as the two columns of one real (N, 2) array, no copy
             v = values[first:first + n].view(np.float64).reshape(-1, 2)
-            for p in range(0, len(self._point_rows), _POINT_BLOCK):
-                rows = self._point_rows[p:p + _POINT_BLOCK]
+            # at least _POINT_BLOCK rows, since n <= _NODE_BLOCK
+            step = len(self._buffer) // n
+            for p in range(0, len(self._points), step):
+                rows = self._points[p:p + step]
                 tile = self._buffer[:len(rows) * n].reshape(len(rows), n)
                 np.matmul(rows, node_cols, out=tile)  # |1 - zeta conj(z)|^2
                 np.multiply(tile, tile, out=tile)
                 np.reciprocal(tile, out=tile)
-                self._out[p:p + _POINT_BLOCK] += tile @ v
+                self._out[p:p + step] += tile @ v
 
     def result(self):
         """The kernel sum of every node added, complex128 (M,)."""
-        return self._out.view(np.complex128).ravel() * (1.0 - self._r2) ** 2
+        return self._out.view(np.complex128).ravel() * (1.0 - self._points[:, 3]) ** 2
 
 
 def kernel_sum(nodes, values, zs):
@@ -124,7 +146,7 @@ def kernel_sum(nodes, values, zs):
     nodes, values: complex arrays (N,); zs: complex array (M,). Returns
     complex128 (M,).
     """
-    total = KernelSum(zs)
+    total = KernelSum(point_table(zs))
     total.add(np.asarray(nodes, dtype=np.complex128), np.asarray(values, dtype=np.complex128))
     return total.result()
 

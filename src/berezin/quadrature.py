@@ -62,11 +62,13 @@ imaginary angle, and beyond it every count grows like ``1 / (1 - r)``
 for that reach, and each block of each is evaluated once; each point is
 then contracted against every ``t``-th angle of each panel group, the
 trapezoid rule with ``1/t`` of the angles and ``t`` times the weights, as
-few as the same law gives the group at the point's own ``|z|``
-(:func:`_point_groups`), as a strided view of each block. Points that
-share a stride pattern form one contraction, of at least
-``_kernels._POINT_BLOCK`` points, so a call on fewer than 32 points is
-one contraction with every stride 1.
+few as the same law gives the group at the point's own ``|z|``, as a
+strided view of each block. In each panel group the points of one stride
+form a run of at least ``_kernels._POINT_BLOCK`` points
+(:func:`_point_runs`), and each block goes to each run of its group once,
+so its nodes are read once per stride; a point's value is the sum over its
+runs. A call on fewer than 32 points is one run, with stride 1, in every
+group: one contraction of the whole set.
 
 The geometric panels' Gauss rows are there only for the atoms'
 singularities; the functional's kernel is analytic along each ray of their
@@ -480,29 +482,35 @@ def _blocks(node_set: _NodeSet, integrand):
             yield group, zeta, block
 
 
-def _contract(node_set: _NodeSet, integrand, groups, functional):
+def _contract(node_set: _NodeSet, integrand, points, functional):
     """``functional(rows)``, a running contraction (``_kernels.KernelSum``
-    and the like), of each point group ``(rows, strides)`` fed every
-    ``t``-th angle of each block of the walk (:func:`_blocks`) as the walk
-    yields it, one stride ``t`` per panel group, as views of the block, with
-    the values (which carry the weights) times ``t``: every ``t``-th of
-    ``n`` uniform angles is the trapezoid rule with ``n / t``. Returns the
-    groups' results assembled in point order, and the set's ``sum
-    |values|``. Every stride 1 is the whole set."""
-    totals = [functional(rows) for rows, _ in groups]
-    strides = list(zip(node_set.rows, *(t for _, t in groups), strict=True))
+    and the like), of each run of points of :func:`_point_runs`, fed every
+    ``t``-th angle of each block of its panel group as the walk
+    (:func:`_blocks`) yields it, as views of the block, with the values
+    (which carry the weights) times ``t``: every ``t``-th of ``n`` uniform
+    angles is the trapezoid rule with ``n / t``. Runs of the same points in
+    several panel groups share one contraction. Returns each point's sum
+    over its runs, in point order, and the set's ``sum |values|``. One run
+    of every point with stride 1 in every group is the whole set."""
+    order, runs = points
+    spans = dict.fromkeys((start, end) for group in runs for start, end, _ in group)
+    totals = {(start, end): functional(order[start:end]) for start, end in spans}
+    feeds = [[(totals[start, end], t) for start, end, t in group]
+             for _, group in zip(node_set.rows, runs, strict=True)]
     scale = 0.0
     for group, zeta, values in _blocks(node_set, integrand):
         scale += float(np.sum(np.abs(values)))
-        for total, t in zip(totals, strides[group][1:]):
+        for total, t in feeds[group]:
             if t == 1:
                 total.add(zeta, values)
             else:
                 total.add(zeta[:, ::t], values[:, ::t] * t)
-    parts = [total.result() for total in totals]
-    out = np.empty((sum(len(rows) for rows, _ in groups),) + parts[0].shape[1:], parts[0].dtype)
-    for (rows, _), part in zip(groups, parts):
-        out[rows] = part
+    out = None
+    for (start, end), total in totals.items():
+        part = total.result()
+        if out is None:
+            out = np.zeros((len(order),) + part.shape[1:], part.dtype)
+        out[order[start:end]] += part
     return out, scale
 
 
@@ -528,56 +536,65 @@ def _angle_strides(layout, need):
     return tuple(strides)
 
 
-def _point_groups(reaches, layout_at):
-    """The points of moduli ``reaches`` as groups ``(rows, strides)`` for the
-    node set of ``layout_at(max(reaches))``: sorted by reach, the points of
-    one stride pattern (:func:`_angle_strides` against ``layout_at`` of
-    each point's own reach, on the set's panels, once per distinct reach,
-    where sorted moduli less than 1e-12 apart are one reach at the largest
-    of them) form a group, and a group of fewer than ``_kernels._POINT_BLOCK``
-    points joins the next one outward (the outermost joins the one inward
-    of it). A group takes the smallest stride of its points in each panel
-    group, and keeps its rows in their given order. A call on fewer than
-    ``2 _POINT_BLOCK`` points is one group, with every stride 1 (the points
-    at the largest reach need every angle)."""
+def _point_runs(reaches, layout_at):
+    """The points of moduli ``reaches`` as runs of each panel group of the
+    node set of ``layout_at(max(reaches))``: ``(order, runs)``, with
+    ``order`` the points sorted by reach and ``runs[g]`` the runs ``(start,
+    end, t)`` of group ``g``, each the points ``order[start:end]`` with
+    angle stride ``t`` there. A point's stride in each group is
+    :func:`_angle_strides` against ``layout_at`` of its own reach, on the
+    set's panels, found once per distinct reach (sorted moduli less than
+    1e-12 apart are one reach, at the largest of them). In each group the
+    points of one stride form a run, and a run of fewer than
+    ``_kernels._POINT_BLOCK`` points joins the next one outward (the
+    outermost joins the one inward of it) and takes the smaller stride.
+    Strides do not grow with the reach, so a group's runs take distinct
+    strides. A call on fewer than ``2 _POINT_BLOCK`` points is one run in
+    every group, with stride 1 (the points at the largest reach need every
+    angle)."""
     layout = layout_at(float(np.max(reaches)))
     if len(reaches) < 2 * _kernels._POINT_BLOCK:
-        return [(np.arange(len(reaches)), (1,) * len(layout))]
+        return np.arange(len(reaches)), [[(0, len(reaches), 1)]] * len(layout)
     order = np.argsort(reaches, kind="stable")
     # moduli less than 1e-12 apart are one reach, as near the base reach,
     # and take the need of the largest of them: the CLI points' 10 radii
     # come as 31 distinct moduli, each of which cost one layout
     ends = np.flatnonzero(np.diff(reaches[order]) > 1e-12).tolist() + [len(reaches) - 1]
-    patterns, groups = {}, []
-    for end, modulus in zip((e + 1 for e in ends), reaches[order[ends]].tolist()):
+    patterns, strides = {}, []
+    for modulus in reaches[order[ends]].tolist():
         need = layout_at(modulus)
         if need not in patterns:
             patterns[need] = _angle_strides(layout, need)
-        strides = patterns[need]
-        start = groups[-1][1] if groups else 0
-        if groups and (groups[-1][2] == strides or start - groups[-1][0] < _kernels._POINT_BLOCK):
-            start, _, joined = groups.pop()
-            strides = tuple(map(min, joined, strides))
-        groups.append((start, end, strides))
-    if len(groups) > 1 and len(reaches) - groups[-1][0] < _kernels._POINT_BLOCK:
-        _, end, outer = groups.pop()
-        start, _, strides = groups.pop()
-        groups.append((start, end, tuple(map(min, strides, outer))))
-    return [(np.sort(order[start:end]), strides) for start, end, strides in groups]
+        strides.append(patterns[need])
+    runs = []
+    for own in zip(*strides):
+        group = []
+        for end, t in zip((e + 1 for e in ends), own):
+            start = group[-1][1] if group else 0
+            if group and (group[-1][2] == t or start - group[-1][0] < _kernels._POINT_BLOCK):
+                start, _, joined = group.pop()
+                t = min(joined, t)
+            group.append((start, end, t))
+        if len(group) > 1 and len(reaches) - group[-1][0] < _kernels._POINT_BLOCK:
+            _, end, outer = group.pop()
+            start, _, t = group.pop()
+            group.append((start, end, min(t, outer)))
+        runs.append(group)
+    return order, runs
 
 
-def _refined(node_set, groups, integrand, functional, *, check: bool, what: str):
+def _refined(node_set, points, integrand, functional, *, check: bool, what: str):
     """The contraction (:func:`_contract`) of ``node_set(coarse=False)``, a
-    :class:`_NodeSet`, for the point groups ``(rows, strides)``.
+    :class:`_NodeSet`, for the runs of points ``points`` (:func:`_point_runs`).
 
     With ``check`` the same is recomputed on ``node_set(coarse=True)``; a
     deviation at any point above ``_REFINEMENT_TOL`` times the fine set's
     ``sum |values|``, the part's own scale, raises NonConvergence naming
     ``what``. So ``u`` and ``c u`` pass or fail together, whatever ``c``.
     """
-    fine, scale = _contract(node_set(coarse=False), integrand, groups, functional)
+    fine, scale = _contract(node_set(coarse=False), integrand, points, functional)
     if check:
-        coarse, _ = _contract(node_set(coarse=True), integrand, groups, functional)
+        coarse, _ = _contract(node_set(coarse=True), integrand, points, functional)
         delta = float(np.max(np.abs(fine - coarse)))
         if delta > _REFINEMENT_TOL * scale:
             raise NonConvergence(
@@ -598,7 +615,8 @@ def disk_integrate_singular(f, center) -> complex:
         raise DomainError(
             "a singular integral needs a center; a smooth integrand declares center 0")
     # the kernel sum at z = 0, where the kernel is 1 at every node
-    return complex(integrate_parts(f, lambda rows: _kernels.KernelSum([0j]), [_BASE_REACH],
+    origin = _kernels.point_table([0j])
+    return complex(integrate_parts(f, lambda rows: _kernels.KernelSum(origin), [_BASE_REACH],
                                    center, check=True, what="singular quadrature")[0])
 
 
@@ -642,15 +660,15 @@ def integrate_parts(u, functional, reaches, center=None, *, degree: int = 0,
     ``transform.covariance_residual`` has one at ``1 / conj(a)``), so its
     set is laid out for at least the base reach. Each output is contracted
     against every ``t``-th angle of each panel group, as many as its own
-    reach gives the group on the set's panels (:func:`_point_groups`), and
+    reach gives the group on the set's panels (:func:`_point_runs`), and
     against the proxy rows of the geometric panels that the largest reach,
     or without a pole the ``degree``, asks for (:func:`_proxy_count`). Each
     set is walked block by block (:func:`_blocks`), and each block is
-    contracted against every output group, so no array of a set's size is
-    built; the atoms of a symbol are evaluated from the set's factors. With
-    ``check`` each part is recomputed on its coarse set and compared at the
-    scale of its own values (:func:`_refined`). Returns zeros, one per
-    output, when ``u`` has no parts.
+    contracted against every run of outputs of its panel group, so no array
+    of a set's size is built; the atoms of a symbol are evaluated from the
+    set's factors. With ``check`` each part is recomputed on its coarse set
+    and compared at the scale of its own values (:func:`_refined`). Returns
+    zeros, one per output, when ``u`` has no parts.
     """
     floor = 0.0
     if isinstance(u, Symbol):
@@ -672,7 +690,7 @@ def integrate_parts(u, functional, reaches, center=None, *, degree: int = 0,
         node_set = partial(_polar_set, part_center, reach, degree)
         panels = len(_polar_layout(part_center, reach, degree)) - 1
         layout_at = lambda r: _polar_layout(part_center, max(r, floor), degree, panels)
-        total = total + _refined(node_set, _point_groups(reaches, layout_at),
+        total = total + _refined(node_set, _point_runs(reaches, layout_at),
                                  integrand, functional, check=check, what=what)
     return total
 
@@ -698,7 +716,7 @@ def berezin_numeric(u, z, center=None):
     The polar sets follow the points' reach ``max |z|``
     (:func:`_polar_layout`), and each point is contracted against as many
     of each panel group's angles as its own ``|z|`` needs
-    (:func:`_point_groups`); the points at the reach take
+    (:func:`_point_runs`); the points at the reach take
     every angle. The geometric panels are contracted on their proxy rows
     (:func:`_proxy_count`). A non-finite point raises DomainError and a point beyond
     ``|z| = 0.99`` OutOfRange. ``z`` may be a scalar or an array, also an
@@ -713,8 +731,9 @@ def berezin_numeric(u, z, center=None):
     if not len(zs):
         return np.zeros(np.shape(z), dtype=np.complex128)
 
+    table = _kernels.point_table(zs)
     out = np.zeros(len(zs), dtype=np.complex128) + integrate_parts(
-        u, lambda rows: _kernels.KernelSum(zs[rows]),
+        u, lambda rows: _kernels.KernelSum(table[rows]),
         mags, center, check=True, what="numeric transform")
     if isinstance(u, Symbol):
         out += u.harmonic(zs)

@@ -216,6 +216,36 @@ def test_verify_deterministic_across_processes(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_one_parser_serves_every_call_of_main(log_symbol_file, capsys):
+    # the parser is built once per process: transform, rank, a flag the
+    # subcommand does not take (exit 2) and transform again in one process
+    # give the outputs and exit codes of a fresh process each
+    import os
+    import subprocess
+    import sys
+
+    import berezin
+
+    src = os.path.dirname(os.path.dirname(berezin.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    transform = ["transform", "--symbol", log_symbol_file, "--trunc", "6"]
+    calls = [transform, ["rank", "--symbol", log_symbol_file, "--trunc", "6"],
+             transform + ["--kmax", "3"], transform]
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "berezin", *argv], capture_output=True,
+                               text=True, env={**os.environ, "PYTHONPATH": path})
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+    assert codes == [0, 0, 2, 0]
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_verify_tightened_tolerance_fails(tmp_path):
     out = tmp_path / "report.txt"
     code = main(["verify", "--seed", "7", "--tol", "1e-15", "--output", str(out)])

