@@ -41,7 +41,6 @@ from berezin.core import (
     MAX_CENTER_MODULUS,
     BidegreeSeries,
     PowerSeries,
-    mobius_power_series,
 )
 from berezin.errors import (
     DegenerateNode,
@@ -54,6 +53,7 @@ from berezin.errors import (
 )
 from berezin.rank import DEFAULT_RANK_TOL, MomentMatrix, numerical_rank
 from berezin.symbols import NodeForm, Symbol, canonicalize, product_preimage_symbol
+from berezin.transform import node_series
 
 #: Pencil eigenvalues closer than this are merged as one confluent node.
 CLUSTER_RADIUS = 1e-4
@@ -274,11 +274,11 @@ def fit_node_form(grid: BidegreeSeries, nodes, *,
 
     The regressors are the exact grids of ``phi*conj(phi)``,
     ``phi^2*conj(phi)`` and ``phi*conj(phi)^2`` per node, each an outer
-    product ``f ⊗ conj(g)`` of two Moebius power series, plus one unit grid
-    per harmonic coefficient. The unit grids touch only row 0 and column 0,
-    where they fit the target exactly, so the node constants are the
-    least-squares solution on the interior block ``c[1:, 1:]`` alone, and
-    the harmonic part is the edge residual ``t_edge - edge x``.
+    product ``f ⊗ conj(g)`` of two :func:`transform.node_series` rows, plus
+    one unit grid per harmonic coefficient. The unit grids touch only row 0
+    and column 0, where they fit the target exactly, so the node constants
+    are the least-squares solution on the interior block ``c[1:, 1:]``
+    alone, and the harmonic part is the edge residual ``t_edge - edge x``.
 
     The interior is never formed. Its columns are ``F e_a ⊗ conj(F e_b)``
     for the T x 2n matrix ``F`` of the series ``phi_a``, ``phi_a^2`` (rows
@@ -307,15 +307,9 @@ def fit_node_form(grid: BidegreeSeries, nodes, *,
     target = grid.padded(T, T)
     k = 3 * len(nodes)
 
-    # the 2n distinct series phi_a, phi_a^2; column j of the design is
-    # series[fa[j]] ⊗ conj(series[gb[j]]), that is phi*conj(phi),
-    # phi^2*conj(phi) and phi*conj(phi)^2 per node
-    series = np.empty((2 * len(nodes), T + 1), dtype=np.complex128)
-    for i, a in enumerate(nodes):
-        phi = mobius_power_series(a, 1, T).coeffs
-        series[2 * i: 2 * i + 2] = (phi, np.convolve(phi, phi)[: T + 1])
-    fa = (2 * np.arange(len(nodes))[:, None] + [0, 1, 0]).ravel()
-    gb = (2 * np.arange(len(nodes))[:, None] + [0, 0, 1]).ravel()
+    # column j of the design is series[fa[j]] ⊗ conj(series[gb[j]]), that
+    # is phi*conj(phi), phi^2*conj(phi) and phi*conj(phi)^2 per node
+    series, fa, gb = node_series(nodes, T)
     f, g = series[fa], np.conj(series[gb])
 
     # rows (m, 0) for m = 0..T, then (0, n) for n = 1..T

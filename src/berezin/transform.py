@@ -2,21 +2,19 @@
 
 Summable harmonic functions are fixed points of the transform, so the
 harmonic part embeds directly into row 0 / column 0 of the coefficient
-grid. The atoms have closed-form transforms built from the automorphism
-``phi_a`` (written ``phi`` below, ``phib`` for its conjugate):
+grid. Every atom is a multiple of the atom of one automorphism product's
+preimage (:func:`symbols.product_preimage_symbol`) plus a harmonic
+function, so every exact grid is a node form's: the harmonic edges plus
+``S^T C conj(S)`` (:func:`node_series`). With ``phi = phi_a``, ``phib``
+its conjugate, the closed forms that :func:`symbol_values` evaluates are
 
 * ``ln|z - a|``        ->  ``(phi*phib - 1)/2 + ln|1 - conj(a) z|``
 * ``1/(z - a)``        ->  ``(conj(a) + 2*phib - phi*phib^2) / (1 - |a|^2)``
-* ``1/conj(z - a)``    ->  the index-swapped conjugate of the pole grid
+* ``1/conj(z - a)``    ->  the complex conjugate of the pole's
 
-The paired log difference ``2(ln|z-a| - ln|1-conj(a) z|)`` therefore
-transforms to ``phi*phib - 1``; adding the constant symbol 1 yields the
-pure product ``phi*phib`` (the rank-one building block). This constant
-normalization was pinned against the quadrature oracle.
-
-:func:`symbol_values` evaluates these closed forms pointwise;
-:func:`symbol_transform` builds the truncated coefficient grid that the
-rank, moment, fitting and factoring layers work on.
+(log, pole and conjugate pole go through ``phi*phib``, ``phi*phib^2`` and
+``phi^2*phib``). The paired log difference ``2(ln|z-a| - ln|1-conj(a) z|)``
+transforms to ``phi*phib - 1``; this normalization was pinned by quadrature.
 """
 from __future__ import annotations
 
@@ -27,7 +25,7 @@ from berezin.core import (
     BidegreeSeries,
     DiskAutomorphism,
     PowerSeries,
-    log_one_minus_series,
+    _check_truncation,
     mobius_eval,
     mobius_inverse,
     mobius_power_series,
@@ -35,7 +33,7 @@ from berezin.core import (
 )
 from berezin.errors import DomainError
 from berezin.quadrature import berezin_numeric, symbol_parts
-from berezin.symbols import NodeForm, Symbol, canonicalize
+from berezin.symbols import NodeForm, Symbol, canonicalize, product_preimage_symbol
 
 
 def harmonic_transform(holo: PowerSeries, anti: PowerSeries,
@@ -53,49 +51,58 @@ def harmonic_transform(holo: PowerSeries, anti: PowerSeries,
     return BidegreeSeries(grid)
 
 
-def log_atom_transform(a: complex, truncation: int = DEFAULT_TRUNCATION) -> BidegreeSeries:
-    """Grid of the transform of ``ln|z - a|``."""
-    a = require_finite(a, "center")
-    t = mobius_power_series(a, 1, truncation)
-    grid = 0.5 * np.outer(t.coeffs, np.conj(t.coeffs))
-    grid[0, 0] -= 0.5
-    # harmonic tail ln|1 - conj(a) z| = (log-series + its conjugate)/2
-    ell = log_one_minus_series(np.conj(a), truncation)
-    grid[:, 0] += 0.5 * ell.coeffs
-    grid[0, :] += 0.5 * np.conj(ell.coeffs)
+#: Node products ``phi_a^j * conj(phi_a)^k`` in node-tuple order (c11, c21, c12).
+_PRODUCTS = ((1, 1), (2, 1), (1, 2))
+
+#: The product whose preimage carries each atom kind.
+_ATOM_PRODUCTS = {"log": (1, 1), "pole": (1, 2), "conjpole": (2, 1)}
+
+
+def node_series(centers, truncation: int):
+    """``(series, fa, gb)``: the 2n x (T+1) rows ``phi_a``, ``phi_a^2`` of
+    the n centers, and product ``3*i + s`` (``_PRODUCTS`` entry ``s`` of
+    center ``i``) is ``series[fa[3*i + s]] ⊗ conj(series[gb[3*i + s]])``."""
+    series = np.empty((2 * len(centers), truncation + 1), dtype=np.complex128)
+    for i, a in enumerate(centers):
+        phi = mobius_power_series(a, 1, truncation).coeffs
+        series[2 * i: 2 * i + 2] = (phi, np.convolve(phi, phi)[: truncation + 1])
+    fa = (2 * np.arange(len(centers))[:, None] + [j - 1 for j, _ in _PRODUCTS]).ravel()
+    gb = (2 * np.arange(len(centers))[:, None] + [k - 1 for _, k in _PRODUCTS]).ravel()
+    return series, fa, gb
+
+
+def _assemble(holo: PowerSeries, anti: PowerSeries, nodes, truncation: int) -> BidegreeSeries:
+    """Grid of ``K + conj(L)`` plus the ``(a, c11, c21, c12)`` nodes: the
+    harmonic edges plus ``S^T C conj(S)`` on the (T+1)^2 corner, with ``S``
+    the :func:`node_series` rows and ``C`` the constants at their row pairs."""
+    truncation = _check_truncation(truncation)
+    grid = np.array(harmonic_transform(holo, anti, truncation).coeffs)
+    if nodes:
+        series, fa, gb = node_series([a for a, *_ in nodes], truncation)
+        C = np.zeros((len(series), len(series)), dtype=np.complex128)
+        C[fa, gb] = [c for _, *cs in nodes for c in cs]
+        grid[: truncation + 1, : truncation + 1] += series.T @ C @ np.conj(series)
     return BidegreeSeries(grid)
 
 
-def pole_atom_transform(a: complex, truncation: int = DEFAULT_TRUNCATION) -> BidegreeSeries:
-    """Grid of the transform of ``1/(z - a)``."""
-    a = require_finite(a, "center")
-    t1 = mobius_power_series(a, 1, truncation)
-    t2 = mobius_power_series(a, 2, truncation)
-    grid = -np.outer(t1.coeffs, np.conj(t2.coeffs))
-    grid[0, 0] += np.conj(a)
-    grid[0, :] += 2.0 * np.conj(t1.coeffs)
-    return BidegreeSeries(grid / (1.0 - abs(a) ** 2))
-
-
-def conj_pole_atom_transform(a: complex, truncation: int = DEFAULT_TRUNCATION) -> BidegreeSeries:
-    """Grid of the transform of ``1/conj(z - a)``."""
-    return pole_atom_transform(a, truncation).conjugate()
-
-
-_ATOM_GRIDS = {
-    "log": log_atom_transform,
-    "pole": pole_atom_transform,
-    "conjpole": conj_pole_atom_transform,
-}
-
-
 def symbol_transform(s: Symbol, truncation: int = DEFAULT_TRUNCATION) -> BidegreeSeries:
-    """Exact transform grid of a symbol, assembled by linearity."""
+    """Exact transform grid of a symbol, through the product preimages.
+
+    An atom is ``c`` times the atom of its product's preimage ``u``, so it
+    adds ``c`` to its center's constant of that product and ``-c`` times
+    the harmonic part of ``u`` to the harmonic part; the grid is then that
+    of a node form.
+    """
     s = canonicalize(s)
-    grid = harmonic_transform(s.holo, s.anti, truncation)
+    holo, anti, nodes = s.holo, s.anti, {}
     for atom in s.atoms:
-        grid = grid + _ATOM_GRIDS[atom.kind](atom.center, truncation) * atom.coeff
-    return grid
+        jk = _ATOM_PRODUCTS[atom.kind]
+        u = product_preimage_symbol(atom.center, *jk, truncation)
+        c = atom.coeff / u.atoms[0].coeff
+        nodes.setdefault(atom.center, [0.0, 0.0, 0.0])[_PRODUCTS.index(jk)] += c
+        holo = holo + u.holo * (-c)
+        anti = anti + u.anti * np.conj(-c)
+    return _assemble(holo, anti, [(a, *cs) for a, cs in nodes.items()], truncation)
 
 
 def symbol_values(s: Symbol, z):
@@ -135,16 +142,9 @@ def product_grid(a: complex, holo_power: int, anti_power: int,
 
 
 def node_form_transform(form: NodeForm, truncation: int = DEFAULT_TRUNCATION) -> BidegreeSeries:
-    """Exact transform grid of a canonical node form."""
-    grid = harmonic_transform(form.holo, form.anti, truncation)
-    for (a, c11, c21, c12) in form.nodes:
-        if c11 != 0:
-            grid = grid + product_grid(a, 1, 1, truncation) * c11
-        if c21 != 0:
-            grid = grid + product_grid(a, 2, 1, truncation) * c21
-        if c12 != 0:
-            grid = grid + product_grid(a, 1, 2, truncation) * c12
-    return grid
+    """Exact transform grid of a canonical node form: its harmonic edges
+    plus ``S^T C conj(S)`` over its nodes (see :func:`node_series`)."""
+    return _assemble(form.holo, form.anti, form.nodes, truncation)
 
 
 def covariance_residual(s: Symbol, a: complex, z: complex) -> float:

@@ -14,11 +14,10 @@ from berezin.recovery import decompose_form, factor_rank_one, fit_node_form, rec
 from berezin.symbols import Atom, NodeForm, Symbol, product_preimage_symbol
 from berezin.transform import (
     covariance_residual,
-    log_atom_transform,
     node_form_transform,
-    pole_atom_transform,
     product_grid,
     symbol_transform,
+    symbol_values,
 )
 
 
@@ -56,13 +55,13 @@ def random_node_form(rng, max_nodes=3, harmonic_degree=4) -> NodeForm:
 
 
 def _check_closed_form_log(rng):
-    grid = log_atom_transform(0.0)
+    grid = symbol_transform(Symbol(atoms=(Atom("log", 0.0, 1.0),)))
     zs = _eval_points()
     return float(np.max(np.abs(grid.eval(zs) - (zs * np.conj(zs) - 1) / 2)))
 
 
 def _check_closed_form_pole(rng):
-    grid = pole_atom_transform(0.0)
+    grid = symbol_transform(Symbol(atoms=(Atom("pole", 0.0, 1.0),)))
     zs = _eval_points()
     want = 2 * np.conj(zs) - zs * np.conj(zs) ** 2
     return float(np.max(np.abs(grid.eval(zs) - want)))
@@ -109,13 +108,19 @@ def _check_covariance(rng):
 
 def _check_products(rng):
     worst = 0.0
+    zs = _eval_points(count=8, radius=0.85)
     for jk in ((1, 1), (2, 1), (1, 2)):
         a = complex(rng.uniform(0.2, 0.6) * np.exp(2j * np.pi * rng.uniform()))
+        preimage = product_preimage_symbol(a, *jk)
         direct = product_grid(a, *jk)
-        via_symbol = symbol_transform(product_preimage_symbol(a, *jk))
-        worst = max(worst, direct.max_coeff_diff(via_symbol))
+        worst = max(worst, direct.max_coeff_diff(symbol_transform(preimage)))
         if numerical_rank(direct).rank != 1:
             worst = max(worst, 1.0)
+        # the grids agree by construction (symbol_transform reads atoms through
+        # the preimages); symbol_values' per-kind closed forms do not
+        w = (zs - a) / (1.0 - np.conj(a) * zs)
+        want = w ** jk[0] * np.conj(w) ** jk[1]
+        worst = max(worst, float(np.max(np.abs(symbol_values(preimage, zs) - want))))
     return worst
 
 

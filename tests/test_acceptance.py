@@ -27,6 +27,7 @@ from berezin.transform import (
     node_form_transform,
     product_grid,
     symbol_transform,
+    symbol_values,
 )
 
 from conftest import random_form, random_unit, rank_one_grid
@@ -134,9 +135,19 @@ def test_c04_product_identities():
         via_symbol = symbol_transform(product_preimage_symbol(a, *jk))
         worst = max(worst, target.max_coeff_diff(via_symbol))
         ranks_ok = ranks_ok and numerical_rank(target).rank == 1
+    # symbol_transform reads atoms through the preimages, so the grids agree
+    # by construction; the per-kind closed forms of symbol_values do not
+    zs = eval_grid_points(count=10, radius=0.85)
+    for a in (0.37 - 0.21j, 0.4, -0.5j):
+        w = (zs - a) / (1 - np.conj(a) * zs)
+        for jk in ((1, 1), (2, 1), (1, 2)):
+            values = symbol_values(product_preimage_symbol(a, *jk), zs)
+            want = w ** jk[0] * np.conj(w) ** jk[1]
+            worst = max(worst, float(np.max(np.abs(values - want))))
     ok = worst <= 1e-8 and ranks_ok
     report(4, "automorphism product identities", ok,
-           f"max grid deviation {worst:.2e} <= 1e-8, products rank one", started, 30.0)
+           f"max grid and pointwise deviation {worst:.2e} <= 1e-8, products rank one",
+           started, 30.0)
 
 
 def test_c05_coefficient_cross_identity():

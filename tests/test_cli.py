@@ -275,3 +275,20 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
                  "--z", "0.995,0"])
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["transform", "rank", "recover", "decompose"])
+def test_truncation_is_checked_for_a_harmonic_symbol(command, tmp_path, capsys):
+    # a harmonic-only symbol has no atom series, so the grid assembly alone
+    # checks the truncation before it sizes a grid
+    from berezin.core import PowerSeries
+
+    path = tmp_path / "harmonic.json"
+    path.write_text(serialize_symbol(Symbol(holo=PowerSeries([0.3, -0.5j, 0.2]),
+                                            anti=PowerSeries([0, 0.4]))))
+    argv = [command, "--symbol", str(path), "--output", str(tmp_path / "out")]
+    assert main(argv + ["--trunc=-1"]) == 3
+    assert "truncation must be >= 0, got -1" in capsys.readouterr().err
+    assert main(argv + ["--trunc", "161"]) == 3
+    assert "truncation 161 exceeds configured maximum 160" in capsys.readouterr().err
+    assert main(argv + ["--trunc", "160"]) == 0

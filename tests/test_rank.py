@@ -17,11 +17,7 @@ from berezin.rank import (
     weighted_monomial_moments,
 )
 from berezin.symbols import Atom, Symbol
-from berezin.transform import (
-    log_atom_transform,
-    product_grid,
-    symbol_transform,
-)
+from berezin.transform import product_grid, symbol_transform
 
 
 def simple_grid(entries):
@@ -35,7 +31,7 @@ class TestComplexified:
         from berezin.quadrature import disk_integrate_singular
 
         a = 0.3
-        grid = log_atom_transform(a)
+        grid = symbol_transform(Symbol(atoms=(Atom("log", a, 1.0),)))
         for (z, w) in ((0.4, 0.2j), (0.3 + 0.2j, -0.1 + 0.25j)):
             def integrand(t):
                 kern = (1 - z * w) ** 2 / ((1 - np.conj(t) * z) ** 2 * (1 - t * w) ** 2)

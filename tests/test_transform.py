@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from berezin.core import DiskAutomorphism, PowerSeries, mobius_eval
+from berezin.core import DEFAULT_TRUNCATION, DiskAutomorphism, PowerSeries, mobius_eval
 from berezin.errors import DomainError
 from berezin.quadrature import berezin_numeric, disk_integrate_singular
 from berezin.symbols import Atom, NodeForm, Symbol, product_preimage_symbol
 from berezin.transform import (
-    conj_pole_atom_transform,
     covariance_residual,
     harmonic_transform,
-    log_atom_transform,
-    pole_atom_transform,
     product_grid,
     symbol_transform,
     symbol_values,
@@ -21,6 +18,11 @@ from conftest import conjugated_symbol
 
 def phi(a, z):
     return mobius_eval(DiskAutomorphism(a), z)
+
+
+def atom_grid(kind, a, truncation=DEFAULT_TRUNCATION):
+    """Exact grid of one atom of coefficient 1."""
+    return symbol_transform(Symbol(atoms=(Atom(kind, a, 1.0),)), truncation)
 
 
 class TestHarmonic:
@@ -46,14 +48,14 @@ class TestHarmonic:
 
 class TestLogAtom:
     def test_origin_closed_form(self):
-        grid = log_atom_transform(0.0, 6)
+        grid = atom_grid("log", 0.0, 6)
         assert grid.coeffs[0, 0] == pytest.approx(-0.5)
         assert grid.coeffs[1, 1] == pytest.approx(0.5)
         assert np.count_nonzero(np.abs(grid.coeffs) > 1e-14) == 2
 
     def test_value_at_zero_vs_quadrature(self):
         a = 0.3
-        grid = log_atom_transform(a)
+        grid = atom_grid("log", a)
         oracle = disk_integrate_singular(lambda z: np.log(np.abs(z - a)), a)
         assert grid.eval(0.0) == pytest.approx(oracle, abs=1e-8)
 
@@ -61,7 +63,7 @@ class TestLogAtom:
         a = 0.3
         u = Symbol(atoms=(Atom("log", a, 1.0),))
         z = 0.4j
-        assert log_atom_transform(a).eval(z) == pytest.approx(
+        assert atom_grid("log", a).eval(z) == pytest.approx(
             berezin_numeric(u, z), abs=1e-6
         )
 
@@ -72,25 +74,25 @@ class TestLogAtom:
             z = rng.uniform(0, 0.85) * np.exp(2j * np.pi * rng.uniform())
             w = phi(a, z)
             want = (w * np.conj(w) - 1) / 2 + np.log(abs(1 - np.conj(a) * z))
-            assert log_atom_transform(a).eval(z) == pytest.approx(want, abs=1e-11)
+            assert atom_grid("log", a).eval(z) == pytest.approx(want, abs=1e-11)
 
 
 class TestPoleAtom:
     def test_origin_closed_form(self):
-        grid = pole_atom_transform(0.0, 6)
+        grid = atom_grid("pole", 0.0, 6)
         assert grid.coeffs[0, 1] == pytest.approx(2.0)
         assert grid.coeffs[1, 2] == pytest.approx(-1.0)
         assert np.count_nonzero(np.abs(grid.coeffs) > 1e-14) == 2
 
     def test_conjugate_variant_value(self):
-        grid = conj_pole_atom_transform(0.0, 6)
+        grid = atom_grid("conjpole", 0.0, 6)
         # grid of 2z - conj(z) z^2 at z = 1/2
         assert grid.eval(0.5) == pytest.approx(0.875)
 
     def test_matches_numeric(self):
         a = 0.3
         u = Symbol(atoms=(Atom("pole", a, 1.0),))
-        assert pole_atom_transform(a).eval(0.5) == pytest.approx(
+        assert atom_grid("pole", a).eval(0.5) == pytest.approx(
             berezin_numeric(u, 0.5), abs=1e-6
         )
 
@@ -100,7 +102,7 @@ class TestPoleAtom:
             z = rng.uniform(0, 0.85) * np.exp(2j * np.pi * rng.uniform())
             w = phi(a, z)
             want = (np.conj(a) + 2 * np.conj(w) - w * np.conj(w) ** 2) / (1 - abs(a) ** 2)
-            assert pole_atom_transform(a).eval(z) == pytest.approx(want, abs=1e-11)
+            assert atom_grid("pole", a).eval(z) == pytest.approx(want, abs=1e-11)
 
 
 class TestMonomial:
@@ -114,11 +116,18 @@ class TestMonomial:
 
 class TestSymbolTransform:
     def test_product_preimages(self, rng):
-        # the three closed-form preimages hit the automorphism products exactly
+        # the three closed-form preimages hit the automorphism products
+        # exactly; symbol_transform reads atoms through these preimages, so
+        # the grids agree by construction, and the per-kind closed forms of
+        # symbol_values check the preimages independently
+        zs = 0.85 * np.linspace(0.1, 1.0, 12) * np.exp(2.4j * np.arange(12))
         for jk in ((1, 1), (2, 1), (1, 2)):
             a = rng.uniform(0.2, 0.7) * np.exp(2j * np.pi * rng.uniform())
             s = product_preimage_symbol(a, *jk)
             assert symbol_transform(s).max_coeff_diff(product_grid(a, *jk)) <= 1e-12
+            w = phi(a, zs)
+            want = w ** jk[0] * np.conj(w) ** jk[1]
+            assert np.max(np.abs(symbol_values(s, zs) - want)) <= 1e-12
 
     def test_harmonic_embedding(self):
         s = Symbol(holo=PowerSeries([0, 1.0]), anti=PowerSeries([0, 0, 1.0]))
@@ -159,6 +168,40 @@ class TestSymbolTransform:
         ))
         grid = symbol_transform(u).coeffs
         assert np.max(np.abs(grid - np.conj(grid.T))) <= 1e-12
+
+
+def mixed_symbol(rng):
+    """1-6 atoms of any kind on 1-6 shared centers with |a| <= 0.7, and K and
+    L of 1-240 terms; coefficients 1e-12 to 1e12."""
+    n = int(rng.integers(1, 7))
+    centers = 0.7 * np.sqrt(rng.uniform(size=int(rng.integers(1, n + 1))))
+    centers = centers * np.exp(2j * np.pi * rng.uniform(size=len(centers)))
+    atoms = tuple(Atom(("log", "pole", "conjpole")[int(rng.integers(3))],
+                       centers[int(rng.integers(len(centers)))],
+                       10 ** rng.uniform(-12, 12) * np.exp(2j * np.pi * rng.uniform()))
+                  for _ in range(n))
+
+    def series():
+        m = int(rng.integers(1, 241))
+        return 10 ** rng.uniform(-12, 12) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+
+    return Symbol(holo=PowerSeries(series()), anti=PowerSeries(series()), atoms=atoms)
+
+
+class TestOneLaw:
+    def test_mixed_symbols(self, rng):
+        # every atom goes through its product's preimage, so the grids must
+        # agree with the per-kind closed forms and be linear in the symbol
+        zs = 0.5 * np.linspace(0.0, 1.0, 9) * np.exp(2.4j * np.arange(9))
+        for _ in range(200):
+            s = mixed_symbol(rng)
+            want = symbol_values(s, zs)
+            got = symbol_transform(s, 160).eval(zs)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            c = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+            scaled = symbol_transform(s) * c
+            deviation = symbol_transform(s.scaled(c)).max_coeff_diff(scaled)
+            assert deviation <= 4e-15 * np.max(np.abs(scaled.coeffs))
 
 
 class TestSymbolValues:
