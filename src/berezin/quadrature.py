@@ -41,9 +41,7 @@ NonConvergence there rather than returning a wrong value.
 A set is kept as the factors of its panel groups, each a tensor product
 of Gauss rows ``(s, w_s)`` in ``s`` and trapezoid angles, whose rays
 ``e^{i theta}`` and ``rho_max(theta)`` are formed per call
-(:class:`_NodeSet`); nothing of the size of a set is built or kept (the
-largest array is a callable's proxy rows, at most 72 rows of the inner
-angle count). The
+(:class:`_NodeSet`); nothing of the size of a set is built or kept. The
 functionals walk each set block by block, a run of rows of one group of
 at most one kernel tile, and contract each block as the walk yields it
 (:func:`_blocks`, :func:`_contract`); the walk's order is fixed, so the
@@ -72,18 +70,19 @@ group: one contraction of the whole set.
 
 The geometric panels' Gauss rows are there only for the atoms'
 singularities; the functional's kernel is analytic along each ray of their
-segment. So the integrand's weighted values ``v`` on those rows are moved
+segment. So an atom group's weighted values ``v`` on those rows are moved
 onto Chebyshev proxy rows ``s_c`` of the same rays as ``E^T v``, with
-``E`` the barycentric Lagrange basis of the proxies at the Gauss rows
-(for atoms, ``E^T`` of their three radial factors; the Gauss rows are
-then never built); the functional contracts the proxy rows (every angle)
-and the outer groups (:class:`_NodeSet`), as the black-box fast multipole
-method moves its sources onto Chebyshev nodes (Fong and Darve, J. Comput.
-Phys. 228, 2009). The proxy count follows from the Bernstein ellipse that
-the kernel's pole leaves the segment (Trefethen, *Approximation Theory
-and Approximation Practice*, SIAM 2013, Thm 8.2), or from the degree of a
+``E`` the barycentric Lagrange basis of the proxies at the Gauss rows:
+``E^T`` of the group's three radial factors, so the Gauss rows are never
+built, and the functional contracts the proxy rows (every angle) and the
+outer groups (:class:`_NodeSet`), as the black-box fast multipole method
+moves its sources onto Chebyshev nodes (Fong and Darve, J. Comput. Phys.
+228, 2009). The proxy count follows from the Bernstein ellipse that the
+kernel's pole leaves the segment (Trefethen, *Approximation Theory and
+Approximation Practice*, SIAM 2013, Thm 8.2), or from the degree of a
 pole-free functional (:func:`_proxy_count`): 13 to 29 of the 72 rows at
-``|z| = 0.9``.
+``|z| = 0.9``. Any other callable is contracted on the Gauss rows
+themselves, like every other row of its set.
 """
 from __future__ import annotations
 
@@ -170,9 +169,10 @@ _POLAR_OUTER_GAUSS = (16, 12)
 #: On the 320 CLI points, atoms at the moduli ``linspace(0.02, 0.94, 11)``
 #: agree with their closed forms to 2.5e-11.
 #:
-#: The functional does not see the geometric panels' Gauss rows: it
-#: contracts ``n`` Chebyshev proxy rows on ``[0, _POLAR_INNER]`` of the same
-#: rays, which carry the rows' weighted values (:func:`_proxy_count`). The
+#: For an atom group the functional does not see the geometric panels'
+#: Gauss rows: it contracts ``n`` Chebyshev proxy rows on ``[0,
+#: _POLAR_INNER]`` of the same rays, which carry the rows' weighted values
+#: (:func:`_proxy_count`). The
 #: kernel's pole lies at least ``1/r - |a|`` from ``a`` and a ray's segment
 #: is at most ``_POLAR_INNER (1 + |a|)`` long, so the kernel is analytic
 #: inside the Bernstein ellipse of parameter ``rho = x + sqrt(x^2 - 1)``,
@@ -298,7 +298,9 @@ def _proxy_basis(order: int, edges, count: int):
     (:func:`_panel_rows`): ``count`` Chebyshev points of the first kind on
     ``[edges[0], edges[-1]]``, or, when ``count`` reaches the Gauss row
     count, the Gauss points themselves with ``E`` of None (the identity).
-    The arrays are read-only. Cached without a bound: there are two Gauss
+    The walk uses only ``E^T`` of the radial factors; ``E`` is kept for
+    checks against an atom group's values on the Gauss rows. The arrays are
+    read-only. Cached without a bound: there are two Gauss
     orders and fewer than 72 counts below the row count."""
     s, _, radial = _panel_rows(order, edges)
     if count >= len(s):
@@ -327,16 +329,14 @@ class _NodeSet(NamedTuple):
     angle count of each group of ``rows``, in layout order, so that the
     group's nodes are ``center + s rho_max(theta) e^{i theta}`` with weights
     ``(ws s) (2 rho_max^2 / angles)``. The first group holds the geometric
-    panels' Gauss rows; the functional contracts ``proxies`` in their
-    place, which carry their weighted values ``v`` as ``E^T v`` with ``E``
-    the ``basis`` (None: the Gauss rows are their own proxies), and whose
-    radial factors are ``proxy_radial`` (:func:`_proxy_basis`). Nothing of
-    the size of the set is built: :func:`_blocks` walks it."""
+    panels' Gauss rows; an atom group of the set's center is contracted on
+    the ``proxies`` in their place, whose radial factors are
+    ``proxy_radial``, ``E^T`` of the Gauss rows' (:func:`_proxy_basis`).
+    Nothing of the size of the set is built: :func:`_blocks` walks it."""
 
     center: complex
     rows: tuple
     proxies: np.ndarray
-    basis: np.ndarray | None
     proxy_radial: np.ndarray
 
 
@@ -348,9 +348,10 @@ def _polar_set(center: complex, reach: float, degree: int, coarse: bool) -> _Nod
     rows = tuple((*_panel_rows(order[coarse], edges),
                   int(_COARSE_SHARE * angles) if coarse else angles)
                  for edges, order, angles in layout)
-    (edges, order, _), proxies = layout[0], _proxy_count(abs(center), reach, degree)
-    return _NodeSet(center, rows, *_proxy_basis(
-        order[coarse], edges, max(1, int(_COARSE_SHARE * proxies)) if coarse else proxies))
+    (edges, order, _), count = layout[0], _proxy_count(abs(center), reach, degree)
+    proxies, _, proxy_radial = _proxy_basis(
+        order[coarse], edges, max(1, int(_COARSE_SHARE * count)) if coarse else count)
+    return _NodeSet(center, rows, proxies, proxy_radial)
 
 
 def _rays(center: complex, angles: int):
@@ -379,14 +380,12 @@ def polar_nodes(center: complex, *, reach: float = _BASE_REACH, degree: int = 0,
     ``_COARSE_SHARE`` of every group's angles and the coarse Gauss orders on
     the same panels, so an under-resolution of any group shows in the check.
     These whole arrays are for callers that want them; the package's
-    functionals walk each set by blocks instead, and contract the geometric
-    panels on proxy rows (:func:`_proxy_count`).
+    functionals walk each set by blocks instead, in the same order, and a
+    callable's contraction receives these nodes and weights; only an atom
+    group of the set's center is contracted on proxy rows in place of the
+    geometric panels (:func:`_proxy_count`).
     """
-    node_set = _polar_set(center, reach, degree, coarse)
-    # the walk of the weights (the values of 1) with the geometric panels'
-    # Gauss rows as their own proxies
-    blocks = list(_blocks(node_set._replace(proxies=node_set.rows[0][0], basis=None),
-                          np.ones_like))
+    blocks = list(_blocks(_polar_set(center, reach, degree, coarse), np.ones_like))
     return (np.concatenate([zeta.ravel() for _, zeta, _ in blocks]),
             np.concatenate([values.real.ravel() for *_, values in blocks]))
 
@@ -430,52 +429,36 @@ class _AtomGroup(NamedTuple):
 
 def _blocks(node_set: _NodeSet, integrand):
     """The contracted set of ``node_set`` as blocks ``(group, zeta,
-    values)``: a run of whole rows of one panel group, the geometric panels'
-    proxy rows first (``group`` 0), then each outer group, with the nodes
-    ``zeta`` and the weighted values of the integrand, both complex ``(rows,
-    angles)`` arrays of at most one kernel tile, ``_kernels._NODE_BLOCK``
-    nodes (one row, if a row alone has more).
+    values)``: a run of whole rows of one panel group, the geometric panels
+    first (``group`` 0), then each outer group, with the nodes ``zeta`` and
+    the weighted values of the integrand, both complex ``(rows, angles)``
+    arrays of at most one kernel tile, ``_kernels._NODE_BLOCK`` nodes (one
+    row, if a row alone has more).
 
     The angle factors (:func:`_rays`, and the atoms'
     :meth:`_AtomGroup.angular`) are formed once per group. An
     :class:`_AtomGroup` of the set's own center is evaluated from the
     factors: each block's values are one ``(rows, 3)`` by ``(3, angles)``
-    product of radial and angular factors, and the proxy rows take ``E^T``
-    of the Gauss rows' radial factors, so the Gauss rows are never built.
-    Any other callable is evaluated on each block's nodes times the
-    weights; its Gauss rows are evaluated and moved onto the proxy rows
-    (``E^T v``) in blocks of angle columns, into the proxy rows' values,
-    which are at most 72 rows of the inner angle count.
+    product of radial and angular factors, and its geometric panels are the
+    proxy rows, whose radial factors are ``E^T`` of the Gauss rows', so
+    their Gauss rows are never built. Any other callable is evaluated on
+    each block's nodes, the Gauss rows of every group, times the weights.
     """
-    center, rows, proxies, basis, proxy_radial = node_set
+    center, rows, proxies, proxy_radial = node_set
     factored = isinstance(integrand, _AtomGroup) and integrand.center == center
     for group, (s, ws, radial, angles) in enumerate(rows):
         ray, rho, width = _rays(center, angles)
         arm, area = rho * ray, rho * rho * width
         if factored:
             angular = integrand.angular(ray, rho, width).view(np.float64)
-        projected = group == 0 and basis is not None
-        if factored and projected:
-            radial = proxy_radial
-        elif projected:
-            values = np.empty((len(proxies), 2 * angles))
-            step = max(1, _kernels._NODE_BLOCK // len(s))
-            for start in range(0, angles, step):
-                part = slice(start, start + step)
-                v = np.multiply(integrand(center + s[:, None] * arm[None, part]),
-                                (ws * s)[:, None] * area[None, part], dtype=np.complex128)
-                values[:, 2 * start:2 * part.stop] = basis.T @ v.view(np.float64)
-            values = values.view(np.complex128)
-        if projected:
-            s = proxies
+            if group == 0:
+                s, radial = proxies, proxy_radial
         step = max(1, _kernels._NODE_BLOCK // angles)
         for start in range(0, len(s), step):
             band = slice(start, start + step)
             zeta = center + s[band, None] * arm
             if factored:
                 block = (radial[band] @ angular).view(np.complex128)
-            elif projected:
-                block = values[band]
             else:
                 block = np.multiply(integrand(zeta), (ws * s)[band, None] * area,
                                     dtype=np.complex128)
@@ -660,9 +643,10 @@ def integrate_parts(u, functional, reaches, center=None, *, degree: int = 0,
     ``transform.covariance_residual`` has one at ``1 / conj(a)``), so its
     set is laid out for at least the base reach. Each output is contracted
     against every ``t``-th angle of each panel group, as many as its own
-    reach gives the group on the set's panels (:func:`_point_runs`), and
-    against the proxy rows of the geometric panels that the largest reach,
-    or without a pole the ``degree``, asks for (:func:`_proxy_count`). Each
+    reach gives the group on the set's panels (:func:`_point_runs`); a
+    symbol's atom groups are contracted on the proxy rows of the geometric
+    panels that the largest reach, or without a pole the ``degree``, asks
+    for (:func:`_proxy_count`), and a callable on their Gauss rows. Each
     set is walked block by block (:func:`_blocks`), and each block is
     contracted against every run of outputs of its panel group, so no array
     of a set's size is built; the atoms of a symbol are evaluated from the
@@ -717,8 +701,9 @@ def berezin_numeric(u, z, center=None):
     (:func:`_polar_layout`), and each point is contracted against as many
     of each panel group's angles as its own ``|z|`` needs
     (:func:`_point_runs`); the points at the reach take
-    every angle. The geometric panels are contracted on their proxy rows
-    (:func:`_proxy_count`). A non-finite point raises DomainError and a point beyond
+    every angle. A symbol's geometric panels are contracted on their proxy
+    rows (:func:`_proxy_count`), a callable's on their Gauss rows. A
+    non-finite point raises DomainError and a point beyond
     ``|z| = 0.99`` OutOfRange. ``z`` may be a scalar or an array, also an
     empty one; the result matches its shape.
     """

@@ -41,6 +41,7 @@ from berezin.core import (
     MAX_CENTER_MODULUS,
     BidegreeSeries,
     PowerSeries,
+    _check_truncation,
 )
 from berezin.errors import (
     DegenerateNode,
@@ -268,8 +269,7 @@ def recover_nodes(M: MomentMatrix, rank_bound: int) -> NodeEstimate:
 # Node-form fitting on an exact grid
 # ---------------------------------------------------------------------------
 
-def fit_node_form(grid: BidegreeSeries, nodes, *,
-                  truncation: int | None = None) -> tuple[NodeForm, float]:
+def fit_node_form(grid: BidegreeSeries, nodes) -> tuple[NodeForm, float]:
     """Least-squares node constants and harmonic part for given nodes.
 
     The regressors are the exact grids of ``phi*conj(phi)``,
@@ -296,14 +296,16 @@ def fit_node_form(grid: BidegreeSeries, nodes, *,
     ``[[R, 0], [R_E, I_k]]`` plus ``2T+1-k`` that are exactly 1, so the SVD
     runs on that small matrix. Raises IllConditioned when the Gram
     condition of ``D`` exceeds 1e12. ``residual`` is the largest interior
-    misfit, ``max |f^T diag(x) g - t_int|`` over the 3n column factors.
+    misfit, ``max |f^T diag(x) g - t_int|`` over the 3n column factors. The
+    fit runs at the grid's truncation ``T``, the larger of its two; a shorter
+    side is padded with zeros.
     """
     nodes = [complex(a) for a in nodes]
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             if abs(nodes[i] - nodes[j]) <= 1e-8:
                 raise DomainError("fit nodes must be pairwise distinct")
-    T = truncation if truncation is not None else max(grid.truncation)
+    T = max(grid.truncation)
     target = grid.padded(T, T)
     k = 3 * len(nodes)
 
@@ -633,14 +635,22 @@ def decompose_form(form: NodeForm, *, truncation: int = DEFAULT_TRUNCATION):
 
     Returns ``(pieces, remainder, info)`` with ``remainder`` None when the
     harmonic part was fully consumed.
+
+    ``truncation`` is checked first (TruncationError below 0,
+    TruncationOverflow above the maximum), also for a form with no nodes.
+    The pieces' symbols are built at it, and the absorption is tested on
+    the series up to at least it, so a harmonic part cut shorter than the
+    pieces' series is not absorbed into a piece that would then not be rank
+    one; it is left as the remainder.
     """
+    truncation = _check_truncation(truncation)
     pieces: list[RankOnePiece] = []
     for (a, c11, c21, c12) in form.nodes:
         if max(abs(c11), abs(c21), abs(c12)) <= 1e-14:
             continue
         pieces.extend(decompose_node(a, c11, c21, c12, truncation=truncation))
 
-    width = max(40, form.holo.truncation, form.anti.truncation)
+    width = max(40, truncation, form.holo.truncation, form.anti.truncation)
     harmonic = canonicalize(Symbol(holo=PowerSeries(form.holo.padded(width)),
                                    anti=PowerSeries(form.anti.padded(width))))
     holo, anti = harmonic.holo, harmonic.anti

@@ -184,6 +184,20 @@ def test_decompose_form_document(tmp_path):
     assert result["remainder"] is None
 
 
+def test_decompose_checks_the_truncation_of_a_form_without_nodes(tmp_path, capsys):
+    # a harmonic-only node form builds no piece, so decompose_form itself
+    # checks the truncation
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"harmonic": {"K": [[0.3, 0], [0.1, 0]]}, "nodes": []}))
+    argv = ["decompose", "--symbol", str(path), "--output", str(tmp_path / "out")]
+    for trunc, message in (("-1", "truncation must be >= 0, got -1"),
+                           ("161", "truncation 161 exceeds configured maximum 160"),
+                           ("100000", "truncation 100000 exceeds configured maximum 160")):
+        assert main(argv + [f"--trunc={trunc}"]) == 3
+        assert message in capsys.readouterr().err
+    assert main(argv + ["--trunc", "160"]) == 0
+
+
 def test_verify_deterministic(tmp_path):
     out1 = tmp_path / "report1.txt"
     out2 = tmp_path / "report2.txt"

@@ -623,10 +623,11 @@ class TestAngleStrides:
 
     @staticmethod
     def _whole_set_contraction(integrand, center, zs, functional=_kernels.KernelSum):
-        # the kernel sum over the whole proxied set of the points' reach, the
-        # walk's contraction of one run of every point with stride 1 in every
-        # group: every angle of every group, the geometric panels on their
-        # proxy rows, all in one running contraction, which the groups share
+        # the kernel sum over the whole set of the points' reach, the walk's
+        # contraction of one run of every point with stride 1 in every group:
+        # every angle of every group (an atom group's geometric panels on
+        # their proxy rows), all in one running contraction, which the
+        # groups share
         node_set = quadrature._polar_set(center, float(np.max(np.abs(zs))), 0, False)
         every = (np.arange(len(zs)), [[(0, len(zs), 1)]] * len(node_set.rows))
         table, started = _kernels.point_table(zs), []
@@ -693,9 +694,9 @@ class TestAngleStrides:
 
 
 class TestProxyRows:
-    """The geometric panels are contracted on Chebyshev proxy rows, as many
-    as the functional's pole leaves their segment of each ray
-    (:func:`quadrature._proxy_count`)."""
+    """An atom group's geometric panels are contracted on Chebyshev proxy
+    rows, as many as the functional's pole leaves their segment of each ray
+    (:func:`quadrature._proxy_count`); a callable's on their Gauss rows."""
 
     @staticmethod
     def _rows(center, reach, degree, coarse):
@@ -722,6 +723,25 @@ class TestProxyRows:
                     assert fine == min(degree + 1, 72)
                     assert coarse == min(int(0.75 * (degree + 1)), 54)
 
+    def test_callables_are_contracted_on_their_gauss_rows(self):
+        # a callable's contraction receives the nodes and weights of
+        # polar_nodes, the geometric panels' Gauss rows included, byte for
+        # byte; only an atom group of the set's center takes the proxy rows
+        center, received = 0.72 * np.exp(0.7j), []
+
+        class Recording(_kernels.KernelSum):
+            def add(self, nodes, values):
+                received.append((nodes.ravel(), values.ravel()))
+                super().add(nodes, values)
+
+        origin = _kernels.point_table([0j])
+        quadrature.integrate_parts(np.ones_like, lambda rows: Recording(origin), [0.9], center,
+                                   check=False, what="recorded")
+        nodes, weights = (np.concatenate(parts) for parts in zip(*received))
+        z, w = polar_nodes(center)
+        assert np.array_equal(nodes, z)
+        assert np.array_equal(weights.real, w) and not np.any(weights.imag)
+
     @pytest.mark.parametrize("modulus", [0.3, 0.72, 0.94])
     def test_starved_proxy_rows_raise_on_320_points(self, modulus, monkeypatch):
         # 4 proxy rows (3 coarse) on the geometric panels: fine and coarse
@@ -744,28 +764,40 @@ class TestFactoredAtoms:
 
     @pytest.mark.parametrize("reach", [0.0, 0.9, 0.99])
     def test_factored_values_match_atom_eval(self, reach):
-        # group by group, proxy rows included, the factored values are
-        # Atom.eval(zeta) w within 1e-15 of the group's sum of absolute
-        # terms sum |Atom.eval(zeta) w| over its nodes (its Gauss rows for
-        # the proxies); measured up to 1.7e-17
+        # group by group, the factored values are Atom.eval(zeta) w within
+        # 1e-15 of the group's sum of absolute terms sum |Atom.eval(zeta) w|
+        # over its Gauss rows; on the proxy rows, E^T of the Gauss rows'
+        # values, with E the proxies' Lagrange basis at the Gauss rows
+        # (measured up to 1.7e-17)
         for modulus in np.linspace(0.0, 0.94, 6):
             center = modulus * np.exp(2.5j)
             atoms = self._atoms(center)
             ((_, part),) = symbol_parts(Symbol(atoms=atoms))
-            evaluated = lambda z: sum(atom.eval(z) for atom in atoms)
+            degree = 0 if reach else 26
+            (edges, order, _), *_ = quadrature._polar_layout(center, reach, degree)
             for coarse in (False, True):
-                node_set = quadrature._polar_set(center, reach, 0 if reach else 26, coarse)
-                # the proxy group's terms are those of its Gauss rows
-                gauss = node_set._replace(proxies=node_set.rows[0][0], basis=None)
-                terms = np.zeros(len(node_set.rows))
-                for group, _, values in quadrature._blocks(
-                        gauss, lambda z: sum(np.abs(atom.eval(z)) for atom in atoms)):
-                    terms[group] += np.sum(values.real)
-                walks = zip(quadrature._blocks(node_set, part),
-                            quadrature._blocks(node_set, evaluated), strict=True)
-                for (group, zeta, got), (other, nodes, want) in walks:
-                    assert group == other and np.array_equal(zeta, nodes)
-                    error = np.max(np.abs(got - want))
+                node_set = quadrature._polar_set(center, reach, degree, coarse)
+                proxies, basis, _ = quadrature._proxy_basis(
+                    order[coarse], edges, len(node_set.proxies))
+                assert np.array_equal(proxies, node_set.proxies)
+
+                def walk(integrand):
+                    groups = [([], []) for _ in node_set.rows]
+                    for group, zeta, values in quadrature._blocks(node_set, integrand):
+                        groups[group][0].append(zeta)
+                        groups[group][1].append(values)
+                    return [(np.concatenate(z), np.concatenate(v)) for z, v in groups]
+
+                terms = [np.sum(values.real) for _, values in
+                         walk(lambda z: sum(np.abs(atom.eval(z)) for atom in atoms))]
+                got = walk(part)
+                want = walk(lambda z: sum(atom.eval(z) for atom in atoms))
+                for group, ((zeta, values), (nodes, reference)) in enumerate(zip(got, want)):
+                    if group == 0:
+                        reference = basis.T @ reference
+                    else:
+                        assert np.array_equal(zeta, nodes)
+                    error = np.max(np.abs(values - reference))
                     assert error <= 1e-15 * terms[group], (modulus, coarse, group, error)
 
     def test_no_whole_set_is_built(self, monkeypatch):

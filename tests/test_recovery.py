@@ -125,13 +125,13 @@ class TestFitNodeForm:
     def test_close_nodes_ill_conditioned(self):
         grid = product_grid(0.3, 1, 1, 40)
         with pytest.raises(IllConditioned):
-            fit_node_form(grid, [0.3, 0.3 + 1e-6], truncation=40)
+            fit_node_form(grid, [0.3, 0.3 + 1e-6])
 
     def test_more_unknowns_than_grid_entries_ill_conditioned(self):
         # 2 nodes at T=2: 9 grid entries, 11 unknowns; the Gram matrix of
         # the design is singular, so no least-squares answer is unique
         with pytest.raises(IllConditioned):
-            fit_node_form(product_grid(0.3, 1, 1, 2), [0.3, -0.3], truncation=2)
+            fit_node_form(product_grid(0.3, 1, 1, 2), [0.3, -0.3])
 
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(DomainError):
@@ -312,12 +312,12 @@ class TestFitNodeFormDesign:
                 gram = (s[0] / s[-1]) ** 2
                 if gram > 1e12:
                     with pytest.raises(IllConditioned) as info:
-                        fit_node_form(product_grid(base, 1, 1, T), nodes, truncation=T)
+                        fit_node_form(product_grid(base, 1, 1, T), nodes)
                     if gram < 1e20:
                         reported = float(re.search(r"condition (\S+)", str(info.value))[1])
                         assert reported == pytest.approx(gram, rel=1e-3)
                 else:
-                    fit_node_form(product_grid(base, 1, 1, T), nodes, truncation=T)
+                    fit_node_form(product_grid(base, 1, 1, T), nodes)
                 outcomes.add(gram > 1e12)
         assert outcomes == {True, False}
 
@@ -666,6 +666,24 @@ class TestDecomposeForm:
         assert remainder is None
         for piece in pieces:
             assert numerical_rank(symbol_transform(piece.symbol, 60)).rank == 1
+        total = self._total_grid(pieces, remainder)
+        assert total.max_coeff_diff(node_form_transform(form)) <= 1e-7
+
+    def test_anti_part_cut_short_of_the_truncation_is_left(self):
+        # mu g1 cut to 40 terms at a node of modulus 0.85: its terms 41 to 80
+        # are still 1e-3 of the first, so at the pieces' truncation 80 it is
+        # not in their span; absorbed, it leaves a first piece whose grid is
+        # not rank one (no center reconstructs both factors)
+        base = NodeForm(nodes=((0.85, 1.0, 0.5, -0.25j),))
+        base_pieces, _, _ = decompose_form(base)
+        anti = (0.7 - 0.2j) * base_pieces[0].g.series(40).coeffs
+        anti[0] = 0.0
+        form = NodeForm(anti=PowerSeries(anti), nodes=base.nodes)
+        pieces, remainder, info = decompose_form(form)
+        assert not info["anti_absorbed"]
+        assert remainder is not None and not remainder.atoms
+        for piece in pieces:
+            factor_rank_one(symbol_transform(piece.symbol, 80))
         total = self._total_grid(pieces, remainder)
         assert total.max_coeff_diff(node_form_transform(form)) <= 1e-7
 
