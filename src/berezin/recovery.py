@@ -26,6 +26,9 @@
   conj(q(phi_a))`` with polynomials of degree at most 2 and ``deg p +
   deg q <= 3``, scoring in one array pass the closed-form center
   estimates of each factor's tail (a ratio fit and a recurrence fit).
+  Two power steps give the factor series, and their residual proves rank
+  one by Eckart-Young; the SVD of :func:`rank.numerical_rank` runs only
+  where that bound fails, so it makes the same decisions.
 * :func:`decompose_node` / :func:`decompose_form` split a canonical form
   into summable pieces whose transforms are rank one, absorbing as much of
   the harmonic part into the pieces as linear algebra allows.
@@ -51,8 +54,9 @@ from berezin.errors import (
     NonConvergence,
     NotRankOne,
     PencilFailure,
+    ZeroInput,
 )
-from berezin.rank import DEFAULT_RANK_TOL, MomentMatrix, numerical_rank
+from berezin.rank import DEFAULT_RANK_TOL, SVD_TRUNCATION, MomentMatrix, numerical_rank
 from berezin.symbols import NodeForm, Symbol, canonicalize, product_preimage_symbol
 from berezin.transform import node_series
 
@@ -205,6 +209,14 @@ def recover_nodes(M: MomentMatrix, rank_bound: int) -> NodeEstimate:
     them until the residual reaches 1e-14 of the data's norm, a step moves
     no node farther than CONVERGED_STEP, no halved step lowers the
     residual, or MAX_ITERATIONS steps have been taken.
+
+    Entries whose largest modulus is at most ZERO_MOMENT_TOL hold no node.
+    Otherwise the entries are scaled by the power of two that brings their
+    largest modulus into [0.5, 1): the pencil and the fit see the data
+    only up to scale, an exact power of two moves no bit of their
+    arithmetic, and norms of moments near 1e300 stay finite. A relative
+    residual above 1e-5, or one that is not a number, raises
+    NonConvergence.
     """
     entries = np.asarray(M.entries, dtype=np.complex128)
     kmax = entries.shape[0] - 1
@@ -214,6 +226,9 @@ def recover_nodes(M: MomentMatrix, rank_bound: int) -> NodeEstimate:
     scale = float(np.max(np.abs(entries)))
     if scale <= ZERO_MOMENT_TOL:
         return NodeEstimate((), (), residual=scale, iterations=0)
+    # the pencil and the fit see the data only up to scale; an exact power
+    # of two changes no bit of their arithmetic and keeps its norms finite
+    entries = entries * 2.0 ** -int(np.frexp(scale)[1])
 
     report = numerical_rank(entries)
     if report.rank > rank_bound:
@@ -254,7 +269,7 @@ def recover_nodes(M: MomentMatrix, rank_bound: int) -> NodeEstimate:
                 )
 
     nodes, residual, iterations = _refine_nodes(entries, nodes0)
-    if residual > 1e-5:
+    if not residual <= 1e-5:
         raise NonConvergence(f"node refinement stalled at relative residual {residual:.3e}")
     order = np.lexsort((nodes.imag, nodes.real))
     return NodeEstimate(
@@ -368,8 +383,8 @@ def gauge_fix(p, q) -> tuple[np.ndarray, np.ndarray]:
     Balances the coefficient norms, then rotates so the first nonzero
     coefficient of ``p`` is real positive.
     """
-    p = np.asarray(p, dtype=np.complex128).copy()
-    q = np.asarray(q, dtype=np.complex128).copy()
+    p = np.asarray(p, dtype=np.complex128)
+    q = np.asarray(q, dtype=np.complex128)
     norm_p, norm_q = np.linalg.norm(p), np.linalg.norm(q)
     if norm_p == 0 or norm_q == 0:
         raise DomainError("gauge fixing needs nonzero factors")
@@ -384,20 +399,25 @@ def _phi_basis(centers) -> np.ndarray:
     """Per center, columns: numerators of ``1``, ``phi_a`` and ``phi_a^2``
     over ``(1 - conj(a) z)^2``, as coefficients of ``1, z, z^2``."""
     a = np.asarray(centers, dtype=np.complex128)
-    ab, one = np.conj(a), np.ones_like(a)
-    return np.moveaxis(np.array([[one, -a, a * a],
-                                 [-2.0 * ab, 1.0 + np.abs(a) ** 2, -2.0 * a],
-                                 [ab * ab, -ab, one]]), (0, 1), (-2, -1))
+    ab = np.conj(a)
+    out = np.empty(a.shape + (3, 3), dtype=np.complex128)
+    out[..., 0, 0], out[..., 0, 1], out[..., 0, 2] = 1.0, -a, a * a
+    out[..., 1, 0], out[..., 1, 1], out[..., 1, 2] = -2.0 * ab, 1.0 + np.abs(a) ** 2, -2.0 * a
+    out[..., 2, 0], out[..., 2, 1], out[..., 2, 2] = ab * ab, -ab, 1.0
+    return out
 
 
 def _over_square(b, truncation) -> np.ndarray:
     """Series of ``z^j / (1 - b_c z)^2`` for j = 0, 1, 2 and each ``b_c``:
     ``P[j, c, n] = (n-j+1) b_c^(n-j)``, zero for ``n < j``. A numerator
     ``N`` of degree at most 2 over ``(1 - b_c z)^2`` has the series
-    ``N @ P[:, c]``."""
-    m = (np.arange(truncation + 1) - np.arange(3)[:, None])[:, None]
-    b = np.asarray(b, dtype=np.complex128)[:, None]
-    return np.where(m >= 0, (m + 1) * b ** np.maximum(m, 0), 0.0)
+    ``N @ P[:, c]``. Rows 1 and 2 are row 0 shifted by one and two places,
+    so the powers are taken once."""
+    n = np.arange(truncation + 1)
+    row = (n + 1) * np.asarray(b, dtype=np.complex128)[:, None] ** n
+    out = np.zeros((3,) + row.shape, dtype=np.complex128)
+    out[0], out[1, :, 1:], out[2, :, 2:] = row, row[:, :-1], row[:, :-2]
+    return out
 
 
 def _center_estimates(series, end) -> np.ndarray:
@@ -416,11 +436,21 @@ def _center_estimates(series, end) -> np.ndarray:
 def factor_rank_one(grid: BidegreeSeries) -> MobiusFactorization:
     """Factor a rank-one transform grid as ``p(phi_a) conj(q(phi_a))``.
 
-    The dominant singular pair gives the two factor series; once
-    :func:`numerical_rank` has proved rank one, two power steps find it
-    without a full SVD. Both are a numerator of degree at most 2 over
-    ``(1 - conj(a) z)^2``; as ``deg p + deg q <= 3``, at least one of them
-    has a simple pole. Center candidates are zero and, per side, two
+    The dominant singular pair gives the two factor series ``f`` and
+    ``g``: two power steps on ``C^H C`` from the largest column find it
+    without an SVD. The rank decision is that of :func:`numerical_rank`
+    on the SVD_TRUNCATION corner, with the same errors: ZeroInput when no
+    entry of the corner reaches 1e-14, NotRankOne when its rank is not
+    one. The power steps mostly prove rank one themselves: on the corner
+    ``C40``, ``sigma_2 <= |C40 - f40 g40^H|_F`` (Eckart-Young, as
+    ``f40 g40^H`` has rank one) and ``sigma_1 >= |C40 g40| / |g40|``, so a
+    residual at most DEFAULT_RANK_TOL times that lower bound is rank one.
+    Only when the bound fails (a nan included) does the SVD of
+    :func:`numerical_rank` run and decide.
+
+    Both factor series are a numerator of degree at most 2 over ``(1 -
+    conj(a) z)^2``; as ``deg p + deg q <= 3``, at least one of them has a
+    simple pole. Center candidates are zero and, per side, two
     closed-form estimates of ``conj(a)`` (:func:`_center_estimates`): a
     ratio fit of the tail, exact for a simple pole, and half the first
     coefficient of a two-term recurrence fit, exact for a double pole.
@@ -433,16 +463,26 @@ def factor_rank_one(grid: BidegreeSeries) -> MobiusFactorization:
     scored by the largest relative coefficient error. The best
     reconstruction must come within FACTOR_TOL, else NoDiskDenominator.
     """
-    report = numerical_rank(grid)
-    if report.rank != 1:
-        raise NotRankOne(f"numerical rank {report.rank} != 1")
-    # the grid is rank one, so two power steps on C^H C from its largest
-    # column give the dominant right vector g; then C = f g^H with f = C g
     C = grid.coeffs
-    g = C.conj().T @ C[:, np.argmax(np.linalg.norm(C, axis=0))]
-    g = C.conj().T @ (C @ g)
-    g = g / np.linalg.norm(g)
-    f = C @ g
+    corner = C[:SVD_TRUNCATION, :SVD_TRUNCATION]
+    if np.max(np.abs(corner), initial=0.0) < 1e-14:
+        raise ZeroInput("all coefficients below 1e-14")
+    # two power steps on C^H C from the largest column give the dominant
+    # right vector g, and C ~ f g^H with f = C g; C^H x is conj(conj(x) C).
+    # Then the Eckart-Young proof of rank one on the corner; a nan (from an
+    # overflow or a zero g40) fails it, and the SVD decides
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g = np.conj(np.conj(C[:, np.argmax(np.linalg.norm(C, axis=0))]) @ C)
+        g = np.conj(np.conj(C @ g) @ C)
+        g = g / np.linalg.norm(g)
+        f = C @ g
+        f40, g40 = f[: corner.shape[0]], g[: corner.shape[1]]
+        residual = np.linalg.norm(corner - f40[:, None] * np.conj(g40))
+        lower = np.linalg.norm(corner @ g40) / np.linalg.norm(g40)
+    if not residual <= DEFAULT_RANK_TOL * lower:
+        rank = numerical_rank(grid).rank
+        if rank != 1:
+            raise NotRankOne(f"numerical rank {rank} != 1")
     end = min(13, *C.shape)
     if end < 7:
         raise DomainError("grid truncation too small for factorization")
@@ -469,31 +509,32 @@ def factor_rank_one(grid: BidegreeSeries) -> MobiusFactorization:
     numerators = bases[:, None] @ (poly[:, None] * kept)
     rebuilt = np.einsum("cdis,icn->cdsn", numerators,
                         _over_square(roots, max(len(f), len(g)) - 1))
-    errors = np.stack([np.max(np.abs(rebuilt[:, :, s, : len(side)] - side), axis=-1) / scale
-                       for s, (side, scale) in enumerate(((f, scale_f), (g, scale_g)))],
-                      axis=-1)                        # errors[c, d - 1, s]
+    sides = np.zeros(rebuilt.shape[-2:], dtype=np.complex128)
+    sides[0, : len(f)], sides[1, : len(g)] = f, g
+    misfit = np.abs(rebuilt - sides)
+    misfit[:, :, 0, len(f):], misfit[:, :, 1, len(g):] = 0.0, 0.0   # past a side's end
+    errors = np.max(misfit, axis=-1) / [scale_f, scale_g]     # errors[c, d - 1, s]
 
     # Minimal admissible degree pattern reproducing both factor series:
     # trimming to the pattern closes the spurious quadratic channel that a
     # slightly-off center could otherwise hide behind.
-    dp, dq = np.array([(1, 1), (1, 2), (2, 1)]).T
-    scores = np.maximum(errors[:, dp - 1, 0], errors[:, dq - 1, 1]).ravel()
-    ok = np.flatnonzero(scores <= FACTOR_TOL)
-    if ok.size == 0:
+    patterns = ((1, 1), (1, 2), (2, 1))
+    dp, dq = np.array(patterns).T
+    scores = np.maximum(errors[:, dp - 1, 0], errors[:, dq - 1, 1]).ravel().tolist()
+    ok = [i for i, score in enumerate(scores) if score <= FACTOR_TOL]
+    if not ok:
         if np.min(np.max(errors[:, 1], axis=1)) <= FACTOR_TOL:
             raise NoDiskDenominator("factor degrees violate the constraint deg p + deg q <= 3")
         raise NoDiskDenominator("no center inside the disk reconstructs both factors")
     # smallest (degree sum, score); ties go to the earlier candidate and pattern
-    pick = ok[np.lexsort((scores[ok], np.tile(dp + dq, len(roots))[ok]))[0]]
-    c, k = divmod(int(pick), len(dp))
+    c, k = divmod(min(ok, key=lambda i: (sum(patterns[i % 3]), scores[i])), 3)
     a = np.conj(roots[c])
     p = np.where(np.arange(3) <= dp[k], poly[c, :, 0], 0.0)
     q = np.where(np.arange(3) <= dq[k], poly[c, :, 1], 0.0)
-    p[np.abs(p) <= 1e-9 * np.max(np.abs(p))] = 0.0
-    q[np.abs(q) <= 1e-9 * np.max(np.abs(q))] = 0.0
-    deg_p = int(np.max(np.flatnonzero(p != 0), initial=0))
-    deg_q = int(np.max(np.flatnonzero(q != 0), initial=0))
-    if deg_p == 0 or deg_q == 0:
+    for side in (p, q):
+        size = np.abs(side)
+        side[size <= 1e-9 * size.max()] = 0.0
+    if not (p[1:].any() and q[1:].any()):
         raise NoDiskDenominator("factor reduces to a constant polynomial")
     p, q = gauge_fix(p, q)
     return MobiusFactorization(a=complex(a), p=p, q=q)

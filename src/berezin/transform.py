@@ -40,15 +40,10 @@ def harmonic_transform(holo: PowerSeries, anti: PowerSeries,
                        truncation: int = DEFAULT_TRUNCATION) -> BidegreeSeries:
     """Grid of ``K + conj(L)``: harmonic functions are transform fixed points.
 
-    Requires the normalization ``L(0) = 0``.
+    Requires the normalization ``L(0) = 0`` and a truncation that
+    :func:`core._check_truncation` accepts.
     """
-    if anti.coeffs[0] != 0:
-        raise DomainError("harmonic part must be normalized with L(0) = 0")
-    m = max(truncation, holo.truncation, anti.truncation)
-    grid = np.zeros((m + 1, m + 1), dtype=np.complex128)
-    grid[: len(holo.coeffs), 0] += holo.coeffs
-    grid[0, : len(anti.coeffs)] += np.conj(anti.coeffs)
-    return BidegreeSeries(grid)
+    return _assemble(holo.coeffs, anti.coeffs, (), truncation)
 
 
 #: Node products ``phi_a^j * conj(phi_a)^k`` in node-tuple order (c11, c21, c12).
@@ -71,12 +66,20 @@ def node_series(centers, truncation: int):
     return series, fa, gb
 
 
-def _assemble(holo: PowerSeries, anti: PowerSeries, nodes, truncation: int) -> BidegreeSeries:
-    """Grid of ``K + conj(L)`` plus the ``(a, c11, c21, c12)`` nodes: the
-    harmonic edges plus ``S^T C conj(S)`` on the (T+1)^2 corner, with ``S``
-    the :func:`node_series` rows and ``C`` the constants at their row pairs."""
+def _assemble(holo, anti, nodes, truncation: int) -> BidegreeSeries:
+    """Grid of ``K + conj(L)`` plus the ``(a, c11, c21, c12)`` nodes, from
+    the coefficient arrays of ``K`` and ``L``: the harmonic edges (each as
+    long as its series, at least T+1) plus ``S^T C conj(S)`` on the
+    (T+1)^2 corner, with ``S`` the :func:`node_series` rows and ``C`` the
+    constants at their row pairs. Raises DomainError unless ``L(0) = 0``;
+    the grid's construction is the one finiteness check."""
     truncation = _check_truncation(truncation)
-    grid = np.array(harmonic_transform(holo, anti, truncation).coeffs)
+    if anti[0] != 0:
+        raise DomainError("harmonic part must be normalized with L(0) = 0")
+    m = max(truncation, len(holo) - 1, len(anti) - 1)
+    grid = np.zeros((m + 1, m + 1), dtype=np.complex128)
+    grid[: len(holo), 0] += holo
+    grid[0, : len(anti)] += np.conj(anti)
     if nodes:
         series, fa, gb = node_series([a for a, *_ in nodes], truncation)
         C = np.zeros((len(series), len(series)), dtype=np.complex128)
@@ -85,23 +88,34 @@ def _assemble(holo: PowerSeries, anti: PowerSeries, nodes, truncation: int) -> B
     return BidegreeSeries(grid)
 
 
+def _add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum of two coefficient arrays, the shorter one padded with zeros."""
+    if len(x) < len(y):
+        x, y = y, x
+    out = x.copy()
+    out[: len(y)] += y
+    return out
+
+
 def symbol_transform(s: Symbol, truncation: int = DEFAULT_TRUNCATION) -> BidegreeSeries:
     """Exact transform grid of a symbol, through the product preimages.
 
     An atom is ``c`` times the atom of its product's preimage ``u``, so it
     adds ``c`` to its center's constant of that product and ``-c`` times
     the harmonic part of ``u`` to the harmonic part; the grid is then that
-    of a node form.
+    of a node form. The harmonic part accumulates as coefficient arrays
+    (scale, then add with the shorter array padded) and is checked once,
+    as part of the grid (:func:`_assemble`).
     """
     s = canonicalize(s)
-    holo, anti, nodes = s.holo, s.anti, {}
+    holo, anti, nodes = s.holo.coeffs, s.anti.coeffs, {}
     for atom in s.atoms:
         jk = _ATOM_PRODUCTS[atom.kind]
         u = product_preimage_symbol(atom.center, *jk, truncation)
         c = atom.coeff / u.atoms[0].coeff
         nodes.setdefault(atom.center, [0.0, 0.0, 0.0])[_PRODUCTS.index(jk)] += c
-        holo = holo + u.holo * (-c)
-        anti = anti + u.anti * np.conj(-c)
+        holo = _add(holo, u.holo.coeffs * (-c))
+        anti = _add(anti, u.anti.coeffs * np.conj(-c))
     return _assemble(holo, anti, [(a, *cs) for a, cs in nodes.items()], truncation)
 
 
@@ -144,7 +158,7 @@ def product_grid(a: complex, holo_power: int, anti_power: int,
 def node_form_transform(form: NodeForm, truncation: int = DEFAULT_TRUNCATION) -> BidegreeSeries:
     """Exact transform grid of a canonical node form: its harmonic edges
     plus ``S^T C conj(S)`` over its nodes (see :func:`node_series`)."""
-    return _assemble(form.holo, form.anti, form.nodes, truncation)
+    return _assemble(form.holo.coeffs, form.anti.coeffs, form.nodes, truncation)
 
 
 def covariance_residual(s: Symbol, a: complex, z: complex) -> float:

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from berezin import recovery
 from berezin.core import BidegreeSeries, PowerSeries
 from berezin.errors import (
+    BerezinError,
     DegenerateNode,
     DomainError,
     IllConditioned,
     NoDiskDenominator,
     NotRankOne,
     PencilFailure,
+    ZeroInput,
 )
 from berezin.rank import MomentMatrix, moment_matrix, moment_matrix_from_grid, numerical_rank
 from berezin.recovery import (
@@ -93,6 +95,18 @@ class TestRecoverNodes:
                    + np.outer(0.33 ** k, np.conj(0.33) ** k)).astype(complex)
         with pytest.raises(IllConditioned):
             recover_nodes(MomentMatrix(entries=entries), rank_bound=6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_moments_recover_as_unit_ones(self):
+        # unscaled, moments near 1e300 overflow the refinement's norms into
+        # a nan residual, which the convergence guard must not pass
+        form = NodeForm(nodes=((0.3 + 0.2j, 1.0, 0.4j, -0.6), (-0.4 + 0.1j, 0.8, 0.5, 0.3j)))
+        entries = moment_matrix_from_grid(node_form_transform(form), 12, 12).entries
+        unit = recover_nodes(MomentMatrix(entries=entries), rank_bound=8)
+        huge = recover_nodes(MomentMatrix(entries=entries * 1e300), rank_bound=8)
+        assert len(huge.nodes) == len(unit.nodes) == 2
+        assert max(abs(a - b) for a, b in zip(huge.nodes, unit.nodes)) <= 1e-12
+        assert np.isfinite(huge.residual) and huge.residual <= 1e-12
 
 
 class TestFitNodeForm:
@@ -590,6 +604,84 @@ class TestFactorRankOne:
         grid = rank_one_grid(0.3 + 0.2j, [0.4, 1, 0], [0, 1, 0.5])
         with pytest.raises(DomainError, match="grid truncation too small for factorization"):
             factor_rank_one(BidegreeSeries(grid.coeffs[: shape[0], : shape[1]]))
+
+    def test_proven_rank_one_runs_no_svd(self, monkeypatch):
+        grid = product_grid(0.4, 1, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD ran on a proven rank-one grid")
+
+        monkeypatch.setattr(recovery, "numerical_rank", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        fac = factor_rank_one(grid)
+        assert abs(fac.a - 0.4) <= 1e-8
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rank_decisions_are_those_of_numerical_rank(self):
+        # NotRankOne (with its message) exactly when numerical_rank finds a
+        # rank other than one, ZeroInput exactly when numerical_rank raises
+        # it, over rank-one grids of every degree pattern, the same with
+        # noise around the rank tolerance, sums of two, three shapes, and
+        # zero and tiny grids; a huge sum overflows the power steps, and
+        # the SVD still decides without a warning
+        rng = np.random.default_rng(35)
+
+        def noisy(grid, rel, dense):
+            C = grid.coeffs
+            k0, k1 = min(C.shape[0], 40), min(C.shape[1], 40)
+            U, s, Vh = np.linalg.svd(C[:k0, :k1])
+            if dense:
+                noise = rng.standard_normal(C.shape) + 1j * rng.standard_normal(C.shape)
+                noise /= np.linalg.norm(noise[:k0, :k1], 2)
+            else:
+                # orthogonal to the dominant pair on the corner, so that
+                # sigma_2 / sigma_1 of the corner is rel
+                u = rng.standard_normal(C.shape[0]) + 1j * rng.standard_normal(C.shape[0])
+                v = rng.standard_normal(C.shape[1]) + 1j * rng.standard_normal(C.shape[1])
+                u[:k0] -= U[:, 0] * np.vdot(U[:, 0], u[:k0])
+                v[:k1] -= Vh[0].conj() * np.vdot(Vh[0].conj(), v[:k1])
+                noise = np.outer(u / np.linalg.norm(u[:k0]), np.conj(v / np.linalg.norm(v[:k1])))
+            return BidegreeSeries(C + rel * s[0] * noise)
+
+        def decision(grid):
+            try:
+                factor_rank_one(grid)
+            except (NotRankOne, ZeroInput) as exc:
+                return type(exc), str(exc)
+            except BerezinError:
+                pass   # failures after the rank decision
+            return None
+
+        def expected(grid):
+            try:
+                rank = numerical_rank(grid).rank
+            except ZeroInput as exc:
+                return ZeroInput, str(exc)
+            return None if rank == 1 else (NotRankOne, f"numerical rank {rank} != 1")
+
+        rels = (1e-12, 1e-9, 1e-8 * (1 - 1e-3), 1e-8 * (1 + 1e-3), 1e-7, 1e-5)
+        grids = []
+        for shape in ((7, 7), (13, 81), (81, 81)):
+            rank_one = []
+            for dp in range(3):
+                for dq in range(3):
+                    a = 0.9 * rng.uniform() ** 0.5 * np.exp(2j * np.pi * rng.uniform())
+                    p = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                    q = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                    full = rank_one_grid(a, np.where(np.arange(3) <= dp, p, 0),
+                                         np.where(np.arange(3) <= dq, q, 0))
+                    rank_one.append(BidegreeSeries(full.coeffs[: shape[0], : shape[1]]))
+            grids += rank_one
+            grids += [noisy(g, rel, dense) for g in rank_one for rel in rels
+                      for dense in (False, True)]
+            grids += [g + h for g, h in zip(rank_one, rank_one[1:])]
+            grids += [BidegreeSeries(np.zeros(shape)), BidegreeSeries(np.full(shape, 1e-15)),
+                      (rank_one[0] + rank_one[4]) * 1e80]
+        outcomes = [(decision(g), expected(g)) for g in grids]
+        assert all(got == want for got, want in outcomes)
+        # the sweep reaches both sides of every decision
+        kinds = {want[0] if want else None for _, want in outcomes}
+        assert kinds == {None, NotRankOne, ZeroInput}
 
     def test_gauge_fix_canonical(self, rng):
         p = np.array([0.3 - 1j, 0.8, 0.0])
