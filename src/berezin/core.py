@@ -136,12 +136,6 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(-self.coeffs)
-
-    def __call__(self, z):
-        return self.eval(z)
-
     def eval(self, z):
         # Horner in place; the same operations in the same order as
         # numpy's polyval, which starts from coeffs[-1] + z*0
@@ -287,18 +281,3 @@ def mobius_power_series(a: complex, power: int, truncation: int = DEFAULT_TRUNCA
         out = PowerSeries(full[: truncation + 1])
     return out
 
-
-def log_one_minus_series(w: complex, truncation: int = DEFAULT_TRUNCATION) -> PowerSeries:
-    """Principal series of ``log(1 - w z)``: ``-sum_{n>=1} (w z)^n / n``.
-
-    Valid for ``|w| < 1``; used for the harmonic tail of log-atom transforms.
-    """
-    w = require_finite(w)
-    if abs(w) >= 1.0:
-        raise DomainError("log_one_minus_series requires |w| < 1")
-    t = _check_truncation(truncation)
-    coeffs = np.zeros(t + 1, dtype=np.complex128)
-    if t >= 1:
-        n = np.arange(1, t + 1)
-        coeffs[1:] = -(w ** n) / n
-    return PowerSeries(coeffs)

@@ -57,7 +57,7 @@ from berezin.errors import (
     ZeroInput,
 )
 from berezin.rank import DEFAULT_RANK_TOL, SVD_TRUNCATION, MomentMatrix, numerical_rank
-from berezin.symbols import NodeForm, Symbol, canonicalize, product_preimage_symbol
+from berezin.symbols import NodeForm, Symbol, _canonical, _preimage_terms, _product_law
 from berezin.transform import node_series
 
 #: Pencil eigenvalues closer than this are merged as one confluent node.
@@ -438,15 +438,18 @@ def factor_rank_one(grid: BidegreeSeries) -> MobiusFactorization:
 
     The dominant singular pair gives the two factor series ``f`` and
     ``g``: two power steps on ``C^H C`` from the largest column find it
-    without an SVD. The rank decision is that of :func:`numerical_rank`
-    on the SVD_TRUNCATION corner, with the same errors: ZeroInput when no
-    entry of the corner reaches 1e-14, NotRankOne when its rank is not
-    one. The power steps mostly prove rank one themselves: on the corner
-    ``C40``, ``sigma_2 <= |C40 - f40 g40^H|_F`` (Eckart-Young, as
-    ``f40 g40^H`` has rank one) and ``sigma_1 >= |C40 g40| / |g40|``, so a
-    residual at most DEFAULT_RANK_TOL times that lower bound is rank one.
-    Only when the bound fails (a nan included) does the SVD of
-    :func:`numerical_rank` run and decide.
+    without an SVD. They run on the grid times ``2^-e``, the even power of
+    two that brings its largest entry near 1, so they cannot overflow; the
+    scaling is exact, and ``p`` and ``q`` each take ``2^(e/2)`` back. The
+    rank decision is that of :func:`numerical_rank` on the SVD_TRUNCATION
+    corner, with the same errors: ZeroInput when no entry of the corner
+    reaches 1e-14, NotRankOne when its rank is not one. The power steps
+    mostly prove rank one themselves: on the corner ``C40``, ``sigma_2 <=
+    |C40 - f40 g40^H|_F`` (Eckart-Young, as ``f40 g40^H`` has rank one)
+    and ``sigma_1 >= |C40 g40| / |g40|``, so a residual at most
+    DEFAULT_RANK_TOL times that lower bound is rank one. Only when the
+    bound fails (a nan included) does the SVD of :func:`numerical_rank`
+    run and decide.
 
     Both factor series are a numerator of degree at most 2 over ``(1 -
     conj(a) z)^2``; as ``deg p + deg q <= 3``, at least one of them has a
@@ -463,14 +466,16 @@ def factor_rank_one(grid: BidegreeSeries) -> MobiusFactorization:
     scored by the largest relative coefficient error. The best
     reconstruction must come within FACTOR_TOL, else NoDiskDenominator.
     """
-    C = grid.coeffs
-    corner = C[:SVD_TRUNCATION, :SVD_TRUNCATION]
-    if np.max(np.abs(corner), initial=0.0) < 1e-14:
+    moduli = np.abs(grid.coeffs)
+    if np.max(moduli[:SVD_TRUNCATION, :SVD_TRUNCATION], initial=0.0) < 1e-14:
         raise ZeroInput("all coefficients below 1e-14")
+    e = 2 * (int(np.frexp(np.max(moduli))[1]) // 2)
+    C = np.ldexp(grid.coeffs.view(np.float64), -e).view(np.complex128)
+    corner = C[:SVD_TRUNCATION, :SVD_TRUNCATION]
     # two power steps on C^H C from the largest column give the dominant
     # right vector g, and C ~ f g^H with f = C g; C^H x is conj(conj(x) C).
-    # Then the Eckart-Young proof of rank one on the corner; a nan (from an
-    # overflow or a zero g40) fails it, and the SVD decides
+    # Then the Eckart-Young proof of rank one on the corner; a nan (from a
+    # zero g40) fails it, and the SVD decides
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         g = np.conj(np.conj(C[:, np.argmax(np.linalg.norm(C, axis=0))]) @ C)
         g = np.conj(np.conj(C @ g) @ C)
@@ -536,7 +541,8 @@ def factor_rank_one(grid: BidegreeSeries) -> MobiusFactorization:
         side[size <= 1e-9 * size.max()] = 0.0
     if not (p[1:].any() and q[1:].any()):
         raise NoDiskDenominator("factor reduces to a constant polynomial")
-    p, q = gauge_fix(p, q)
+    # on the float64 views: a complex multiply would turn -0.0 into +0.0
+    p, q = (np.ldexp(side.view(np.float64), e // 2).view(np.complex128) for side in gauge_fix(p, q))
     return MobiusFactorization(a=complex(a), p=p, q=q)
 
 
@@ -614,6 +620,44 @@ def _phi_num(a) -> np.ndarray:
     return np.array([-a, 1.0], dtype=np.complex128)
 
 
+def _split_node(a: complex, c11: complex, c21: complex, c12: complex,
+                truncation: int | None) -> list[tuple]:
+    """:func:`decompose_node` before the symbols are built: per piece
+    ``(atoms, K, L, f, g)``, with ``K`` and ``L`` harmonic coefficient arrays."""
+    a = complex(a)
+    c11 = 0.0 if abs(c11) <= NODE_CONSTANT_TOL else complex(c11)
+    c21 = 0.0 if abs(c21) <= NODE_CONSTANT_TOL else complex(c21)
+    c12 = 0.0 if abs(c12) <= NODE_CONSTANT_TOL else complex(c12)
+    if c11 == c21 == c12 == 0.0:
+        raise DegenerateNode("all node constants vanish")
+
+    phi = _phi_num(a)
+    one_minus = np.array([1.0, -np.conj(a)], dtype=np.complex128)
+    phi_sq = np.convolve(phi, phi)
+    law = _product_law(a, DEFAULT_TRUNCATION if truncation is None else truncation)
+
+    def piece(constants, f, g):
+        atoms, holo, anti = zip(*_preimage_terms(a, constants, law))
+        return atoms, sum(holo[1:], holo[0]), sum(anti[1:], anti[0]), f, g
+
+    if c21 != 0.0:
+        pieces = [piece((c11, c21, 0.0),
+                        RationalFactor(c11 * np.convolve(phi, one_minus) + c21 * phi_sq, a, 2),
+                        RationalFactor(phi, a, 1))]
+        if c12 != 0.0:
+            pieces.append(piece((0.0, 0.0, c12), RationalFactor(c12 * phi, a, 1),
+                                RationalFactor(phi_sq, a, 2)))
+        return pieces
+    if c12 != 0.0:
+        g = RationalFactor(np.conj(c11) * np.convolve(phi, one_minus) + np.conj(c12) * phi_sq, a, 2)
+        return [piece((c11, 0.0, c12), RationalFactor(phi, a, 1), g)]
+    return [piece((c11, 0.0, 0.0), RationalFactor(c11 * phi, a, 1), RationalFactor(phi, a, 1))]
+
+
+def _rank_one_piece(atoms, holo, anti, f, g) -> RankOnePiece:
+    return RankOnePiece(Symbol(holo=PowerSeries(holo), anti=PowerSeries(anti), atoms=atoms), f, g)
+
+
 def decompose_node(a: complex, c11: complex, c21: complex, c12: complex, *,
                    truncation: int | None = None) -> list[RankOnePiece]:
     """Rank-one pieces for one node of a canonical form.
@@ -622,45 +666,10 @@ def decompose_node(a: complex, c11: complex, c21: complex, c12: complex, *,
     when both higher coefficients are nonzero the split is two pieces with
     factor pole orders (2, 1) and (1, 2) at ``1/conj(a)``; otherwise a
     single piece suffices. Raises DegenerateNode when all three constants
-    vanish.
+    vanish. A piece's symbol is its constants times their products'
+    preimages (:func:`symbols._product_law`), summed as coefficient arrays.
     """
-    a = complex(a)
-    ab = np.conj(a)
-    c11 = 0.0 if abs(c11) <= NODE_CONSTANT_TOL else complex(c11)
-    c21 = 0.0 if abs(c21) <= NODE_CONSTANT_TOL else complex(c21)
-    c12 = 0.0 if abs(c12) <= NODE_CONSTANT_TOL else complex(c12)
-    if c11 == c21 == c12 == 0.0:
-        raise DegenerateNode("all node constants vanish")
-
-    phi = _phi_num(a)
-    one_minus = np.array([1.0, -ab], dtype=np.complex128)
-    phi_sq = np.convolve(phi, phi)
-
-    def preimage(c, jk):
-        return product_preimage_symbol(a, *jk, truncation).scaled(c)
-
-    pieces = []
-    if c21 != 0.0:
-        f = RationalFactor(c11 * np.convolve(phi, one_minus) + c21 * phi_sq, a, 2)
-        g = RationalFactor(phi, a, 1)
-        u = canonicalize(preimage(c11, (1, 1)) + preimage(c21, (2, 1)))
-        pieces.append(RankOnePiece(u, f, g))
-        if c12 != 0.0:
-            f2 = RationalFactor(c12 * phi, a, 1)
-            g2 = RationalFactor(phi_sq, a, 2)
-            pieces.append(RankOnePiece(preimage(c12, (1, 2)), f2, g2))
-    elif c12 != 0.0:
-        f = RationalFactor(phi, a, 1)
-        g = RationalFactor(
-            np.conj(c11) * np.convolve(phi, one_minus) + np.conj(c12) * phi_sq, a, 2
-        )
-        u = canonicalize(preimage(c11, (1, 1)) + preimage(c12, (1, 2)))
-        pieces.append(RankOnePiece(u, f, g))
-    else:
-        f = RationalFactor(c11 * phi, a, 1)
-        g = RationalFactor(phi, a, 1)
-        pieces.append(RankOnePiece(preimage(c11, (1, 1)), f, g))
-    return pieces
+    return [_rank_one_piece(*raw) for raw in _split_node(a, c11, c21, c12, truncation)]
 
 
 def decompose_form(form: NodeForm, *, truncation: int = DEFAULT_TRUNCATION):
@@ -672,7 +681,9 @@ def decompose_form(form: NodeForm, *, truncation: int = DEFAULT_TRUNCATION):
     (each absorption replaces ``f_i`` by ``f_i + lambda_i``, keeping the
     piece rank one), then the holomorphic part over ``{1, f_i}``. A leftover
     that is exactly a constant becomes a final constant piece; any other
-    unabsorbed harmonic part is returned as the remainder symbol.
+    unabsorbed harmonic part is returned as the remainder symbol. A piece
+    stays atoms plus harmonic arrays, which the absorptions add to, until
+    its one symbol is built at the end.
 
     Returns ``(pieces, remainder, info)`` with ``remainder`` None when the
     harmonic part was fully consumed.
@@ -685,71 +696,58 @@ def decompose_form(form: NodeForm, *, truncation: int = DEFAULT_TRUNCATION):
     one; it is left as the remainder.
     """
     truncation = _check_truncation(truncation)
-    pieces: list[RankOnePiece] = []
+    raw = []
     for (a, c11, c21, c12) in form.nodes:
         if max(abs(c11), abs(c21), abs(c12)) <= 1e-14:
             continue
-        pieces.extend(decompose_node(a, c11, c21, c12, truncation=truncation))
+        raw.extend(_split_node(a, c11, c21, c12, truncation))
 
     width = max(40, truncation, form.holo.truncation, form.anti.truncation)
-    harmonic = canonicalize(Symbol(holo=PowerSeries(form.holo.padded(width)),
-                                   anti=PowerSeries(form.anti.padded(width))))
-    holo, anti = harmonic.holo, harmonic.anti
+    holo, anti, _ = _canonical(form.holo.padded(width), form.anti.padded(width), ())
     info = {"anti_absorbed": False, "holo_absorbed": False}
-    scale = max(1.0, float(np.max(np.abs(holo.coeffs))), float(np.max(np.abs(anti.coeffs))))
+    scale = max(1.0, float(np.max(np.abs(holo))), float(np.max(np.abs(anti))))
 
-    if pieces and not anti.is_zero(0.0):
-        g_series = [piece.g.series(width).coeffs for piece in pieces]
+    if raw and np.any(anti != 0):
+        g_series = [g.series(width).coeffs for *_, g in raw]
         basis = np.stack([gs - gs[0] * np.eye(width + 1, 1).ravel() for gs in g_series], axis=1)
-        target = anti.coeffs
-        mu, *_ = np.linalg.lstsq(basis[1:], target[1:], rcond=None)
-        if float(np.max(np.abs(basis[1:] @ mu - target[1:]))) <= ABSORB_TOL * scale:
-            new_pieces = []
-            for piece, mu_j, gs in zip(pieces, mu, g_series):
-                lam = np.conj(mu_j)
-                add = canonicalize(Symbol(anti=PowerSeries(mu_j * gs)))
-                new_pieces.append(RankOnePiece(
-                    canonicalize(piece.symbol + add),
-                    piece.f.plus_constant(lam), piece.g, piece.harmonic,
-                ))
-            pieces = new_pieces
-            holo = holo + PowerSeries.constant(
-                -np.sum([np.conj(mu_j * gs[0]) for mu_j, gs in zip(mu, g_series)])
-            )
-            anti = PowerSeries.zero(width)
+        mu, *_ = np.linalg.lstsq(basis[1:], anti[1:], rcond=None)
+        if float(np.max(np.abs(basis[1:] @ mu - anti[1:]))) <= ABSORB_TOL * scale:
+            # conj(mu_j g_j) less its constant joins L_j; the constant joins K_j
+            for i, ((atoms, K, L, f, g), mu_j, gs) in enumerate(zip(raw, mu, g_series)):
+                term = mu_j * gs
+                K = np.pad(K, (0, width + 1 - len(K)))
+                K[0] += np.conj(term[0])
+                term[0] = 0.0
+                L = np.pad(L, (0, width + 1 - len(L))) + term
+                raw[i] = (atoms, K, L, f.plus_constant(np.conj(mu_j)), g)
+            holo[0] -= np.sum([np.conj(mu_j * gs[0]) for mu_j, gs in zip(mu, g_series)])
+            anti = np.zeros(width + 1, dtype=np.complex128)
             info["anti_absorbed"] = True
 
-    nonconstant = np.any(np.abs(holo.coeffs[1:]) > 1e-13 * scale)
-    if pieces and nonconstant:
-        f_series = [piece.f.series(width).coeffs for piece in pieces]
+    if raw and np.any(np.abs(holo[1:]) > 1e-13 * scale):
+        f_series = [f.series(width).coeffs for *_, f, _ in raw]
         basis = np.stack([np.eye(width + 1, 1).ravel()] + f_series, axis=1)
-        kappa, *_ = np.linalg.lstsq(basis, holo.coeffs, rcond=None)
-        if float(np.max(np.abs(basis @ kappa - holo.coeffs))) <= ABSORB_TOL * scale:
-            new_pieces = []
-            for piece, k_j, fs in zip(pieces, kappa[1:], f_series):
-                add = Symbol(holo=PowerSeries(k_j * fs))
-                new_pieces.append(RankOnePiece(
-                    canonicalize(piece.symbol + add),
-                    piece.f, piece.g.plus_constant(np.conj(k_j)), piece.harmonic,
-                ))
-            pieces = new_pieces
-            holo = PowerSeries.constant(kappa[0])
+        kappa, *_ = np.linalg.lstsq(basis, holo, rcond=None)
+        if float(np.max(np.abs(basis @ kappa - holo))) <= ABSORB_TOL * scale:
+            raw = [(atoms, np.pad(K, (0, width + 1 - len(K))) + k_j * fs, L, f,
+                    g.plus_constant(np.conj(k_j)))
+                   for (atoms, K, L, f, g), k_j, fs in zip(raw, kappa[1:], f_series)]
+            holo = np.array([kappa[0]])
             info["holo_absorbed"] = True
 
-    holo_c = holo.coeffs[0]
-    holo_rest = holo.coeffs.copy()
-    holo_rest[0] = 0.0
-    rest_zero = (np.max(np.abs(holo_rest)) <= 1e-13 * scale) and anti.is_zero(1e-13 * scale)
+    pieces = [_rank_one_piece(*piece) for piece in raw]
+    holo_c = holo[0]
+    rest_zero = (np.max(np.abs(holo[1:]), initial=0.0) <= 1e-13 * scale
+                 and np.max(np.abs(anti)) <= 1e-13 * scale)
     remainder = None
     if rest_zero:
         if abs(holo_c) > 1e-13 * scale:
-            const = Symbol.constant(holo_c)
             pieces.append(RankOnePiece(
-                const,
+                Symbol.constant(holo_c),
                 f=RationalFactor(np.array([holo_c]), 0.0, 0),
                 g=RationalFactor(np.array([1.0]), 0.0, 0),
                 harmonic=True,
             ))
     else:
-        remainder = canonicalize(Symbol(holo=holo, anti=anti))
+        remainder = Symbol(holo=PowerSeries(holo), anti=PowerSeries(anti))
     return pieces, remainder, info

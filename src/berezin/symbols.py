@@ -15,6 +15,10 @@ with center ``|a| < 0.95``. :class:`NodeForm` is the matching canonical
 shape on the transform side: a harmonic part plus, per node ``a``, the
 combination ``c11*phi*conj(phi) + c21*phi^2*conj(phi) + c12*phi*conj(phi)^2``
 of automorphism products.
+
+The two shapes meet in one table, :func:`_product_law`: each product's
+preimage is one atom plus a harmonic part in closed form. A node form's
+symbol, a symbol's exact grid and a form's rank-one pieces all read it.
 """
 from __future__ import annotations
 
@@ -24,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from berezin.core import (
+    DEFAULT_TRUNCATION,
     MAX_CENTER_MODULUS,
     PowerSeries,
-    log_one_minus_series,
-    mobius_series,
+    _check_truncation,
     require_finite,
 )
 from berezin.errors import DomainError, SchemaError, SingularPoint
@@ -39,6 +43,9 @@ CENTER_MERGE_TOL = 1e-10
 
 #: Atom coefficients below this magnitude are dropped.
 COEFF_DROP_TOL = 1e-14
+
+#: Node products ``phi_a^j * conj(phi_a)^k`` in node-tuple order (c11, c21, c12).
+_PRODUCTS = ((1, 1), (2, 1), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -132,8 +139,15 @@ def canonicalize(s: Symbol) -> Symbol:
     below :data:`COEFF_DROP_TOL` are dropped. A nonzero ``L(0)`` moves into
     the holomorphic part as ``conj(L(0))``. Idempotent.
     """
+    holo, anti, atoms = _canonical(s.holo.coeffs, s.anti.coeffs, s.atoms)
+    return Symbol(holo=PowerSeries(holo), anti=PowerSeries(anti), atoms=atoms)
+
+
+def _canonical(holo, anti, atoms):
+    """:func:`canonicalize` on the coefficient arrays of ``K``, ``L`` and a
+    list of atoms; returns ``(holo, anti, atoms)``, changing no argument."""
     merged: list[Atom] = []
-    for atom in s.atoms:
+    for atom in atoms:
         for i, kept in enumerate(merged):
             if kept.kind == atom.kind and abs(kept.center - atom.center) <= CENTER_MERGE_TOL:
                 merged[i] = Atom(kept.kind, kept.center, kept.coeff + atom.coeff)
@@ -142,50 +156,60 @@ def canonicalize(s: Symbol) -> Symbol:
             merged.append(atom)
     atoms = tuple(a for a in merged if abs(a.coeff) > COEFF_DROP_TOL)
 
-    holo, anti = s.holo, s.anti
-    l0 = anti.coeffs[0]
-    if l0 != 0:
-        shifted = anti.coeffs.copy()
-        shifted[0] = 0.0
-        anti = PowerSeries(shifted)
-        holo = holo + PowerSeries.constant(np.conj(l0))
-    return Symbol(holo=holo, anti=anti, atoms=atoms)
+    if anti[0] != 0:
+        holo = np.concatenate(([holo[0] + np.conj(anti[0])], holo[1:]))
+        anti = np.concatenate(([0.0], anti[1:]))
+    return holo, anti, atoms
+
+
+def _product_law(a: complex, truncation: int):
+    """The preimage law at center ``a``: per product of :data:`_PRODUCTS`,
+    ``(kind, coeff, K, L)`` such that ``coeff`` times the ``kind`` atom at
+    ``a`` plus ``K + conj(L)`` transforms to exactly that product. ``K``
+    and ``L`` are T+1 coefficients of closed forms (``phi = phi_a``):
+
+    * (1,1): log, ``2``;  ``K = 1 + sum conj(a)^n z^n / n``,  ``L = K - 1``
+    * (2,1): conjpole, ``-(1-|a|^2)``;  ``K = a + 2 phi``,  ``L = 0``
+    * (1,2): pole, ``-(1-|a|^2)``;  ``K = -conj(a)``,  ``L = 2 phi - 2 phi(0)``
+    """
+    t = _check_truncation(truncation)
+    n = np.arange(t + 1)
+    powers = np.conj(a) ** n
+    phi = np.concatenate(([-a], (1.0 - abs(a) ** 2) * powers[:-1]))
+    ell = np.concatenate(([0.0], -powers[1:] / n[1:]))     # log(1 - conj(a) z)
+    log_anti, zero = -1.0 * ell, np.zeros(t + 1, dtype=np.complex128)
+    residue = -(1.0 - abs(a) ** 2)
+    return (("log", 2.0, np.concatenate(([1.0], log_anti[1:])), log_anti),
+            ("conjpole", residue, np.concatenate(([a + 2.0 * phi[0]], 2.0 * phi[1:])), zero),
+            ("pole", residue, np.concatenate(([-np.conj(a)], zero[1:])),
+             np.concatenate(([0.0], 2.0 * phi[1:]))))
+
+
+def _preimage_terms(a: complex, constants, law):
+    """``(atom, K, L)`` of ``c`` times its product's preimage, for each
+    nonzero constant ``c`` of the node at ``a`` whose law is ``law``."""
+    for c, (kind, coeff, holo, anti) in zip(constants, law):
+        if c != 0:
+            yield Atom(kind, a, coeff * c), holo * c, anti * np.conj(c)
 
 
 def product_preimage_symbol(a: complex, holo_power: int, anti_power: int,
                             truncation: int | None = None) -> Symbol:
-    """Symbol whose transform is exactly ``phi_a^j * conj(phi_a)^k``.
+    """Symbol whose transform is exactly ``phi_a^j * conj(phi_a)^k``: the
+    symbol of the node form whose one node at ``a`` has constant 1 on that
+    product and 0 on the others, a row of :func:`_product_law`.
 
-    Supported (j, k): (1,1), (2,1), (1,2). These are the closed-form
-    preimages of the automorphism products:
+    Supported (j, k): (1,1), (2,1), (1,2). The preimages are
 
     * (1,1): ``2(ln|z-a| - ln|1 - conj(a) z|) + 1``
     * (1,2): ``conj(a) + 2 conj(phi_a) - (1-|a|^2)/(z-a)``
     * (2,1): the complex conjugate of the (1,2) preimage
     """
-    from berezin.core import DEFAULT_TRUNCATION
-
-    t = DEFAULT_TRUNCATION if truncation is None else truncation
-    a = require_finite(a, "center")
     jk = (int(holo_power), int(anti_power))
-    if jk == (1, 1):
-        ell = log_one_minus_series(np.conj(a), t)  # log(1 - conj(a) z)
-        holo = PowerSeries.constant(1.0) + (-1.0) * ell
-        anti = (-1.0) * ell
-        return Symbol(holo=holo, anti=anti, atoms=(Atom("log", a, 2.0),))
-    if jk == (1, 2):
-        phi = mobius_series(a, t)
-        anti = PowerSeries(np.concatenate(([0.0], 2.0 * phi.coeffs[1:])))
-        holo = PowerSeries.constant(-np.conj(a))
-        return Symbol(holo=holo, anti=anti,
-                      atoms=(Atom("pole", a, -(1.0 - abs(a) ** 2)),))
-    if jk == (2, 1):
-        phi = mobius_series(a, t)
-        coeffs = 2.0 * phi.coeffs.copy()
-        coeffs[0] = a + 2.0 * phi.coeffs[0]  # K = a + 2*phi, so K(0) = -a
-        return Symbol(holo=PowerSeries(coeffs), anti=PowerSeries.zero(),
-                      atoms=(Atom("conjpole", a, -(1.0 - abs(a) ** 2)),))
-    raise DomainError(f"unsupported product powers {jk}")
+    if jk not in _PRODUCTS:
+        raise DomainError(f"unsupported product powers {jk}")
+    unit = [float(jk == product) for product in _PRODUCTS]
+    return NodeForm(nodes=((require_finite(a, "center"), *unit),)).to_symbol(truncation)
 
 
 @dataclass(frozen=True)
@@ -215,13 +239,20 @@ class NodeForm:
         object.__setattr__(self, "nodes", tuple(nodes))
 
     def to_symbol(self, truncation: int | None = None) -> Symbol:
-        """The canonical symbol whose transform equals this form."""
-        out = Symbol(holo=self.holo, anti=self.anti)
-        for (a, c11, c21, c12) in self.nodes:
-            for c, (j, k) in ((c11, (1, 1)), (c21, (2, 1)), (c12, (1, 2))):
-                if c != 0:
-                    out = out + product_preimage_symbol(a, j, k, truncation).scaled(c)
-        return canonicalize(out)
+        """The canonical symbol whose transform equals this form: per
+        nonzero constant ``c``, ``c`` times its product's preimage
+        (:func:`_product_law`), added to the harmonic part node by node."""
+        holo, anti, atoms = self.holo.coeffs, self.anti.coeffs, []
+        if self.nodes:
+            t = _check_truncation(DEFAULT_TRUNCATION if truncation is None else truncation)
+            holo, anti = (p.padded(max(p.truncation, t)) for p in (self.holo, self.anti))
+        for (a, *constants) in self.nodes:
+            for atom, K, L in _preimage_terms(a, constants, _product_law(a, t)):
+                atoms.append(atom)
+                holo[: t + 1] += K
+                anti[: t + 1] += L
+        holo, anti, atoms = _canonical(holo, anti, atoms)
+        return Symbol(holo=PowerSeries(holo), anti=PowerSeries(anti), atoms=atoms)
 
 
 # ---------------------------------------------------------------------------

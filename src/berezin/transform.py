@@ -3,7 +3,7 @@
 Summable harmonic functions are fixed points of the transform, so the
 harmonic part embeds directly into row 0 / column 0 of the coefficient
 grid. Every atom is a multiple of the atom of one automorphism product's
-preimage (:func:`symbols.product_preimage_symbol`) plus a harmonic
+preimage (the one table :func:`symbols._product_law`) plus a harmonic
 function, so every exact grid is a node form's: the harmonic edges plus
 ``S^T C conj(S)`` (:func:`node_series`). With ``phi = phi_a``, ``phib``
 its conjugate, the closed forms that :func:`symbol_values` evaluates are
@@ -33,7 +33,7 @@ from berezin.core import (
 )
 from berezin.errors import DomainError
 from berezin.quadrature import berezin_numeric, symbol_parts
-from berezin.symbols import NodeForm, Symbol, canonicalize, product_preimage_symbol
+from berezin.symbols import _PRODUCTS, NodeForm, Symbol, _canonical, _product_law
 
 
 def harmonic_transform(holo: PowerSeries, anti: PowerSeries,
@@ -44,13 +44,6 @@ def harmonic_transform(holo: PowerSeries, anti: PowerSeries,
     :func:`core._check_truncation` accepts.
     """
     return _assemble(holo.coeffs, anti.coeffs, (), truncation)
-
-
-#: Node products ``phi_a^j * conj(phi_a)^k`` in node-tuple order (c11, c21, c12).
-_PRODUCTS = ((1, 1), (2, 1), (1, 2))
-
-#: The product whose preimage carries each atom kind.
-_ATOM_PRODUCTS = {"log": (1, 1), "pole": (1, 2), "conjpole": (2, 1)}
 
 
 def node_series(centers, truncation: int):
@@ -88,35 +81,31 @@ def _assemble(holo, anti, nodes, truncation: int) -> BidegreeSeries:
     return BidegreeSeries(grid)
 
 
-def _add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sum of two coefficient arrays, the shorter one padded with zeros."""
-    if len(x) < len(y):
-        x, y = y, x
-    out = x.copy()
-    out[: len(y)] += y
-    return out
-
-
 def symbol_transform(s: Symbol, truncation: int = DEFAULT_TRUNCATION) -> BidegreeSeries:
     """Exact transform grid of a symbol, through the product preimages.
 
-    An atom is ``c`` times the atom of its product's preimage ``u``, so it
-    adds ``c`` to its center's constant of that product and ``-c`` times
-    the harmonic part of ``u`` to the harmonic part; the grid is then that
-    of a node form. The harmonic part accumulates as coefficient arrays
-    (scale, then add with the shorter array padded) and is checked once,
-    as part of the grid (:func:`_assemble`).
+    An atom of coefficient ``w`` is ``c = w / coeff`` times the atom of its
+    product's preimage, a row ``(kind, coeff, K, L)`` of
+    :func:`symbols._product_law`. So it adds ``c`` to its center's constant
+    of that product, and ``-c K`` and ``-conj(c) L`` to the harmonic
+    coefficient arrays; the grid is then a node form's. The harmonic part
+    is checked once, as part of the grid (:func:`_assemble`).
     """
-    s = canonicalize(s)
-    holo, anti, nodes = s.holo.coeffs, s.anti.coeffs, {}
-    for atom in s.atoms:
-        jk = _ATOM_PRODUCTS[atom.kind]
-        u = product_preimage_symbol(atom.center, *jk, truncation)
-        c = atom.coeff / u.atoms[0].coeff
-        nodes.setdefault(atom.center, [0.0, 0.0, 0.0])[_PRODUCTS.index(jk)] += c
-        holo = _add(holo, u.holo.coeffs * (-c))
-        anti = _add(anti, u.anti.coeffs * np.conj(-c))
-    return _assemble(holo, anti, [(a, *cs) for a, cs in nodes.items()], truncation)
+    t = _check_truncation(truncation)
+    holo, anti, atoms = _canonical(s.holo.coeffs, s.anti.coeffs, s.atoms)
+    holo, anti = (np.concatenate((x, np.zeros(max(0, t + 1 - len(x))))) for x in (holo, anti))
+    nodes = {}
+    for atom in atoms:
+        if atom.center not in nodes:
+            nodes[atom.center] = (_product_law(atom.center, t), [0.0, 0.0, 0.0])
+        law, constants = nodes[atom.center]
+        slot = [kind for kind, *_ in law].index(atom.kind)
+        _, coeff, K, L = law[slot]
+        c = atom.coeff / coeff
+        constants[slot] += c
+        holo[: t + 1] += K * -c
+        anti[: t + 1] += L * np.conj(-c)
+    return _assemble(holo, anti, [(a, *cs) for a, (_, cs) in nodes.items()], t)
 
 
 def symbol_values(s: Symbol, z):

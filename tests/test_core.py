@@ -8,7 +8,6 @@ from berezin.core import (
     BidegreeSeries,
     DiskAutomorphism,
     PowerSeries,
-    log_one_minus_series,
     mobius_eval,
     mobius_inverse,
     mobius_power_series,
@@ -114,10 +113,6 @@ class TestPowerSeries:
         assert (2.0 * p).eval(0.5) == (p * 2.0).eval(0.5) == pytest.approx(4.0)
         with pytest.raises(TypeError):
             p * q
-
-    def test_log_series(self):
-        ell = log_one_minus_series(0.4, 60)
-        assert ell.eval(0.5) == pytest.approx(np.log(1 - 0.4 * 0.5), abs=1e-14)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):

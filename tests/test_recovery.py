@@ -568,6 +568,18 @@ class TestFactorRankOne:
         with pytest.raises(NoDiskDenominator, match="factor reduces to a constant polynomial"):
             factor_rank_one(grid)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e80, 1e160])
+    def test_huge_grid_scaled_by_a_power_of_two(self, scale, capfd):
+        # unscaled, the power steps overflow and LAPACK prints an illegal
+        # value; scaled by a power of two, the grid factors as at scale 1
+        base = factor_rank_one(product_grid(0.3, 1, 2))
+        fac = factor_rank_one(product_grid(0.3, 1, 2) * scale)
+        assert abs(fac.a - base.a) <= 1e-12
+        np.testing.assert_allclose(fac.p / np.sqrt(scale), base.p, atol=1e-12)
+        np.testing.assert_allclose(fac.q / np.sqrt(scale), base.q, atol=1e-12)
+        assert capfd.readouterr().err == ""
+
     def test_near_boundary_centers(self):
         for a_mod in (0.85, 0.9, 0.94):
             a = a_mod * np.exp(0.8j)
@@ -622,8 +634,8 @@ class TestFactorRankOne:
         # rank other than one, ZeroInput exactly when numerical_rank raises
         # it, over rank-one grids of every degree pattern, the same with
         # noise around the rank tolerance, sums of two, three shapes, and
-        # zero and tiny grids; a huge sum overflows the power steps, and
-        # the SVD still decides without a warning
+        # zero and tiny grids; a huge sum is scaled before the power steps,
+        # and the SVD still decides without a warning
         rng = np.random.default_rng(35)
 
         def noisy(grid, rel, dense):
@@ -758,6 +770,28 @@ class TestDecomposeForm:
         assert remainder is None
         for piece in pieces:
             assert numerical_rank(symbol_transform(piece.symbol, 60)).rank == 1
+        total = self._total_grid(pieces, remainder)
+        assert total.max_coeff_diff(node_form_transform(form)) <= 1e-7
+
+    def test_absorbable_holo_part(self):
+        # K in the span of {1, f_1, f_2}: the pieces take its f_i parts and
+        # its constant is left as a final harmonic piece
+        base = NodeForm(nodes=((0.3, 1.0, 0.5, -0.25j),))
+        base_pieces, _, _ = decompose_form(base)
+        f1, f2 = (piece.f.series(80).coeffs for piece in base_pieces)
+        holo = 0.6j * f1 - 0.3 * f2
+        holo[0] += 0.2
+        form = NodeForm(holo=PowerSeries(holo), nodes=base.nodes)
+        pieces, remainder, info = decompose_form(form)
+        assert info["holo_absorbed"]
+        assert remainder is None
+        assert len(pieces) == 3 and pieces[-1].harmonic
+        for piece in pieces:
+            grid = symbol_transform(piece.symbol, 60)
+            assert numerical_rank(grid).rank == 1
+            # g takes conj(kappa_i) as f_i's multiple joins the symbol
+            factors = BidegreeSeries.outer(piece.f.series(60), piece.g.series(60))
+            assert grid.max_coeff_diff(factors) <= 1e-14
         total = self._total_grid(pieces, remainder)
         assert total.max_coeff_diff(node_form_transform(form)) <= 1e-7
 

@@ -8,6 +8,7 @@ from berezin.symbols import Atom, NodeForm, Symbol, product_preimage_symbol
 from berezin.transform import (
     covariance_residual,
     harmonic_transform,
+    node_form_transform,
     product_grid,
     symbol_transform,
     symbol_values,
@@ -202,6 +203,26 @@ class TestOneLaw:
             scaled = symbol_transform(s) * c
             deviation = symbol_transform(s.scaled(c)).max_coeff_diff(scaled)
             assert deviation <= 4e-15 * np.max(np.abs(scaled.coeffs))
+
+    def test_node_form_round_trip(self, rng):
+        # to_symbol writes through the table that symbol_transform reads, so
+        # the preimages' harmonic parts cancel only if its signs and
+        # conjugations are right
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            centers = 0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+            constants = ((rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
+                         * (rng.uniform(size=(n, 3)) >= 1 / 3))
+            degree = int(rng.integers(0, 5))
+            holo, anti = rng.standard_normal((2, degree + 1)) + 1j * rng.standard_normal((2, degree + 1))
+            anti[0] = 0.0
+            form = NodeForm(holo=PowerSeries(holo), anti=PowerSeries(anti),
+                            nodes=tuple((a, *cs) for a, cs in zip(centers, constants)))
+            T = (40, 80, 160)[int(rng.integers(3))]
+            want = node_form_transform(form, T)
+            got = symbol_transform(form.to_symbol(T), T)
+            assert got.shape == want.shape
+            assert got.max_coeff_diff(want) <= 4e-15 * np.max(np.abs(want.coeffs))
 
 
 class TestSymbolValues:
