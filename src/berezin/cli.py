@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from berezin.core import DEFAULT_TRUNCATION
+from berezin.core import DEFAULT_TRUNCATION, BidegreeSeries
 from berezin.errors import BerezinError, SchemaError
 from berezin.quadrature import berezin_numeric
 from berezin.rank import moment_matrix, moment_matrix_from_grid, numerical_rank
@@ -128,9 +128,14 @@ def cmd_moments(args) -> int:
 
 
 def _recover_form(symbol, trunc):
+    """Nodes from the moments of the symbol's grid scaled by the power of
+    two that brings its largest coefficient into [0.5, 1), so that which
+    moments count as zero does not depend on the symbol's scale; the fit
+    runs on the unscaled grid."""
     grid = symbol_transform(symbol, trunc)
-    moments = moment_matrix_from_grid(grid, 12, 12)
-    estimate = recover_nodes(moments, rank_bound=8)
+    e = int(np.frexp(np.max(np.abs(grid.coeffs)))[1])
+    scaled = BidegreeSeries(np.ldexp(grid.coeffs.view(np.float64), -e).view(np.complex128))
+    estimate = recover_nodes(moment_matrix_from_grid(scaled, 12, 12), rank_bound=8)
     form, residual = fit_node_form(grid, estimate.nodes)
     return estimate, form, residual
 

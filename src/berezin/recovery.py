@@ -25,7 +25,8 @@
 * :func:`factor_rank_one` writes a rank-one grid as ``p(phi_a) *
   conj(q(phi_a))`` with polynomials of degree at most 2 and ``deg p +
   deg q <= 3``, scoring in one array pass the closed-form center
-  estimates of each factor's tail (a ratio fit and a recurrence fit).
+  estimates of each factor's tail (a ratio fit and a recurrence fit) on
+  the rows ``1, phi_a, phi_a^2`` of :func:`transform.node_series`.
   Two power steps give the factor series, and their residual proves rank
   one by Eckart-Young; the SVD of :func:`rank.numerical_rank` runs only
   where that bound fails, so it makes the same decisions.
@@ -45,6 +46,7 @@ from berezin.core import (
     BidegreeSeries,
     PowerSeries,
     _check_truncation,
+    require_finite,
 )
 from berezin.errors import (
     DegenerateNode,
@@ -313,14 +315,17 @@ def fit_node_form(grid: BidegreeSeries, nodes) -> tuple[NodeForm, float]:
     condition of ``D`` exceeds 1e12. ``residual`` is the largest interior
     misfit, ``max |f^T diag(x) g - t_int|`` over the 3n column factors. The
     fit runs at the grid's truncation ``T``, the larger of its two; a shorter
-    side is padded with zeros.
+    side is padded with zeros. Given nodes, ``T`` must pass
+    :func:`core._check_truncation` and no node lie beyond MAX_CENTER_MODULUS.
     """
-    nodes = [complex(a) for a in nodes]
-    for i in range(len(nodes)):
+    nodes = [require_finite(a, "automorphism parameter") for a in nodes]
+    for i, a in enumerate(nodes):
+        if abs(a) > MAX_CENTER_MODULUS:
+            raise DomainError(f"|a|={abs(a):.4f} exceeds {MAX_CENTER_MODULUS}; series decay too slow")
         for j in range(i + 1, len(nodes)):
-            if abs(nodes[i] - nodes[j]) <= 1e-8:
+            if abs(a - nodes[j]) <= 1e-8:
                 raise DomainError("fit nodes must be pairwise distinct")
-    T = max(grid.truncation)
+    T = _check_truncation(max(grid.truncation)) if nodes else max(grid.truncation)
     target = grid.padded(T, T)
     k = 3 * len(nodes)
 
@@ -395,31 +400,6 @@ def gauge_fix(p, q) -> tuple[np.ndarray, np.ndarray]:
     return p * np.conj(phase), q * np.conj(phase)
 
 
-def _phi_basis(centers) -> np.ndarray:
-    """Per center, columns: numerators of ``1``, ``phi_a`` and ``phi_a^2``
-    over ``(1 - conj(a) z)^2``, as coefficients of ``1, z, z^2``."""
-    a = np.asarray(centers, dtype=np.complex128)
-    ab = np.conj(a)
-    out = np.empty(a.shape + (3, 3), dtype=np.complex128)
-    out[..., 0, 0], out[..., 0, 1], out[..., 0, 2] = 1.0, -a, a * a
-    out[..., 1, 0], out[..., 1, 1], out[..., 1, 2] = -2.0 * ab, 1.0 + np.abs(a) ** 2, -2.0 * a
-    out[..., 2, 0], out[..., 2, 1], out[..., 2, 2] = ab * ab, -ab, 1.0
-    return out
-
-
-def _over_square(b, truncation) -> np.ndarray:
-    """Series of ``z^j / (1 - b_c z)^2`` for j = 0, 1, 2 and each ``b_c``:
-    ``P[j, c, n] = (n-j+1) b_c^(n-j)``, zero for ``n < j``. A numerator
-    ``N`` of degree at most 2 over ``(1 - b_c z)^2`` has the series
-    ``N @ P[:, c]``. Rows 1 and 2 are row 0 shifted by one and two places,
-    so the powers are taken once."""
-    n = np.arange(truncation + 1)
-    row = (n + 1) * np.asarray(b, dtype=np.complex128)[:, None] ** n
-    out = np.zeros((3,) + row.shape, dtype=np.complex128)
-    out[0], out[1, :, 1:], out[2, :, 2:] = row, row[:, :-1], row[:, :-2]
-    return out
-
-
 def _center_estimates(series, end) -> np.ndarray:
     """Estimates ``[ratio, u / 2]`` of ``conj(a)`` from the tail
     ``t = series[1:end]``: the least-squares ratio ``t[n+1] / t[n]``, exact
@@ -439,11 +419,12 @@ def factor_rank_one(grid: BidegreeSeries) -> MobiusFactorization:
     The dominant singular pair gives the two factor series ``f`` and
     ``g``: two power steps on ``C^H C`` from the largest column find it
     without an SVD. They run on the grid times ``2^-e``, the even power of
-    two that brings its largest entry near 1, so they cannot overflow; the
-    scaling is exact, and ``p`` and ``q`` each take ``2^(e/2)`` back. The
-    rank decision is that of :func:`numerical_rank` on the SVD_TRUNCATION
-    corner, with the same errors: ZeroInput when no entry of the corner
-    reaches 1e-14, NotRankOne when its rank is not one. The power steps
+    two that brings its largest real or imaginary part near 1 (no copy at
+    e = 0), so they cannot overflow; the scaling is exact, and ``p`` and
+    ``q`` each take ``2^(e/2)`` back. The rank decision is that of
+    :func:`numerical_rank` on the SVD_TRUNCATION corner, with the same
+    errors: ZeroInput when no entry of the corner reaches 1e-14,
+    NotRankOne when its rank is not one. The power steps
     mostly prove rank one themselves: on the corner ``C40``, ``sigma_2 <=
     |C40 - f40 g40^H|_F`` (Eckart-Young, as ``f40 g40^H`` has rank one)
     and ``sigma_1 >= |C40 g40| / |g40|``, so a residual at most
@@ -451,26 +432,27 @@ def factor_rank_one(grid: BidegreeSeries) -> MobiusFactorization:
     bound fails (a nan included) does the SVD of :func:`numerical_rank`
     run and decide.
 
-    Both factor series are a numerator of degree at most 2 over ``(1 -
-    conj(a) z)^2``; as ``deg p + deg q <= 3``, at least one of them has a
-    simple pole. Center candidates are zero and, per side, two
-    closed-form estimates of ``conj(a)`` (:func:`_center_estimates`): a
-    ratio fit of the tail, exact for a simple pole, and half the first
-    coefficient of a two-term recurrence fit, exact for a double pole.
-    Candidates that are not finite or lie at or beyond MAX_CENTER_MODULUS are
-    dropped. All candidates are then scored in one array pass: per
-    candidate, each side's numerator gives its polynomial in ``phi_a``
-    (one batched 3x3 solve), and the side is rebuilt from that numerator
-    truncated to degree 1 and to degree 2 (the series of ``N`` over
-    ``(1 - b z)^2`` has coefficient ``sum_j N_j (n-j+1) b^(n-j)``) and
-    scored by the largest relative coefficient error. The best
-    reconstruction must come within FACTOR_TOL, else NoDiskDenominator.
+    A factor series ``p(phi_a)`` has a pole of order ``deg p`` at
+    ``1/conj(a)``; as ``deg p + deg q <= 3``, at least one side has a
+    simple pole. Center candidates are, per side, two closed-form
+    estimates of ``conj(a)`` (:func:`_center_estimates`): a ratio fit of
+    the tail, exact for a simple pole, and half the first coefficient of a
+    two-term recurrence fit, exact for a double pole; at a = 0 one is 0.
+    Candidates that are not finite or lie at or beyond MAX_CENTER_MODULUS
+    are dropped. All candidates are then scored in one array pass on their
+    rows ``1, phi_a, phi_a^2`` (:func:`transform.node_series`, at the
+    sides' length): the first three coefficients of each side give its
+    polynomial in ``phi_a`` (one batched 3x3 solve), and the side is
+    rebuilt from that polynomial cut to degree 1 and to degree 2 (one
+    batched product with the rows) and scored by the largest relative
+    coefficient error. The best must come within FACTOR_TOL, else
+    NoDiskDenominator.
     """
-    moduli = np.abs(grid.coeffs)
-    if np.max(moduli[:SVD_TRUNCATION, :SVD_TRUNCATION], initial=0.0) < 1e-14:
+    if np.max(np.abs(grid.coeffs[:SVD_TRUNCATION, :SVD_TRUNCATION]), initial=0.0) < 1e-14:
         raise ZeroInput("all coefficients below 1e-14")
-    e = 2 * (int(np.frexp(np.max(moduli))[1]) // 2)
-    C = np.ldexp(grid.coeffs.view(np.float64), -e).view(np.complex128)
+    parts = grid.coeffs.view(np.float64)
+    e = 2 * (int(np.frexp(max(parts.max(), -parts.min()))[1]) // 2)
+    C = grid.coeffs if e == 0 else np.ldexp(parts, -e).view(np.complex128)
     corner = C[:SVD_TRUNCATION, :SVD_TRUNCATION]
     # two power steps on C^H C from the largest column give the dominant
     # right vector g, and C ~ f g^H with f = C g; C^H x is conj(conj(x) C).
@@ -499,21 +481,20 @@ def factor_rank_one(grid: BidegreeSeries) -> MobiusFactorization:
         raise NoDiskDenominator("holomorphic factor is constant")
 
     # both sides' estimates are of conj(a): neither is conjugated here
-    roots = np.concatenate([[0.0], _center_estimates(g, end), _center_estimates(f, end)])
+    roots = np.concatenate([_center_estimates(g, end), _center_estimates(f, end)])
     # no admissible center lies beyond MAX_CENTER_MODULUS
     roots = roots[np.isfinite(roots) & (np.abs(roots) < MAX_CENTER_MODULUS)]
-    bases = _phi_basis(np.conj(roots))
-    # per candidate b, each side's numerator is the head of
-    # side * (1 - b z)^2, and poly[c, :, s] (s = 0 for f, 1 for g) is
-    # that side's polynomial in phi_a
-    down, b = np.eye(3, k=-1), roots[:, None, None]
-    heads = np.stack([f[:3], g[:3]], axis=1)
-    poly = np.linalg.solve(bases, (np.eye(3) - 2.0 * b * down + b * b * down @ down) @ heads)
-    # rebuild each side from its numerator truncated to degree 1 and 2
+    # rows[c, j] is the series of phi_a^j at candidate c, at the sides' length
+    length = max(len(f), len(g))
+    rows = np.zeros((len(roots), 3, length), dtype=np.complex128)
+    rows[:, 0, 0] = 1.0
+    rows[:, 1:] = node_series(np.conj(roots), length - 1)[0].reshape(len(roots), 2, length)
+    # poly[c, :, s] (s = 0 for f, 1 for g) is that side's polynomial in
+    # phi_a: its first three coefficients are the side's head
+    poly = np.linalg.solve(np.swapaxes(rows[:, :, :3], 1, 2), np.stack([f[:3], g[:3]], axis=1))
+    # rebuild each side from its polynomial cut to degree 1 and 2
     kept = (np.arange(3) <= np.array([[1], [2]]))[..., None]
-    numerators = bases[:, None] @ (poly[:, None] * kept)
-    rebuilt = np.einsum("cdis,icn->cdsn", numerators,
-                        _over_square(roots, max(len(f), len(g)) - 1))
+    rebuilt = np.swapaxes(poly[:, None] * kept, -1, -2) @ rows[:, None]   # [c, d - 1, s, n]
     sides = np.zeros(rebuilt.shape[-2:], dtype=np.complex128)
     sides[0, : len(f)], sides[1, : len(g)] = f, g
     misfit = np.abs(rebuilt - sides)
@@ -528,7 +509,7 @@ def factor_rank_one(grid: BidegreeSeries) -> MobiusFactorization:
     scores = np.maximum(errors[:, dp - 1, 0], errors[:, dq - 1, 1]).ravel().tolist()
     ok = [i for i, score in enumerate(scores) if score <= FACTOR_TOL]
     if not ok:
-        if np.min(np.max(errors[:, 1], axis=1)) <= FACTOR_TOL:
+        if np.min(np.max(errors[:, 1], axis=1), initial=np.inf) <= FACTOR_TOL:
             raise NoDiskDenominator("factor degrees violate the constraint deg p + deg q <= 3")
         raise NoDiskDenominator("no center inside the disk reconstructs both factors")
     # smallest (degree sum, score); ties go to the earlier candidate and pattern
@@ -585,25 +566,6 @@ class RationalFactor:
         num[: len(self.numerator)] += self.numerator
         num[: len(denom)] += c * denom
         return RationalFactor(num, self.center, self.power)
-
-    def pole_order(self, tol: float = 1e-10) -> int:
-        """Order of the pole at ``1/conj(center)`` (center must be nonzero)."""
-        if self.power == 0:
-            return 0
-        if self.center == 0:
-            raise DomainError("pole order undefined for a zero center")
-        b = 1.0 / np.conj(self.center)
-        order = self.power
-        num = self.numerator.copy()
-        scale = np.max(np.abs(num))
-        while order > 0 and len(num) > 1:
-            if abs(np.polynomial.polynomial.polyval(b, num)) > tol * scale:
-                break
-            num = np.polynomial.polynomial.polydiv(
-                num, np.array([-b, 1.0], dtype=np.complex128)
-            )[0]
-            order -= 1
-        return order
 
 
 @dataclass(frozen=True)

@@ -48,15 +48,26 @@ def harmonic_transform(holo: PowerSeries, anti: PowerSeries,
 
 def node_series(centers, truncation: int):
     """``(series, fa, gb)``: the 2n x (T+1) rows ``phi_a``, ``phi_a^2`` of
-    the n centers, and product ``3*i + s`` (``_PRODUCTS`` entry ``s`` of
-    center ``i``) is ``series[fa[3*i + s]] ⊗ conj(series[gb[3*i + s]])``."""
-    series = np.empty((2 * len(centers), truncation + 1), dtype=np.complex128)
-    for i, a in enumerate(centers):
-        phi = mobius_power_series(a, 1, truncation).coeffs
-        series[2 * i: 2 * i + 2] = (phi, np.convolve(phi, phi)[: truncation + 1])
-    fa = (2 * np.arange(len(centers))[:, None] + [j - 1 for j, _ in _PRODUCTS]).ravel()
-    gb = (2 * np.arange(len(centers))[:, None] + [k - 1 for _, k in _PRODUCTS]).ravel()
-    return series, fa, gb
+    the n centers, in closed form for all centers at once (``d = 1-|a|^2``):
+
+    * ``phi_a[0] = -a`` and ``phi_a[n] = d conj(a)^(n-1)``;
+    * ``phi_a^2[0] = a^2``, ``phi_a^2[1] = -2ad`` and ``phi_a^2[n] = d
+      conj(a)^(n-2) ((n-1)d - 2|a|^2)`` for n >= 2.
+
+    Product ``3*i + s`` (``_PRODUCTS`` entry ``s`` of center ``i``) is
+    ``series[fa[3*i + s]] ⊗ conj(series[gb[3*i + s]])``. The callers
+    check the centers and ``T``; the factorization takes any length."""
+    a = np.asarray(centers, dtype=np.complex128).reshape(-1, 1)
+    size = np.abs(a) ** 2
+    d = 1.0 - size
+    powers = d * np.conj(a) ** np.arange(truncation)     # phi_a[1:]
+    series = np.empty((len(a), 2, truncation + 1), dtype=np.complex128)
+    series[:, 0, :1], series[:, 0, 1:], series[:, 1, :1] = -a, powers, a * a
+    series[:, 1, 1:2] = (-2.0 * a * d)[:, :truncation]
+    series[:, 1, 2:] = powers[:, :-1] * (np.arange(1, truncation) * d - 2.0 * size)
+    fa = (2 * np.arange(len(a))[:, None] + [j - 1 for j, _ in _PRODUCTS]).ravel()
+    gb = (2 * np.arange(len(a))[:, None] + [k - 1 for _, k in _PRODUCTS]).ravel()
+    return series.reshape(2 * len(a), truncation + 1), fa, gb
 
 
 def _assemble(holo, anti, nodes, truncation: int) -> BidegreeSeries:

@@ -190,7 +190,8 @@ def _check_factorization(rng):
 
 def _poly_series(coeffs3, a, truncation=80):
     """Series of ``c0 + c1 phi_a + c2 phi_a^2`` from the Moebius power
-    series, independent of the numerators the factorization works on."""
+    series, independent of the closed-form rows of
+    :func:`transform.node_series` that the factorization works on."""
     out = np.zeros(truncation + 1, dtype=np.complex128)
     out[0] = coeffs3[0]
     for j in (1, 2):

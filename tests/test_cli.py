@@ -306,3 +306,25 @@ def test_truncation_is_checked_for_a_harmonic_symbol(command, tmp_path, capsys):
     assert main(argv + ["--trunc", "161"]) == 3
     assert "truncation 161 exceeds configured maximum 160" in capsys.readouterr().err
     assert main(argv + ["--trunc", "160"]) == 0
+
+
+#: The 4-node symbol of the CI recovery steps, as ``(a, c11, c21, c12)``.
+FOUR_NODES = ((0.3 + 0.2j, 1.0, 0.4j, -0.6), (-0.4 + 0.1j, 0.8, 0.5, 0.3j),
+              (0.1 - 0.5j, -0.7j, 0.2, 0.9), (-0.3 - 0.4j, 1.2, -0.3, 0.5))
+
+
+def test_recover_does_not_depend_on_the_symbols_scale(tmp_path):
+    # the zero-moment test of recover_nodes is absolute; on the grid scaled
+    # into [0.5, 1) a small symbol keeps its nodes
+    from berezin.symbols import NodeForm
+
+    found = {}
+    for c in (1e-12, 1e-8, 1.0, 1e12):
+        form = NodeForm(nodes=tuple((a, *(c * x for x in cs)) for a, *cs in FOUR_NODES))
+        path, out = tmp_path / f"{c}.json", tmp_path / f"{c}.out.json"
+        path.write_text(serialize_symbol(form.to_symbol()))
+        assert main(["recover", "--symbol", str(path), "--output", str(out)]) == 0
+        found[c] = [complex(*n["a"]) for n in json.loads(out.read_text())["nodes"]]
+    for c, nodes in found.items():
+        assert len(nodes) == 4
+        assert max(abs(a - b) for a, b in zip(nodes, found[1.0])) <= 1e-12

@@ -16,6 +16,7 @@ from berezin.errors import (
     NoDiskDenominator,
     NotRankOne,
     PencilFailure,
+    TruncationOverflow,
     ZeroInput,
 )
 from berezin.rank import MomentMatrix, moment_matrix, moment_matrix_from_grid, numerical_rank
@@ -25,7 +26,6 @@ from berezin.recovery import (
     _moment_design,
     _moment_jacobian,
     _moment_model_fit,
-    _over_square,
     _power_tables,
     _projected_jacobian,
     decompose_form,
@@ -151,6 +151,26 @@ class TestFitNodeForm:
         with pytest.raises(DomainError):
             fit_node_form(product_grid(0.3, 1, 1, 20), [0.3, 0.3])
 
+    def test_truncation_and_centers_checked(self):
+        # the rows are built unchecked, so the fit checks what they need
+        long_grid = BidegreeSeries(product_grid(0.3, 1, 1).padded(199, 199))
+        with pytest.raises(TruncationOverflow, match="^truncation 199 exceeds configured maximum 160$"):
+            fit_node_form(long_grid, [0.3])
+        with pytest.raises(DomainError, match=r"^\|a\|=0.9600 exceeds 0.95"):
+            fit_node_form(product_grid(0.3, 1, 1), [0.3, 0.96j])
+
+    @pytest.mark.parametrize("terms", [81, pytest.param(82, marks=pytest.mark.xfail(
+        strict=True, reason="the grid's node part stops at T = 80, but the fit runs at the "
+                            "edge length, 81 (ROADMAP item 16)"))])
+    def test_harmonic_part_longer_than_the_truncation(self, terms):
+        # K of 82 terms makes the grid 82 x 82 at T = 80: its constants come
+        # out 5.6e-10 off, where 81 terms fit them to 5e-16
+        a = 0.85 * np.exp(0.7j)
+        form = NodeForm(holo=PowerSeries(0.3 * 0.5 ** np.arange(terms)),
+                        nodes=((a, 1.0, 0.5j, -0.3),))
+        fitted, _ = fit_node_form(node_form_transform(form), [a])
+        assert np.max(np.abs(np.subtract(fitted.nodes[0][1:], (1.0, 0.5j, -0.3)))) <= 1e-12
+
 
 #: Nodes of the moment-model array tests: the confluent origin, one near
 #: the rim and one in between.
@@ -190,15 +210,6 @@ class TestMomentModelArrays:
                 step[i] = h * direction
                 fd = (model(MODEL_NODES + step) - model(MODEL_NODES - step)) / (2 * h)
                 assert np.max(np.abs(fd - J[:, col])) <= 1e-7 * np.max(np.abs(J[:, col]))
-
-    @pytest.mark.parametrize("a", [0.0, 0.3 - 0.2j, -0.7j, 0.94 * np.exp(1.3j)])
-    def test_square_denominator_series(self, rng, a):
-        T = 80
-        P = _over_square([np.conj(a)], T)[:, 0]
-        for _ in range(5):
-            N = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            want = RationalFactor(N, a, 2).series(T).coeffs
-            assert np.max(np.abs(N @ P - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("modulus", [0.0, 0.02, 0.3, 0.85, 0.94])
     def test_center_estimates_are_exact(self, modulus):
@@ -695,6 +706,28 @@ class TestFactorRankOne:
         kinds = {want[0] if want else None for _, want in outcomes}
         assert kinds == {None, NotRankOne, ZeroInput}
 
+    @pytest.mark.parametrize("modulus", [0.0, 1e-12, 1e-8, 1e-4])
+    def test_centers_at_the_origin(self, modulus):
+        # no candidate is put at 0: there the sides' own estimates are 0
+        # (the ratio fit of a side of degree 1, the recurrence fit of one
+        # of degree 2), and nearby they are the center
+        rng = np.random.default_rng(37)
+        a = modulus * np.exp(0.7j)
+        for dp in range(3):
+            for dq in range(3):
+                p, q = (np.where(np.arange(3) <= d, rng.standard_normal(3) + 1j * rng.standard_normal(3), 0)
+                        for d in (dp, dq))
+                grid = rank_one_grid(a, p, q)
+                if dp and dq and dp + dq <= 3:
+                    fac = factor_rank_one(grid)
+                    assert abs(fac.a - a) <= 1e-12
+                    pg, qg = gauge_fix(p, q)
+                    assert max(np.max(np.abs(fac.p - pg)), np.max(np.abs(fac.q - qg))) <= 1e-12
+                else:
+                    message = "factor degrees violate" if dp and dq else "factor is constant"
+                    with pytest.raises(NoDiskDenominator, match=message):
+                        factor_rank_one(grid)
+
     def test_gauge_fix_canonical(self, rng):
         p = np.array([0.3 - 1j, 0.8, 0.0])
         q = np.array([0.2, -0.9 + 0.1j, 0.0])
@@ -711,7 +744,12 @@ class TestDecomposeNode:
     def test_both_higher_terms(self):
         pieces = decompose_node(0.3, 0.0, 1.0, 1.0)
         assert len(pieces) == 2
-        assert [(p.f.pole_order(), p.g.pole_order()) for p in pieces] == [(2, 1), (1, 2)]
+        assert [(p.f.power, p.g.power) for p in pieces] == [(2, 1), (1, 2)]
+        # no numerator vanishes at the pole 1/conj(a), so each power is the
+        # factor's pole order
+        for factor in (factor for p in pieces for factor in (p.f, p.g)):
+            value = np.polynomial.polynomial.polyval(1 / 0.3, factor.numerator)
+            assert abs(value) > 1e-10 * np.max(np.abs(factor.numerator))
 
     def test_single_piece_cases(self):
         assert len(decompose_node(0.3, 1.0, 1.0, 0.0)) == 1

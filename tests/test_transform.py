@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from berezin.core import DEFAULT_TRUNCATION, DiskAutomorphism, PowerSeries, mobius_eval
+from berezin.core import (
+    DEFAULT_TRUNCATION,
+    DiskAutomorphism,
+    PowerSeries,
+    mobius_eval,
+    mobius_power_series,
+)
 from berezin.errors import DomainError
 from berezin.quadrature import berezin_numeric, disk_integrate_singular
 from berezin.symbols import Atom, NodeForm, Symbol, product_preimage_symbol
@@ -9,6 +15,7 @@ from berezin.transform import (
     covariance_residual,
     harmonic_transform,
     node_form_transform,
+    node_series,
     product_grid,
     symbol_transform,
     symbol_values,
@@ -223,6 +230,19 @@ class TestOneLaw:
             got = symbol_transform(form.to_symbol(T), T)
             assert got.shape == want.shape
             assert got.max_coeff_diff(want) <= 4e-15 * np.max(np.abs(want.coeffs))
+
+
+    @pytest.mark.parametrize("T", [1, 2, 80, 160])
+    def test_node_series_matches_the_mobius_power_series(self, T):
+        # the closed-form rows of all centers at once against the
+        # convolution of the Moebius series, center by center
+        centers = [0.0, 0.02, 0.3 - 0.2j, 0.85, 0.94 * np.exp(1.3j)]
+        series, _, _ = node_series(centers, T)
+        assert series.shape == (2 * len(centers), T + 1)
+        for i, a in enumerate(centers):
+            for j in (1, 2):
+                want = mobius_power_series(a, j, max(T, 2)).coeffs[: T + 1]
+                assert np.max(np.abs(series[2 * i + j - 1] - want)) <= 4e-16 * np.max(np.abs(want))
 
 
 class TestSymbolValues:
